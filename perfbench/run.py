@@ -38,7 +38,7 @@ from worker import selftest_seconds
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
-SETUP_RUNS = 3  # set-up timings per run, the median is reported
+SETUP_RUNS = 5  # set-up timings per run, the median is reported
 STARTUP_RUNS = 5  # bare-interpreter and import timings per traced run, the fastest is used
 BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -141,14 +141,19 @@ def run_workload(workload: str, seed: int, seconds: float, trace: bool, spec: di
     env = worker_env()
     subprocess.run([sys.executable, "-m", "compileall", "-q", str(ROOT / "src" / "pvi"), str(HERE)],
                    check=True, cwd=ROOT, env=env, timeout=120, stdout=subprocess.DEVNULL)
-    setups = []
-    for _ in range(SETUP_RUNS - 1):
+    def set_up_only() -> float:
         w = Worker(workload, seed, env)
-        setups.append(w.ready())
-        w.close()
+        try:
+            return w.ready()
+        finally:
+            w.close()
+
+    # Set-up is timed before and after the loop: the speed drifts over tens of seconds.
+    setups = [set_up_only() for _ in range(SETUP_RUNS // 2)]
     w = Worker(workload, seed, env)
     setups.append(w.ready())
     res = w.run(seconds, trace)
+    setups += [set_up_only() for _ in range(SETUP_RUNS - len(setups))]
     loop = res["untraced"]
     selftests = loop["selftests"]
     selftest_failed = sum(body is None for _, body in selftests)
