@@ -7,9 +7,10 @@ Run from the root of a checkout.  pvi is imported from the checkout's
 
 * compiles the bytecode of ``src/pvi`` so no command pays for compilation;
 * starts fresh worker processes (`worker.py`) and times each from spawn to
-  ready, which is ``setup_s``; the last one runs the timed closed loop;
+  ready, which is ``setup_s``; one of them runs the timed closed loop;
 * has that worker time ``pvi selftest --json`` as a subprocess, spread over
-  the loop, which is ``selftest_s``;
+  the loop, which is ``selftest_s`` (with ``--trace 1`` on ``cli-session``
+  only);
 * with ``--trace 1`` runs half the time untraced and half traced, and
   reports the per-layer metrics instead of the end-to-end ones.
 
@@ -34,7 +35,7 @@ from importlib import metadata
 from pathlib import Path
 from time import perf_counter
 
-from worker import selftest_seconds
+from worker import SELFTEST_RUNS
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
@@ -81,8 +82,8 @@ class Worker:
             raise BenchError(f"worker did not get ready: {line.strip()[:200]}")
         return perf_counter() - self.start
 
-    def run(self, seconds: float, trace: bool) -> dict:
-        self.proc.stdin.write(f"GO {seconds} {int(trace)}\n")
+    def run(self, seconds: float, trace: bool, selftests: int) -> dict:
+        self.proc.stdin.write(f"GO {seconds} {int(trace)} {selftests}\n")
         self.proc.stdin.flush()
         try:
             return json.loads(self._line(seconds + 90))
@@ -152,12 +153,11 @@ def run_workload(workload: str, seed: int, seconds: float, trace: bool, spec: di
     setups = [set_up_only() for _ in range(SETUP_RUNS // 2)]
     w = Worker(workload, seed, env)
     setups.append(w.ready())
-    res = w.run(seconds, trace)
+    res = w.run(seconds, trace, 0 if trace and workload != "cli-session" else SELFTEST_RUNS)
     setups += [set_up_only() for _ in range(SETUP_RUNS - len(setups))]
     loop = res["untraced"]
     selftests = loop["selftests"]
-    selftest_failed = sum(body is None for _, body in selftests)
-    selftest_s, selftest_checks = selftest_seconds(selftests)
+    selftest_failed = sum(checks is None for _, checks in selftests)
 
     attempted = loop["attempted"] + len(selftests)
     failed = loop["failed"] + selftest_failed
@@ -167,7 +167,9 @@ def run_workload(workload: str, seed: int, seconds: float, trace: bool, spec: di
         failed += res["traced"]["failed"]
         failures += res["traced"]["failures"]
         layers = dict(res["layers"])
-        layers.update({f"selftest.{name}.s": value for name, value in selftest_checks.items()})
+        passing = [checks for _, checks in selftests if checks is not None]
+        for name in passing[0] if passing else ():
+            layers[f"selftest.{name}.s"] = statistics.median(c[name] for c in passing)
         interp = [timed([sys.executable, "-c", "pass"], env) for _ in range(STARTUP_RUNS)]
         imports = [timed([sys.executable, "-c", "import pvi.cli"], env) for _ in range(STARTUP_RUNS)]
         layers["cli.interp_ms"] = min(interp) * 1e3
@@ -181,7 +183,9 @@ def run_workload(workload: str, seed: int, seconds: float, trace: bool, spec: di
             "op_p90_ms": loop["op_p90_ms"],
             "served_ratio": loop["served"] / loop["attempted"],
             "peak_rss_mb": res["peak_rss_mb"],
-            "selftest_s": selftest_s,
+            # The mean, not the median: the runs are few, and the machine's
+            # speed has two states, so a median would jump between them.
+            "selftest_s": statistics.fmean(s for s, _ in selftests),
         }, spec["end_to_end"])
     result = {"correct": failed == 0, "attempted": attempted, "failed": failed, "metrics": metrics}
     record = {
@@ -190,10 +194,10 @@ def run_workload(workload: str, seed: int, seconds: float, trace: bool, spec: di
         "failed_ratio": failed / attempted,
         "beyond_p90": loop["beyond_p90"],
         "passes": loop["passes"],
+        "ops_per_pass": loop["attempted"] // loop["passes"],
         "setup_runs_s": setups,
         "selftest_runs_s": [s for s, _ in selftests],
         "kind_p50_ms": loop["kind_p50_ms"],
-        "ops_per_pass": loop["attempted"] // loop["passes"],
         "counters": loop["counters"],
         "failures": failures,
     }
@@ -212,15 +216,15 @@ def print_metrics(prefix: str, result: dict, record: dict) -> None:
         print(f"{prefix}{name:<44} {metric['value']:>14.6g} {metric['unit']}")
     print(f"{prefix}{'failed_ratio':<44} {record['failed_ratio']:>14.6g} "
           f"({result['failed']}/{result['attempted']})")
-    print(f"{prefix}{'operations x passes (beyond p90)':<44} {record['ops_per_pass']:>8} x "
-          f"{record['passes']} ({record['beyond_p90']})")
+    print(f"{prefix}{'operations per pass (beyond p90) x passes':<44} {record['ops_per_pass']:>6} "
+          f"({record['beyond_p90']}) x {record['passes']}")
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--seconds", type=float)
+    parser.add_argument("--seconds", type=float, required=True, help="length of the timed loop")
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
 
@@ -234,14 +238,13 @@ def main(argv=None) -> int:
     chosen = names if args.workload == "all" else [args.workload]
     if not set(chosen) <= set(names):
         parser.error(f"unknown workload {args.workload!r}; choose from {names + ['all']}")
-    seconds = args.seconds if args.seconds is not None else spec["run_seconds"]
 
     results = {}
     out_dir = ROOT / ".bench_build" / "results"
     out_dir.mkdir(parents=True, exist_ok=True)
     for workload in chosen:
         try:
-            result, record = run_workload(workload, args.seed, seconds, bool(args.trace), spec)
+            result, record = run_workload(workload, args.seed, args.seconds, bool(args.trace), spec)
         except (BenchError, subprocess.SubprocessError, OSError, KeyError, ValueError) as exc:
             print(f"{workload}: benchmark error: {exc}", file=sys.stderr)
             return 2

@@ -1,8 +1,9 @@
 """One benchmark worker: set up a workload, then run its timed closed loop.
 
 Protocol with `run.py` over stdin/stdout: the worker builds its inputs from
-the seed, warms up, prints ``READY``, then reads either ``QUIT`` (a set-up
-timing run) or ``GO <seconds> <trace>``.  It answers with one JSON line.
+the seed, warms up, prints ``READY``, then reads
+``GO <seconds> <trace> <selftests>`` and answers with one JSON line.  A
+worker timed for set-up only gets end of input instead, and exits.
 One client, no threads: each operation starts when the previous one and its
 check have finished.
 """
@@ -14,6 +15,7 @@ import json
 import math
 import random
 import resource
+import statistics
 import subprocess
 import sys
 from collections import Counter
@@ -23,7 +25,7 @@ from time import perf_counter
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 SPAN_MARK = "#perfbench-spans "
-SELFTEST_RUNS = 6  # selftest runs spread over the timed loop
+SELFTEST_RUNS = 5  # `pvi selftest --json` runs spread over an untraced loop
 
 
 class CliRunner:
@@ -54,7 +56,7 @@ def percentile(sorted_values, q):
 
 
 def run_selftest() -> tuple[float, dict | None]:
-    """Wall time of `pvi selftest --json`, and its payload when every check passed."""
+    """Wall time of `pvi selftest --json`, and its check seconds when every check passed."""
     start = perf_counter()
     out = subprocess.run([sys.executable, "-m", "pvi.cli", "selftest", "--json"],
                          capture_output=True, text=True, cwd=ROOT, timeout=120)
@@ -65,49 +67,50 @@ def run_selftest() -> tuple[float, dict | None]:
         return seconds, None
     good = (out.returncode == 0 and body.get("schema_version") == "1"
             and body.get("ok") is True and body.get("failed") == 0)
-    return seconds, body if good else None
+    return seconds, {c["name"]: c["seconds"] for c in body["checks"]} if good else None
 
 
-def selftest_seconds(runs) -> tuple[float, dict]:
-    """Fastest start-up plus the fastest run of each named check, over passing runs.
-
-    The checks are the selftest's operations, so, as in the loop, each is
-    taken at its least disturbed run; start-up is the wall time the checks'
-    own "seconds" do not cover.
-    """
-    passing = [(wall, {c["name"]: c["seconds"] for c in body["checks"]})
-               for wall, body in runs if body is not None]
-    if not passing:
-        return min(wall for wall, _ in runs), {}
-    checks = {name: min(c[name] for _, c in passing) for name in passing[0][1]}
-    startup = min(wall - sum(c.values()) for wall, c in passing)
-    return startup + sum(checks.values()), checks
+def warm_up(ops) -> None:
+    """Run and check each operation once, untimed and uncounted."""
+    for op in ops:
+        try:
+            op.check(op.run(), Counter())
+        except Exception:  # outcomes are counted in the timed loop, not here
+            pass
 
 
 def run_loop(ops, seconds, refusal, tracer=None, selftests=0):
     """Repeat whole passes over `ops` while another pass fits in `seconds`.
 
-    On a shared 2-vCPU VM the speed swings by up to 2x over seconds (a fixed
-    BFS took 6 to 13 ms), so each operation's latency is the fastest of its
-    runs: the least disturbed one.  Percentiles are over the operations of a pass.  The
-    `selftests` runs of `pvi selftest --json` are spread evenly over the loop
-    for the same reason; see `selftest_seconds`.
+    Every pass holds at least 100 operations, so that ten of its latencies
+    lie beyond its p90.  Throughput (operations answered correctly over the
+    time spent in the pass's operations, checks excluded) and the latency
+    percentiles are taken per pass, and their medians over passes are
+    reported.  The machine's speed changes over seconds, and the median over
+    passes follows the state that held for most of the run.
+
+    `selftests` runs of `pvi selftest --json` are spread evenly over the
+    loop, between operations, and their time is not counted in `seconds`:
+    runs in a row would all see the same state.
     """
     counters = Counter()
     failures, selftest_runs = [], []
-    best_lat = [math.inf] * len(ops)  # fastest correct answer per operation
-    best_dur = [math.inf] * len(ops)  # fastest run per operation, whatever its outcome
-    attempted = served = passes = 0
+    by_kind = {}
+    rates, p50s, p90s = [], [], []
+    attempted = served = 0
     start = perf_counter()
-    pass_s = 0.0
-    while True:
-        if len(selftest_runs) < selftests and (
-                perf_counter() - start >= len(selftest_runs) * seconds / selftests):
-            selftest_runs.append(run_selftest())
-        if passes and perf_counter() - start + pass_s > seconds:
-            break
-        pass_start = perf_counter()
-        for i, op in enumerate(ops):
+    pass_s = paused = 0.0
+
+    def elapsed():
+        return perf_counter() - start - paused
+
+    while not rates or elapsed() + pass_s <= seconds:
+        pass_start, pass_paused = perf_counter(), paused
+        latencies, pass_served = [], 0
+        for op in ops:
+            if len(selftest_runs) < selftests and elapsed() >= len(selftest_runs) * seconds / selftests:
+                selftest_runs.append(run_selftest())
+                paused += selftest_runs[-1][0]
             if tracer is not None:
                 tracer.op = attempted
                 tracer.enter("bench.op")
@@ -120,59 +123,46 @@ def run_loop(ops, seconds, refusal, tracer=None, selftests=0):
             if tracer is not None:
                 tracer.exit()
             attempted += 1
-            best_dur[i] = min(best_dur[i], dt)
+            latencies.append(dt)
+            by_kind.setdefault(op.kind, []).append(dt)
             if err is None:
                 try:
                     op.check(out, counters)
-                    served += 1
-                    best_lat[i] = min(best_lat[i], dt)
-                    continue
                 except Exception as exc:  # a wrong answer or a malformed one
                     err = exc
-            if op.refusable and isinstance(err, refusal):
+                else:
+                    served += 1
+                    pass_served += 1
+                    continue
+            if isinstance(err, refusal):
                 kind = "precision_errors" if type(err).__name__ == "PrecisionError" else "pole_errors"
                 counters[f"elliptic.{op.band}.{kind}"] += 1
-                continue
+                if op.refusable:  # a named refusal below the documented floor
+                    continue
             counters["failed"] += 1
             if len(failures) < 5:
                 failures.append(f"{op.kind}: {type(err).__name__}: {err}")
-        pass_s = perf_counter() - pass_start
-        passes += 1
-    while len(selftest_runs) < selftests:
-        selftest_runs.append(run_selftest())
-    wall = perf_counter() - start
-    ordered = sorted(best_lat)
-    by_kind = {}
-    for op, lat in zip(ops, best_lat):
-        by_kind.setdefault(op.kind, []).append(lat)
+        ordered = sorted(latencies)
+        rates.append(pass_served / math.fsum(latencies))
+        p50s.append(percentile(ordered, 0.5))
+        p90s.append(percentile(ordered, 0.9))
+        pass_s = perf_counter() - pass_start - (paused - pass_paused)
+    selftest_runs += [run_selftest() for _ in range(selftests - len(selftest_runs))]
     return {
         "attempted": attempted,
         "served": served,
         "failed": counters.pop("failed", 0),
         "failures": failures,
-        "passes": passes,
-        "wall_s": wall,
-        "ops_per_s": served / passes / sum(best_dur),
-        "op_p50_ms": percentile(ordered, 0.5) * 1e3,
-        "op_p90_ms": percentile(ordered, 0.9) * 1e3,
-        "beyond_p90": sum(1 for x in ordered if x > percentile(ordered, 0.9)),
+        "passes": len(rates),
+        "wall_s": perf_counter() - start,
+        "ops_per_s": statistics.median(rates),
+        "op_p50_ms": statistics.median(p50s) * 1e3,
+        "op_p90_ms": statistics.median(p90s) * 1e3,
+        "beyond_p90": sum(1 for x in ordered if x > p90s[-1]),  # in the last pass
         "kind_p50_ms": {k: percentile(sorted(v), 0.5) * 1e3 for k, v in by_kind.items()},
         "selftests": selftest_runs,
         "counters": dict(counters),
     }
-
-
-def run_probe(ops, refusal) -> dict:
-    """Run each operation once, untimed, and count how its answers fall out."""
-    counts = Counter({"elliptic.near_floor.inaccurate": 0, "elliptic.near_floor.refused": 0})
-    for op in ops:
-        try:
-            op.check(op.run(), Counter())
-        except refusal:
-            counts["elliptic.near_floor.refused"] += 1
-        except Exception:  # a wrong answer: the defect this probe counts
-            counts["elliptic.near_floor.inaccurate"] += 1
-    return dict(counts)
 
 
 def layer_metrics(tracer, wall_s, counters):
@@ -231,32 +221,29 @@ def main(argv=None) -> int:
             raise SystemExit(f"pvi imported from {pvi.__file__}, not from this checkout")
         ops = workloads.BUILDERS[args.workload](rng)
         refusal = EllipticError
-    # Warm-up, so lazy set-up is paid before timing: in process one served
-    # operation of each kind, taken in build order so that its size does not
-    # depend on the seed; for the command line one command, whose imports
-    # fill the page cache.
+    # Warm-up, so lazy set-up is paid before timing: in process one operation
+    # of each kind, the first above the low band in build order, so that its
+    # size does not depend on the seed; for the command line one command,
+    # whose imports fill the page cache.
     warm = {}
     for op in ops:
         if op.band != "low_im":
             warm.setdefault(op.kind, op)
-    run_loop([warm["version"]] if runner else list(warm.values()), 0.0, refusal)
+    warm_up([warm["version"]] if runner else list(warm.values()))
     rng.shuffle(ops)
     print("READY", flush=True)
 
     command = sys.stdin.readline().split()
     if not command or command[0] != "GO":
         return 0
-    seconds, trace = float(command[1]), command[2] == "1"
+    seconds, trace, selftests = float(command[1]), command[2] == "1", int(command[3])
     result = {"untraced": run_loop(ops, seconds / 2 if trace else seconds, refusal,
-                                   selftests=SELFTEST_RUNS)}
+                                   selftests=selftests)}
     usage = resource.getrusage(resource.RUSAGE_CHILDREN if runner else resource.RUSAGE_SELF)
     result["peak_rss_mb"] = usage.ru_maxrss / 1024
     if trace:
         from spans import Tracer, instrument
 
-        probe = workloads.PROBES.get(args.workload)
-        probed = run_probe(probe(random.Random(f"{args.workload}:{args.seed}:probe")),
-                           refusal) if probe else {}
         tracer = Tracer()
         if runner is not None:
             runner.tracer = tracer
@@ -264,7 +251,6 @@ def main(argv=None) -> int:
             instrument(tracer)
         traced = run_loop(ops, seconds / 2, refusal, tracer)
         metrics = layer_metrics(tracer, traced["wall_s"], traced.pop("counters"))
-        metrics.update(probed)
         if runner is not None:
             for kind, p50 in result["untraced"]["kind_p50_ms"].items():
                 metrics[f"cli.{kind}.p50_ms"] = p50

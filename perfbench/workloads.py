@@ -331,15 +331,9 @@ def build_exact_algebra(rng: random.Random) -> list[Op]:
 # ----------------------------------------------------------------------
 
 IM_TAU_FLOOR = 0.1  # the elliptic layer's documented precision floor
-# Between the floor and NEAR_FLOOR_TOP pvi sometimes answers without raising
-# but off by ~1e-4 relative (about 3% of picard_eval calls at Im tau < 0.13,
-# none of 14400 elliptic calls above 0.15).  The timed loop skips that band;
-# the traced run counts those answers instead (elliptic.near_floor.*).
-NEAR_FLOOR_TOP = 0.15
 ELLIPTIC_KINDS = ("picard_curve", "residual_matched", "residual_mismatched", "triple_check")
 ELLIPTIC_PER_PASS = 96
 BELOW_FLOOR_PER_PASS = 8  # two of each kind below the floor: a fixed 1/12 share
-NEAR_FLOOR_PROBES = 200
 
 
 def _log_strata(rng, n: int, lo: float, hi: float) -> list[float]:
@@ -392,7 +386,8 @@ def _elliptic_ops(rng, taus) -> list[Op]:
     for i, tau in enumerate(taus):
         kind = ELLIPTIC_KINDS[i % len(ELLIPTIC_KINDS)]
         v, curve = _picard_class(rng)
-        common = dict(band=band(tau), refusable=True)
+        # Only below the floor is a named EllipticError an allowed outcome.
+        common = dict(band=band(tau), refusable=tau.imag < IM_TAU_FLOOR)
         if kind == "picard_curve":
             def run(v=v, tau=tau, curve=curve):
                 t, y = el.picard_eval(v, tau)
@@ -435,19 +430,13 @@ def _elliptic_ops(rng, taus) -> list[Op]:
     return ops
 
 
-def build_near_floor_probe(rng: random.Random) -> list[Op]:
-    """Elliptic operations with Im tau in [floor, NEAR_FLOOR_TOP), run once each, untimed."""
-    return _elliptic_ops(rng, _taus(rng, _log_strata(rng, NEAR_FLOOR_PROBES, IM_TAU_FLOOR,
-                                                      NEAR_FLOOR_TOP)))
-
-
 def build_numeric_certify(rng: random.Random) -> list[Op]:
     from pvi import verifier as vf
     from pvi.curves import CurveId
     from pvi.elliptic import AlphaTuple
 
     ims = _log_strata(rng, BELOW_FLOOR_PER_PASS, 0.03, IM_TAU_FLOOR)
-    ims += _log_strata(rng, ELLIPTIC_PER_PASS - BELOW_FLOOR_PER_PASS, NEAR_FLOOR_TOP, 3.0)
+    ims += _log_strata(rng, ELLIPTIC_PER_PASS - BELOW_FLOOR_PER_PASS, IM_TAU_FLOOR, 3.0)
     ops = _elliptic_ops(rng, _taus(rng, ims))
 
     for i, curve in enumerate(oracle.CURVE_NAMES * 4):  # each curve matched and mismatched, twice
@@ -503,9 +492,19 @@ def _exit(out, code: int, what: str) -> None:
            f"{what}: exit {out.returncode}, expected {code}: {out.stderr.strip()[:200]}")
 
 
+CLI_BLOCKS = 3  # blocks of twelve commands per pass, each with its own inputs
+CLI_REPEATS = 3  # runs of each block per pass: 108 commands, ten beyond p90
+
+
 def build_cli_session(rng: random.Random, runner) -> list[Op]:
-    """Twelve commands per pass covering every subcommand except selftest."""
-    seen: dict[tuple, str] = {}
+    """One pass: every block of commands, each run CLI_REPEATS times."""
+    seen: dict[tuple, str] = {}  # first stdout of each command line
+    blocks = [_cli_block(rng, runner, seen) for _ in range(CLI_BLOCKS)]
+    return [op for block in blocks for op in block] * CLI_REPEATS
+
+
+def _cli_block(rng: random.Random, runner, seen: dict) -> list[Op]:
+    """Twelve commands covering every subcommand except selftest."""
 
     def op(kind, argv, check):
         argv = tuple(argv)
@@ -645,4 +644,3 @@ BUILDERS = {
     "exact-algebra": build_exact_algebra,
     "numeric-certify": build_numeric_certify,
 }
-PROBES = {"numeric-certify": build_near_floor_probe}
