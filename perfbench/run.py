@@ -11,6 +11,8 @@ Run from the root of a checkout.  pvi is imported from the checkout's
 * has that worker time ``pvi selftest --json`` as a subprocess, spread over
   the loop, which is ``selftest_s`` (with ``--trace 1`` on ``cli-session``
   only);
+* scales every time it reports by the machine's speed (`speed.py`), with
+  this process and every process it starts pinned to one CPU;
 * with ``--trace 1`` runs half the time untraced and half traced, and
   reports the per-layer metrics instead of the end-to-end ones.
 
@@ -35,6 +37,7 @@ from importlib import metadata
 from pathlib import Path
 from time import perf_counter
 
+import speed
 from worker import SELFTEST_RUNS
 
 HERE = Path(__file__).resolve().parent
@@ -60,6 +63,7 @@ class Worker:
     """A worker process in the READY/GO protocol of worker.py."""
 
     def __init__(self, workload: str, seed: int, env: dict):
+        self.before = speed.reference_s()
         self.start = perf_counter()
         self.proc = subprocess.Popen(
             [sys.executable, str(HERE / "worker.py"), "--workload", workload, "--seed", str(seed)],
@@ -75,12 +79,14 @@ class Worker:
         return line
 
     def ready(self) -> float:
-        """Seconds from spawn until the worker is ready to time its first operation."""
+        """Seconds (scaled, see speed.py) from spawn until the worker is ready
+        to time its first operation."""
         line = self._line(60)
+        seconds = perf_counter() - self.start
         if line.strip() != "READY":
             self.close()
             raise BenchError(f"worker did not get ready: {line.strip()[:200]}")
-        return perf_counter() - self.start
+        return speed.scaled(seconds, self.before)
 
     def run(self, seconds: float, trace: bool, selftests: int) -> dict:
         self.proc.stdin.write(f"GO {seconds} {int(trace)} {selftests}\n")
@@ -102,9 +108,10 @@ class Worker:
 
 
 def timed(cmd, env) -> float:
+    before = speed.reference_s()
     start = perf_counter()
     subprocess.run(cmd, capture_output=True, cwd=ROOT, env=env, timeout=120, check=True)
-    return perf_counter() - start
+    return speed.scaled(perf_counter() - start, before)
 
 
 def environment(workload: str, seed: int, trace: bool) -> dict:
@@ -170,6 +177,7 @@ def run_workload(workload: str, seed: int, seconds: float, trace: bool, spec: di
         passing = [checks for _, checks in selftests if checks is not None]
         for name in passing[0] if passing else ():
             layers[f"selftest.{name}.s"] = statistics.median(c[name] for c in passing)
+        layers.update(res.get("probe", {}).get("counts", {}))
         interp = [timed([sys.executable, "-c", "pass"], env) for _ in range(STARTUP_RUNS)]
         imports = [timed([sys.executable, "-c", "import pvi.cli"], env) for _ in range(STARTUP_RUNS)]
         layers["cli.interp_ms"] = min(interp) * 1e3
@@ -198,9 +206,12 @@ def run_workload(workload: str, seed: int, seconds: float, trace: bool, spec: di
         "setup_runs_s": setups,
         "selftest_runs_s": [s for s, _ in selftests],
         "kind_p50_ms": loop["kind_p50_ms"],
+        "speed_scale": loop["speed_scale"],
         "counters": loop["counters"],
         "failures": failures,
     }
+    if "probe" in res:
+        record["near_floor_probe"] = res["probe"]
     if trace:
         record["spans"] = res["spans"]
     return result, record
@@ -218,6 +229,9 @@ def print_metrics(prefix: str, result: dict, record: dict) -> None:
           f"({result['failed']}/{result['attempted']})")
     print(f"{prefix}{'operations per pass (beyond p90) x passes':<44} {record['ops_per_pass']:>6} "
           f"({record['beyond_p90']}) x {record['passes']}")
+    sc = record["speed_scale"]
+    print(f"{prefix}{'speed scale, times are multiplied by it':<44} {sc['median']:>14.6g} "
+          f"(range {sc['min']:.3g}-{sc['max']:.3g} over {sc['reads']} reads)")
 
 
 def main(argv=None) -> int:
@@ -234,6 +248,10 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 2
     spec = json.loads(spec_path.read_text())
+    # One CPU for this process and every process it starts: the reference loop
+    # of speed.py then reads the speed of the CPU the measured work runs on.
+    if hasattr(os, "sched_setaffinity"):
+        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     names = [w["name"] for w in spec["workloads"]]
     chosen = names if args.workload == "all" else [args.workload]
     if not set(chosen) <= set(names):
@@ -254,6 +272,12 @@ def main(argv=None) -> int:
         print_metrics(f"{workload:<16} " if len(chosen) > 1 else "", result, record)
         for failure in record["failures"]:
             print(f"FAILED {workload}: {failure}", file=sys.stderr)
+        probe = record.get("near_floor_probe")
+        if probe and probe["wrong"]:
+            print(f"KNOWN DEFECT {workload}: {len(probe['wrong'])} of {probe['attempted']} "
+                  "untimed answers near the Im tau floor are wrong", file=sys.stderr)
+            for wrong in probe["wrong"]:
+                print(f"KNOWN DEFECT {workload}: {wrong}", file=sys.stderr)
         results[workload] = result
     if len(chosen) == 1:
         final = results[chosen[0]]

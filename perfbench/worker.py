@@ -22,6 +22,8 @@ from collections import Counter
 from pathlib import Path
 from time import perf_counter
 
+import speed
+
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 SPAN_MARK = "#perfbench-spans "
@@ -56,11 +58,13 @@ def percentile(sorted_values, q):
 
 
 def run_selftest() -> tuple[float, dict | None]:
-    """Wall time of `pvi selftest --json`, and its check seconds when every check passed."""
+    """Wall time of `pvi selftest --json` (scaled, see speed.py), and its check
+    seconds when every check passed."""
+    before = speed.reference_s()
     start = perf_counter()
     out = subprocess.run([sys.executable, "-m", "pvi.cli", "selftest", "--json"],
                          capture_output=True, text=True, cwd=ROOT, timeout=120)
-    seconds = perf_counter() - start
+    seconds = speed.scaled(perf_counter() - start, before)
     try:
         body = json.loads(out.stdout)
     except json.JSONDecodeError:
@@ -86,8 +90,8 @@ def run_loop(ops, seconds, refusal, tracer=None, selftests=0):
     lie beyond its p90.  Throughput (operations answered correctly over the
     time spent in the pass's operations, checks excluded) and the latency
     percentiles are taken per pass, and their medians over passes are
-    reported.  The machine's speed changes over seconds, and the median over
-    passes follows the state that held for most of the run.
+    reported.  Every operation time is scaled by the machine's speed, read
+    from the reference loop of speed.py every EVERY_S seconds.
 
     `selftests` runs of `pvi selftest --json` are spread evenly over the
     loop, between operations, and their time is not counted in `seconds`:
@@ -100,6 +104,7 @@ def run_loop(ops, seconds, refusal, tracer=None, selftests=0):
     attempted = served = 0
     start = perf_counter()
     pass_s = paused = 0.0
+    scales, speed_at = [speed.scale()], perf_counter()
 
     def elapsed():
         return perf_counter() - start - paused
@@ -109,8 +114,12 @@ def run_loop(ops, seconds, refusal, tracer=None, selftests=0):
         latencies, pass_served = [], 0
         for op in ops:
             if len(selftest_runs) < selftests and elapsed() >= len(selftest_runs) * seconds / selftests:
+                pause_start = perf_counter()
                 selftest_runs.append(run_selftest())
-                paused += selftest_runs[-1][0]
+                paused += perf_counter() - pause_start
+            if perf_counter() - speed_at >= speed.EVERY_S:
+                scales.append(speed.scale())
+                speed_at = perf_counter()
             if tracer is not None:
                 tracer.op = attempted
                 tracer.enter("bench.op")
@@ -119,7 +128,7 @@ def run_loop(ops, seconds, refusal, tracer=None, selftests=0):
                 out, err = op.run(), None
             except Exception as exc:  # every exception is an outcome to classify
                 out, err = None, exc
-            dt = perf_counter() - t0
+            dt = (perf_counter() - t0) * scales[-1]
             if tracer is not None:
                 tracer.exit()
             attempted += 1
@@ -161,8 +170,25 @@ def run_loop(ops, seconds, refusal, tracer=None, selftests=0):
         "beyond_p90": sum(1 for x in ordered if x > p90s[-1]),  # in the last pass
         "kind_p50_ms": {k: percentile(sorted(v), 0.5) * 1e3 for k, v in by_kind.items()},
         "selftests": selftest_runs,
+        "speed_scale": {"median": statistics.median(scales), "min": min(scales),
+                        "max": max(scales), "reads": len(scales)},
         "counters": dict(counters),
     }
+
+
+def run_probe(ops, refusal) -> dict:
+    """Run each operation once, untimed, and count how its answers fall out."""
+    counts = Counter({"elliptic.near_floor.wrong": 0, "elliptic.near_floor.refused": 0})
+    wrong = []
+    for op in ops:
+        try:
+            op.check(op.run(), Counter())
+        except refusal:
+            counts["elliptic.near_floor.refused"] += 1
+        except Exception as exc:  # a wrong answer: the defect this probe reports
+            counts["elliptic.near_floor.wrong"] += 1
+            wrong.append(f"{op.kind}: {type(exc).__name__}: {exc}")
+    return {"attempted": len(ops), "counts": dict(counts), "wrong": wrong}
 
 
 def layer_metrics(tracer, wall_s, counters):
@@ -261,6 +287,10 @@ def main(argv=None) -> int:
         spans_dir.mkdir(parents=True, exist_ok=True)
         tracer.write_csv(spans_dir / f"{args.workload}-seed{args.seed}.csv")
         result["spans"] = {"kept": len(tracer.spans), "dropped": tracer.dropped}
+    probe = workloads.PROBES.get(args.workload)
+    if probe is not None:
+        result["probe"] = run_probe(probe(random.Random(f"{args.workload}:{args.seed}:probe")),
+                                    refusal)
     print(json.dumps(result), flush=True)
     return 0
 
