@@ -55,6 +55,16 @@ def _rational_csv(text: str) -> list[Fraction]:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _emit_json(payload: dict) -> None:
     print(json.dumps(payload, sort_keys=True))
 
@@ -80,7 +90,7 @@ def _cmd_classify(args) -> int:
     spec = SampleSpec(count=args.samples)
     try:
         result = vf.classify(alpha, verify=args.verify, spec=spec)
-    except vf.VerificationError as exc:
+    except (vf.VerificationError, vf.NoValidSamplesError) as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
     body = result.to_json_dict()
@@ -118,7 +128,7 @@ def _cmd_orbit(args) -> int:
         body = {
             "denominator": args.denominator,
             "partition": partition,
-            "class_count": len(ob.eligible_classes(args.denominator)),
+            "class_count": sum(partition),
         }
         if args.format == "json":
             _emit_json(_payload("orbit", **body))
@@ -301,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pvi", type=_rational_csv, metavar="alpha,beta,gamma,delta")
     p.add_argument("--verify", action="store_true",
                    help="cross-check the rule-based answer by ODE residuals")
-    p.add_argument("--samples", type=int, default=25, help="t samples per curve")
+    p.add_argument("--samples", type=_positive_int, default=25, help="t samples per curve")
     add_format(p)
     p.set_defaults(func=_cmd_classify)
 
@@ -317,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--poly", metavar="TEXT", help="custom curve polynomial in y, t")
     p.add_argument("--alpha", type=_rational_csv, metavar="a0,a1,a2,a3")
     p.add_argument("--pvi", type=_rational_csv, metavar="alpha,beta,gamma,delta")
-    p.add_argument("--samples", type=int, default=25)
+    p.add_argument("--samples", type=_positive_int, default=25)
     add_format(p, choices=("json", "csv", "text"))
     p.set_defaults(func=_cmd_verify)
 

@@ -4,8 +4,16 @@ A solution label is a pair (mu, nu) of rationals taken modulo Z x Z and
 modulo a global sign.  The group of integer matrices congruent to the
 identity mod 2 acts on these classes by matrix-vector multiplication;
 because the action preserves denominators, every orbit of a rational
-class is finite and can be enumerated by breadth-first closure under a
-generating set.
+class is finite.
+
+Orbit questions are answered in closed form.  A nonzero class of level N
+(the lcm of its denominators) lies in the orbit fixed by N alone when N is
+odd, and by N and the parity of its standard-form numerators (m, n) when N
+is even.  The eligible classes of level N > 2 form one orbit of J_2(N)/2
+classes for odd N and three orbits of J_2(N)/6 for even N, with J_2 the
+Jordan totient; at N = 2 the three half-integer classes are fixed points.
+Listing an orbit (:func:`enumerate_orbit`) is a breadth-first closure
+under the generators, so it stays an independent check on the closed form.
 
 Conventions fixed here and relied on throughout the package:
 
@@ -26,9 +34,15 @@ from typing import Iterable, Union
 
 RationalLike = Union[Fraction, int, str]
 
-# BFS on orbits is guarded by this cap on the class denominator; the action
+# Listing an orbit is guarded by this cap on the class denominator; the action
 # preserves denominators, so it bounds the orbit size, not the work per step.
+# Deciding calls (same_orbit, orbit_partition, the orbit-to-curve dictionary)
+# are closed form and answer above it.
 MAX_ORBIT_DENOMINATOR = 1000
+
+# orbit_partition factors N by trial division, so it takes at most
+# sqrt(MAX_PARTITION_DENOMINATOR) = 10^6 steps.
+MAX_PARTITION_DENOMINATOR = 10**12
 
 
 def parse_rational(text: str) -> Fraction:
@@ -142,11 +156,9 @@ class Gamma2Matrix:
 GEN_SHEAR_UPPER = Gamma2Matrix(1, 2, 0, 1)
 GEN_SHEAR_LOWER = Gamma2Matrix(1, 0, 2, 1)
 GENERATORS = (GEN_SHEAR_UPPER, GEN_SHEAR_LOWER)
-_GENERATORS_AND_INVERSES = (
-    GEN_SHEAR_UPPER,
-    GEN_SHEAR_LOWER,
-    GEN_SHEAR_UPPER.inverse(),
-    GEN_SHEAR_LOWER.inverse(),
+# Entries (a, b, c, d) of the generators and their inverses, for the integer BFS.
+_GENERATOR_ENTRIES = tuple(
+    (g.a, g.b, g.c, g.d) for h in GENERATORS for g in (h, h.inverse())
 )
 
 
@@ -210,8 +222,9 @@ def merging_matrix(N: int) -> Gamma2Matrix:
 def enumerate_orbit(v: RationalPair) -> frozenset[RationalPair]:
     """Full orbit of the class of v as canonical representatives.
 
-    Breadth-first closure under the two generators and their inverses; the
-    action preserves the class denominator, so the orbit is finite.
+    Breadth-first closure under the two generators and their inverses, run
+    on the integer numerators (a, b) of (a/N, b/N) modulo N; the action
+    preserves the class denominator N, so the orbit is finite.
     """
     if v.denominator > MAX_ORBIT_DENOMINATOR:
         raise ValueError(
@@ -219,25 +232,38 @@ def enumerate_orbit(v: RationalPair) -> frozenset[RationalPair]:
             f"{MAX_ORBIT_DENOMINATOR}"
         )
     start = canonicalize(v)
-    seen = {start}
-    frontier = [start]
+    N = start.denominator
+    first = (start.mu.numerator * (N // start.mu.denominator),
+             start.nu.numerator * (N // start.nu.denominator))
+    seen = {first}
+    frontier = [first]
     while frontier:
         nxt = []
-        for w in frontier:
-            for g in _GENERATORS_AND_INVERSES:
-                img = act(g, w)
+        for a, b in frontier:
+            for ga, gb, gc, gd in _GENERATOR_ENTRIES:
+                x, y = (ga * a + gb * b) % N, (gc * a + gd * b) % N
+                img = min((x, y), (-x % N, -y % N))
                 if img not in seen:
                     seen.add(img)
                     nxt.append(img)
         frontier = nxt
-    return frozenset(seen)
+    fractions = [Fraction(k, N) for k in range(N)]
+    return frozenset(RationalPair(fractions[a], fractions[b]) for a, b in seen)
+
+
+def _orbit_key(v: RationalPair) -> tuple[int, ...]:
+    """Invariant that fixes the orbit of a nonzero class: N, plus (m, n) mod 2 for even N."""
+    data = standard_form(canonicalize(v))
+    if data.N % 2:
+        return (data.N,)
+    return (data.N, data.m % 2, data.n % 2)
 
 
 def same_orbit(v1: RationalPair, v2: RationalPair) -> bool:
     """True when the classes of v1 and v2 lie in one orbit."""
     if v1.is_zero() or v2.is_zero():
         raise ValueError("orbit membership is defined for nonzero classes")
-    return canonicalize(v2) in enumerate_orbit(v1)
+    return _orbit_key(v1) == _orbit_key(v2)
 
 
 def eligible_classes(N: int) -> list[RationalPair]:
@@ -250,17 +276,33 @@ def eligible_classes(N: int) -> list[RationalPair]:
     return sorted(out)
 
 
+def _jordan_totient2(N: int) -> int:
+    """J_2(N) = N^2 * prod(1 - p^-2) over the primes p dividing N, by trial division."""
+    out, rest, p = N * N, N, 2
+    while p * p <= rest:
+        if rest % p == 0:
+            out = out // (p * p) * (p * p - 1)
+            while rest % p == 0:
+                rest //= p
+        p += 1
+    if rest > 1:
+        out = out // (rest * rest) * (rest * rest - 1)
+    return out
+
+
 def orbit_partition(N: int) -> list[int]:
-    """Sorted orbit sizes partitioning all eligible classes of denominator level N."""
+    """Sorted orbit sizes partitioning all eligible classes of denominator level N.
+
+    [1, 1, 1] at N = 2, one orbit of J_2(N)/2 classes for odd N and three
+    of J_2(N)/6 for even N; N above MAX_PARTITION_DENOMINATOR is rejected.
+    """
     if N < 2:
         raise ValueError("orbit partition is defined for N >= 2")
-    remaining = set(eligible_classes(N))
-    sizes = []
-    while remaining:
-        v = min(remaining)
-        orbit = enumerate_orbit(v)
-        if not orbit <= remaining:
-            raise AssertionError("orbit escaped the eligible class set")
-        remaining -= orbit
-        sizes.append(len(orbit))
-    return sorted(sizes)
+    if N > MAX_PARTITION_DENOMINATOR:
+        raise ValueError(
+            f"denominator {N} exceeds the orbit partition cap {MAX_PARTITION_DENOMINATOR}"
+        )
+    if N == 2:
+        return [1, 1, 1]
+    j2 = _jordan_totient2(N)
+    return [j2 // 2] if N % 2 else [j2 // 6] * 3

@@ -150,9 +150,19 @@ def check_orbit_partitions() -> str:
     for N, sizes in expected.items():
         got = ob.orbit_partition(N)
         _require(got == sizes, f"partition at N={N}: got {got}, expected {sizes}")
+        classes = set(ob.eligible_classes(N))
         _require(
-            sum(got) == len(ob.eligible_classes(N)),
+            sum(got) == len(classes),
             f"partition at N={N} does not cover the eligible classes",
+        )
+        bfs_sizes = []
+        while classes:
+            orbit = ob.enumerate_orbit(min(classes))
+            bfs_sizes.append(len(orbit))
+            classes -= orbit
+        _require(
+            got == sorted(bfs_sizes),
+            f"partition at N={N}: got {got}, BFS orbit sizes {sorted(bfs_sizes)}",
         )
     return "partitions [4], [2,2,2], [12], [4,4,4] for N = 3, 4, 5, 6"
 
@@ -169,12 +179,13 @@ def check_orbit_merging() -> str:
             b = ob.canonicalize((0, f))
             c = ob.canonicalize((f, f))
             merged = N % 2 == 1
+            orbit = ob.enumerate_orbit(a)
             _require(
-                ob.same_orbit(a, b) == merged,
+                ob.same_orbit(a, b) == merged and (b in orbit) == merged,
                 f"(M/N, 0) vs (0, M/N) merging wrong at M/N = {M}/{N}",
             )
             _require(
-                ob.same_orbit(a, c) == merged,
+                ob.same_orbit(a, c) == merged and (c in orbit) == merged,
                 f"(M/N, 0) vs (M/N, M/N) merging wrong at M/N = {M}/{N}",
             )
             if merged:

@@ -26,7 +26,7 @@ import numpy as np
 from .curves import CURVES, CurveId
 from .elliptic import AlphaTuple
 from .multipoly import MultiPoly
-from .orbits import RationalPair, canonicalize, enumerate_orbit, format_rational, standard_form
+from .orbits import RationalPair, canonicalize, format_rational, standard_form
 
 ACCEPT_TOL = 1e-8
 REJECT_TOL = 1e-3
@@ -477,13 +477,14 @@ def orbit_to_curve(v: Union[RationalPair, Sequence]) -> Optional[CurveId]:
     """Canonical curve whose branches the Picard solution of the class traces.
 
     None when the orbit length exceeds 6 (no algebraic curve of the listed
-    families matches); half-integer classes are rejected as trivial.
+    families matches); half-integer classes are rejected as trivial.  Only
+    levels 3, 4 and 6 have orbits of length at most 6 (J_2(N)/2 for odd N,
+    J_2(N)/6 for even N), so the answer is read off the level and parity
+    without listing the orbit, at any denominator.
     """
     pair = v if isinstance(v, RationalPair) else canonicalize(v)
     if pair.is_half_integer():
         raise ValueError(f"{pair} lies in (Z/2)^2: trivial solution, no curve")
-    if len(enumerate_orbit(pair)) > 6:
-        return None
     data = standard_form(pair)
     if data.N == 3:
         return _PARITY_TO_CURVE[(3, "any")]

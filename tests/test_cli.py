@@ -1,14 +1,19 @@
 """Command-line front end: output schemas, exit codes, determinism."""
 
 import json
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from pvi import cli
+from pvi import verifier as vf
 from pvi.curves import CURVES, CurveId
 from pvi.multipoly import MultiPoly
+from pvi.orbits import MAX_PARTITION_DENOMINATOR
 
 
 def run(capsys, *argv):
@@ -66,6 +71,22 @@ class TestClassify:
         assert code == 0
         assert "D" in out
 
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_samples_below_one_exit_2(self, capsys, samples):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["classify", "--alpha", "9,1,1,1", "--verify", "--samples", samples])
+        assert exc.value.code == 2
+
+    def test_no_valid_samples_exits_1(self, capsys, monkeypatch):
+        def no_samples(*args, **kwargs):
+            raise vf.NoValidSamplesError("every sample was skipped; nothing to report")
+
+        monkeypatch.setattr(vf, "verify_curve", no_samples)
+        code, out, err = run(capsys, "classify", "--alpha", "9,1,1,1", "--verify")
+        assert code == 1
+        assert out == ""
+        assert err == "verification failed: every sample was skipped; nothing to report\n"
+
     def test_determinism(self, capsys):
         argv = ("classify", "--alpha", "1,1,2,2", "--verify", "--samples", "9")
         _, out1, _ = run(capsys, *argv)
@@ -87,6 +108,18 @@ class TestOrbit:
         assert code == 0
         assert data["partition"] == [4, 4, 4]
         assert data["class_count"] == 12
+
+    def test_large_prime_denominator(self, capsys):
+        code, data, _ = run_json(capsys, "orbit", "--denominator", "999983")
+        assert code == 0
+        assert data["partition"] == [(999983 ** 2 - 1) // 2]
+        assert data["class_count"] == (999983 ** 2 - 1) // 2
+
+    def test_denominator_above_cap_exits_2(self, capsys):
+        code, out, err = run(capsys, "orbit", "--denominator", str(MAX_PARTITION_DENOMINATOR + 1))
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "exceeds the orbit partition cap" in err
 
     def test_long_orbit_has_no_curve(self, capsys):
         code, data, _ = run_json(capsys, "orbit", "--mu", "1/5", "--nu", "0")
@@ -143,6 +176,12 @@ class TestVerify:
         assert code == 0
         assert data["curve"] is None
         assert data["verdict"] == "pass"
+
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_samples_below_one_exit_2(self, capsys, samples):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--curve", "A", "--alpha", "9,1,1,1", "--samples", samples])
+        assert exc.value.code == 2
 
     def test_bad_polynomial_exits_2(self, capsys):
         code, _, err = run(capsys, "verify", "--poly", "y^^2", "--alpha", "1,1,2,2")
@@ -210,6 +249,17 @@ class TestSelftest:
 
 
 class TestEntryPoint:
+    def test_module_entry_point(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "pvi.cli", "orbit", "--denominator", "4"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["partition"] == [2, 2, 2]
+
     @pytest.mark.skipif(shutil.which("pvi") is None, reason="console script not on PATH")
     def test_console_script(self):
         proc = subprocess.run(

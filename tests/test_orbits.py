@@ -8,6 +8,8 @@ import pytest
 
 from pvi.orbits import (
     GENERATORS,
+    MAX_ORBIT_DENOMINATOR,
+    MAX_PARTITION_DENOMINATOR,
     Gamma2Matrix,
     act,
     canonicalize,
@@ -20,6 +22,7 @@ from pvi.orbits import (
     parse_rational,
     same_orbit,
 )
+from pvi.verifier import orbit_to_curve
 
 F = Fraction
 
@@ -198,6 +201,12 @@ class TestOrbits:
         with pytest.raises(ValueError):
             enumerate_orbit(pair(F(1, 2048), 0))
 
+    def test_deciding_calls_answer_above_the_listing_cap(self):
+        N = 2 * MAX_ORBIT_DENOMINATOR + 1
+        assert same_orbit(pair(F(1, N), 0), pair(0, F(1, N)))
+        assert not same_orbit(pair(F(1, N + 1), 0), pair(0, F(1, N + 1)))
+        assert orbit_to_curve(pair(F(1, N), 0)) is None
+
 
 class TestOrbitPartition:
     @pytest.mark.parametrize(
@@ -214,6 +223,62 @@ class TestOrbitPartition:
     def test_rejects_small_N(self):
         with pytest.raises(ValueError):
             orbit_partition(1)
+
+    def test_jordan_totient_sizes(self):
+        # one orbit of J_2(N)/2 at odd N, three of J_2(N)/6 at even N
+        assert orbit_partition(999) == [443232]
+        assert orbit_partition(999983) == [(999983 ** 2 - 1) // 2]
+        assert orbit_partition(2 ** 20) == [2 ** 40 // 8] * 3
+
+    def test_rejects_N_above_cap(self):
+        assert len(orbit_partition(MAX_PARTITION_DENOMINATOR)) == 3
+        with pytest.raises(ValueError):
+            orbit_partition(MAX_PARTITION_DENOMINATOR + 1)
+
+
+def _fraction_bfs(v):
+    """The orbit by closure under act() on Fraction pairs: the reference for the integer BFS."""
+    gens = [h for g in GENERATORS for h in (g, g.inverse())]
+    seen, frontier = {v}, [v]
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for g in gens:
+                img = act(g, w)
+                if img not in seen:
+                    seen.add(img)
+                    nxt.append(img)
+        frontier = nxt
+    return seen
+
+
+class TestClosedFormAgainstBFS:
+    @pytest.mark.parametrize("N", range(2, 17))
+    def test_enumeration_matches_fraction_bfs(self, N):
+        remaining = set(eligible_classes(N))
+        while remaining:
+            orbit = _fraction_bfs(min(remaining))
+            # an orbit is the orbit of each of its members
+            assert all(enumerate_orbit(w) == orbit for w in orbit)
+            remaining -= orbit
+
+    @pytest.mark.parametrize("N", range(2, 25))
+    def test_deciding_calls_match_enumeration(self, N):
+        classes = eligible_classes(N)
+        orbit_of = {}
+        for v in classes:
+            if v not in orbit_of:
+                orbit = enumerate_orbit(v)
+                orbit_of.update((w, orbit) for w in orbit)
+        orbits = set(orbit_of.values())
+        assert orbit_partition(N) == sorted(len(o) for o in orbits)
+        # every class against the first and last few members of every orbit
+        probes = [w for o in orbits for w in sorted(o)[:3] + sorted(o)[-3:]]
+        for v in classes:
+            for w in probes:
+                assert same_orbit(v, w) == same_orbit(w, v) == (w in orbit_of[v])
+            if not v.is_half_integer():
+                assert (orbit_to_curve(v) is None) == (len(orbit_of[v]) > 6)
 
 
 class TestMergingMatrix:
