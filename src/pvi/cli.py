@@ -1,9 +1,10 @@
 """Batch command-line front end with machine-readable output.
 
 Commands: classify, orbit, verify, eval-picard, derive-quartics, selftest.
-Exit codes: 0 success, 1 verification failure, 2 usage error.  JSON output
-is deterministic (sorted keys, canonical 'p/q' rationals, fixed sampling),
-so identical invocations produce byte-identical bytes.
+Exit codes: 0 success, 1 verification failure (or stdout closed by its
+reader), 2 usage error.  JSON output is deterministic (sorted keys,
+canonical 'p/q' rationals, fixed sampling), so identical invocations
+produce byte-identical bytes.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -142,7 +144,11 @@ def _cmd_orbit(args) -> int:
     if v.is_zero() or v.is_half_integer():
         raise UsageError(f"class {v} is half-integer: labels a trivial solution")
     data = ob.standard_form(v)
-    orbit = sorted(ob.enumerate_orbit(v))
+    # Every member has level N, so sorting the integer numerators (mu*N, nu*N)
+    # gives the order of the Fraction pairs without comparing Fractions.
+    level = data.N
+    orbit = sorted(ob.enumerate_orbit(v), key=lambda w: (
+        w.mu.numerator * (level // w.mu.denominator), w.nu.numerator * (level // w.nu.denominator)))
     curve = vf.orbit_to_curve(v)
     body = {
         "vector": v.as_strings(),
@@ -350,9 +356,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+# Options whose value may start with '-' (a negative rational); argparse would
+# read such a value as an option unless it is attached with '='.
+_SIGNED_VALUE_OPTIONS = frozenset({"--alpha", "--pvi", "--mu", "--nu"})
+
+
+def _attach_signed_values(argv: Sequence[str]) -> list[str]:
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] in _SIGNED_VALUE_OPTIONS and tok.startswith("-") and not tok.startswith("--"):
+            out[-1] = f"{out[-1]}={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
+def _run(argv: Optional[Sequence[str]]) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_signed_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except UsageError as exc:
@@ -361,6 +382,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    try:
+        try:
+            return _run(argv)
+        finally:
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout: point it at devnull so the interpreter's
+        # final flush cannot fail again, and report failure.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_VERIFICATION
 
 
 if __name__ == "__main__":

@@ -199,18 +199,10 @@ def substitute_rational(p: MultiPoly, mapping: RationalMap) -> MultiPoly:
     Each substituted variable v of maximal degree d contributes den_v^d; the
     result is the exact numerator polynomial (no content stripping).
     """
-    degs = {v: p.degree_in(v) for v in mapping}
-    result = MultiPoly.zero()
-    for exps, coef in p.terms.items():
-        term = MultiPoly.constant(coef)
-        for var, e in zip(p.vars, exps):
-            if var in mapping:
-                num, den = mapping[var]
-                term = term * num ** e * den ** (degs[var] - e)
-            elif e:
-                term = term * MultiPoly.variable(var) ** e
-        result = result + term
-    return result
+    return p.substitute({
+        v: lambda e, num=num, den=den, d=p.degree_in(v): (num ** e, den ** (d - e))
+        for v, (num, den) in mapping.items()
+    })
 
 
 def verify_uniformization(curve: CurveId) -> bool:

@@ -1,15 +1,18 @@
 """Sparse multivariate polynomials with exact rational coefficients.
 
-Variables are drawn from a fixed ordered universe (solution variable y,
-independent variable t, uniformizing parameter z, four curve parameters
-a0..a3 and their square roots u0..u3).  A polynomial stores only the
-variables it actually uses, in universe order, so structurally equal
-polynomials compare equal regardless of how they were built.
+Variables are drawn from a fixed ordered universe: y, t, z, the curve
+parameters a0..a3 and their square roots u0..u3.  A monomial is one int:
+the total degree in the top field, then one 8-bit exponent field per
+variable, y highest.  Integer order is then graded-lex order (total degree
+first, ties broken left-to-right in universe order), and multiplying
+monomials is integer addition.  Work that would build a monomial above
+total degree :data:`MAX_DEGREE` is refused with a ValueError before it
+starts, so no field overflows.
 
-All arithmetic is exact over Q.  Monomials are ordered graded-lex
-(total degree first, ties broken left-to-right in universe order), and
-that ordering fixes leading terms, sign normalization, the canonical
-text form and the JSON export.
+All arithmetic is exact over Q.  Coefficients are stored as ints where
+integral and as Fractions otherwise; public accessors return Fractions.
+Terms keep the order each operation produces them in, and evaluation sums
+them in that order.
 """
 
 from __future__ import annotations
@@ -17,14 +20,27 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from math import isqrt
-from typing import Mapping, Sequence, Union
+from math import isqrt, lcm
+from types import MappingProxyType
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 VARIABLES = ("y", "t", "z", "a0", "a1", "a2", "a3", "u0", "u1", "u2", "u3")
 _VAR_INDEX = {name: i for i, name in enumerate(VARIABLES)}
 
+MAX_DEGREE = 255
+_MASK = 0xFF
+_SHIFTS = tuple(8 * (len(VARIABLES) - 1 - i) for i in range(len(VARIABLES)))
+_DEGREE_SHIFT = 8 * len(VARIABLES)
+# key of the monomial name^1: its exponent field plus one unit of total degree
+_VAR_KEY = tuple((1 << s) + (1 << _DEGREE_SHIFT) for s in _SHIFTS)
+_LOW_BITS = sum(1 << s for s in _SHIFTS)
+_NAMES: dict[int, tuple[str, ...]] = {}  # which fields are nonzero -> their names; <= 2^11 entries
+
 Scalar = Union[Fraction, int]
 Exponents = tuple[int, ...]
+Terms = dict[int, Scalar]  # monomial key -> nonzero int, or non-integral Fraction
+
+_set = object.__setattr__
 
 
 class ExactDivisionError(ArithmeticError):
@@ -35,215 +51,241 @@ class NotAPerfectSquareError(ArithmeticError):
     """Raised when a polynomial square root is requested of a non-square."""
 
 
-def _grlex_key(exps: Exponents) -> tuple:
-    return (sum(exps), exps)
-
-
 def _check_vars(names: Sequence[str]) -> tuple[str, ...]:
     names = tuple(names)
-    idx = -1
     for name in names:
         if name not in _VAR_INDEX:
             raise ValueError(f"unknown variable {name!r}; allowed: {VARIABLES}")
-        if _VAR_INDEX[name] <= idx:
-            raise ValueError(f"variables must be distinct and in universe order, got {names}")
-        idx = _VAR_INDEX[name]
+    if any(_VAR_INDEX[a] >= _VAR_INDEX[b] for a, b in zip(names, names[1:])):
+        raise ValueError(f"variables must be distinct and in universe order, got {names}")
     return names
 
 
-class MultiPoly:
-    """Immutable sparse polynomial: map from exponent tuples to nonzero Fractions."""
+def _check_degree(degree: int) -> None:
+    if degree > MAX_DEGREE:
+        raise ValueError(f"total degree {degree} exceeds the limit of {MAX_DEGREE}")
 
-    __slots__ = ("vars", "terms")
+
+def _norm(c: Scalar) -> Scalar:
+    return c.numerator if type(c) is Fraction and c.denominator == 1 else c
+
+
+def _mul(a: Terms, b: Terms) -> Terms:
+    """Product in nested-loop order: each key sits where it first arises.
+
+    The loop runs on integers over each operand's common denominator.
+    """
+    if not a or not b:
+        return {}
+    # the degree field of the sum of the leading keys exceeds the limit
+    # exactly when the product's total degree does
+    if (max(a) + max(b)) >> _DEGREE_SHIFT > MAX_DEGREE:
+        _check_degree((max(a) >> _DEGREE_SHIFT) + (max(b) >> _DEGREE_SHIFT))
+    if len(a) == 1 or len(b) == 1:
+        # times a single term, keys stay distinct and in the other operand's order
+        ((k0, c0),), many = (a.items(), b) if len(a) == 1 else (b.items(), a)
+        return {k + k0: _norm(c * c0) for k, c in many.items()}
+    da = lcm(*(c.denominator for c in a.values() if type(c) is not int))
+    db = lcm(*(c.denominator for c in b.values() if type(c) is not int))
+    a_items = a.items() if da == 1 else [(k, int(c * da)) for k, c in a.items()]
+    b_items = b.items() if db == 1 else [(k, int(c * db)) for k, c in b.items()]
+    out: dict[int, int] = {}
+    get = out.get
+    for k1, c1 in a_items:
+        for k2, c2 in b_items:
+            k = k1 + k2
+            out[k] = get(k, 0) + c1 * c2
+    if da == db == 1:
+        return {k: c for k, c in out.items() if c}
+    return {k: _norm(Fraction(c, da * db)) for k, c in out.items() if c}
+
+
+def _accumulate(acc: Terms, items: Iterable[tuple[int, Scalar]]) -> Terms:
+    """acc += items in place; a cancelled key leaves, and re-enters at the end."""
+    get = acc.get
+    for k, c in items:
+        v = get(k, 0) + c
+        if v:
+            acc[k] = v.numerator if type(v) is Fraction and v.denominator == 1 else v
+        elif k in acc:
+            del acc[k]
+    return acc
+
+
+def _raw(x) -> "Terms | None":
+    """The terms of a polynomial or of an exact scalar; None for anything else."""
+    if isinstance(x, MultiPoly):
+        return x._t
+    if isinstance(x, (int, Fraction)):
+        c = _norm(x)
+        return {0: c} if c else {}
+    return None
+
+
+class MultiPoly:
+    """Immutable sparse polynomial: map from packed monomials to nonzero rationals."""
+
+    __slots__ = ("_t", "_vars", "_terms")
 
     def __init__(self, terms: Mapping[Exponents, Scalar] = (), variables: Sequence[str] = ()):
         names = _check_vars(variables)
-        clean: dict[Exponents, Fraction] = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        for exps, coef in items:
+        units = [_VAR_KEY[_VAR_INDEX[n]] for n in names]
+        t: Terms = {}
+        for exps, coef in terms.items() if isinstance(terms, Mapping) else terms:
             exps = tuple(int(e) for e in exps)
             if len(exps) != len(names):
                 raise ValueError(f"exponent tuple {exps} does not match variables {names}")
             if any(e < 0 for e in exps):
                 raise ValueError(f"negative exponent in {exps}")
-            coef = Fraction(coef)
-            if coef:
-                c = clean.get(exps, Fraction(0)) + coef
-                if c:
-                    clean[exps] = c
-                elif exps in clean:
-                    del clean[exps]
-        # drop variables that no surviving term uses
-        if clean and names:
-            used = [i for i in range(len(names)) if any(e[i] for e in clean)]
-            if len(used) != len(names):
-                names = tuple(names[i] for i in used)
-                clean = {tuple(e[i] for i in used): c for e, c in clean.items()}
-        elif not clean:
-            names = ()
-        object.__setattr__(self, "vars", names)
-        object.__setattr__(self, "terms", clean)
+            _check_degree(sum(exps))
+            _accumulate(t, [(sum(e * u for e, u in zip(exps, units)), _norm(Fraction(coef)))])
+        _set(self, "_t", t)
+
+    @classmethod
+    def _of(cls, t: Terms) -> "MultiPoly":
+        p = object.__new__(cls)
+        _set(p, "_t", t)
+        return p
 
     def __setattr__(self, *_):
         raise AttributeError("MultiPoly is immutable")
 
-    # ------------------------------------------------------------------
-    # constructors
-    # ------------------------------------------------------------------
-
     @classmethod
     def constant(cls, c: Scalar) -> "MultiPoly":
-        c = Fraction(c)
-        return cls({(): c} if c else {}, ())
+        return cls._of(_raw(Fraction(c)))
 
     @classmethod
     def variable(cls, name: str) -> "MultiPoly":
-        return cls({(1,): Fraction(1)}, (name,))
+        _check_vars((name,))
+        return cls._of({_VAR_KEY[_VAR_INDEX[name]]: 1})
 
     @classmethod
     def zero(cls) -> "MultiPoly":
-        return cls()
+        return cls._of({})
+
+    @property
+    def vars(self) -> tuple[str, ...]:
+        """The variables some term uses, in universe order."""
+        names = getattr(self, "_vars", None)
+        if names is None:
+            used = 0
+            for k in self._t:
+                used |= k
+            used |= used >> 4
+            used |= used >> 2
+            used |= used >> 1  # now the low bit of each field is set iff the field is nonzero
+            pattern = used & _LOW_BITS
+            if pattern not in _NAMES:
+                _NAMES[pattern] = tuple([v for v, s in zip(VARIABLES, _SHIFTS) if pattern >> s & 1])
+            names = _NAMES[pattern]
+            _set(self, "_vars", names)
+        return names
+
+    @property
+    def terms(self) -> Mapping[Exponents, Fraction]:
+        """Exponent tuples over self.vars mapped to Fraction coefficients, in term order."""
+        view = getattr(self, "_terms", None)
+        if view is None:
+            decode = self._decoder()
+            view = MappingProxyType({decode(k): Fraction(c) for k, c in self._t.items()})
+            _set(self, "_terms", view)
+        return view
+
+    def _decoder(self) -> Callable[[int], Exponents]:
+        """Map a monomial key to its exponent tuple over self.vars."""
+        shifts = [_SHIFTS[_VAR_INDEX[v]] for v in self.vars]
+        return lambda key: tuple([key >> s & _MASK for s in shifts])
 
     # ------------------------------------------------------------------
     # basic structure
     # ------------------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._t
 
     def is_constant(self) -> bool:
-        return not self.vars
+        return self._t.keys() <= {0}
 
     def constant_value(self) -> Fraction:
-        if self.vars:
+        if not self.is_constant():
             raise ValueError(f"{self} is not constant")
-        return self.terms.get((), Fraction(0))
+        return Fraction(self._t.get(0, 0))
 
     def total_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(sum(e) for e in self.terms)
+        return max(self._t) >> _DEGREE_SHIFT if self._t else 0
 
     def degree_in(self, name: str) -> int:
-        if name not in self.vars:
+        if name not in _VAR_INDEX or not self._t:
             return 0
-        i = self.vars.index(name)
-        return max(e[i] for e in self.terms)
+        s = _SHIFTS[_VAR_INDEX[name]]
+        return max((k >> s) & _MASK for k in self._t)
 
     def leading_term(self) -> tuple[Exponents, Fraction]:
         """Graded-lex leading (exponents, coefficient); exponents over self.vars."""
-        if not self.terms:
+        if not self._t:
             raise ValueError("zero polynomial has no leading term")
-        exps = max(self.terms, key=_grlex_key)
-        return exps, self.terms[exps]
+        return self.sorted_terms()[0]
 
     def sorted_terms(self) -> list[tuple[Exponents, Fraction]]:
-        return sorted(self.terms.items(), key=lambda kv: _grlex_key(kv[0]), reverse=True)
+        decode = self._decoder()
+        return [(decode(k), Fraction(self._t[k])) for k in sorted(self._t, reverse=True)]
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._t)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = MultiPoly.constant(other)
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
-        return self.vars == other.vars and self.terms == other.terms
+        t = _raw(other)
+        return NotImplemented if t is None else self._t == t
 
     def __hash__(self) -> int:
-        return hash((self.vars, frozenset(self.terms.items())))
+        return hash(frozenset(self._t.items()))
 
     # ------------------------------------------------------------------
     # arithmetic
     # ------------------------------------------------------------------
 
-    @staticmethod
-    def _aligned(p: "MultiPoly", q: "MultiPoly"):
-        if p.vars == q.vars:
-            return p.vars, p.terms, q.terms
-        names = tuple(sorted(set(p.vars) | set(q.vars), key=_VAR_INDEX.__getitem__))
-        pmap = [names.index(v) for v in p.vars]
-        qmap = [names.index(v) for v in q.vars]
-        width = len(names)
-
-        def lift(terms, colmap):
-            out = {}
-            for exps, coef in terms.items():
-                row = [0] * width
-                for pos, e in zip(colmap, exps):
-                    row[pos] = e
-                out[tuple(row)] = coef
-            return out
-
-        return names, lift(p.terms, pmap), lift(q.terms, qmap)
-
-    def _coerce(self, other) -> "MultiPoly":
-        if isinstance(other, MultiPoly):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return MultiPoly.constant(other)
-        return NotImplemented
-
     def __add__(self, other) -> "MultiPoly":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        names, a, b = self._aligned(self, other)
-        out = dict(a)
-        for exps, coef in b.items():
-            out[exps] = out.get(exps, Fraction(0)) + coef
-        return MultiPoly(out, names)
+        t = _raw(other)
+        return NotImplemented if t is None else MultiPoly._of(_accumulate(dict(self._t), t.items()))
 
     __radd__ = __add__
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly({e: -c for e, c in self.terms.items()}, self.vars)
+        return MultiPoly._of({k: -c for k, c in self._t.items()})
 
     def __sub__(self, other) -> "MultiPoly":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        t = _raw(other)
+        return NotImplemented if t is None else self + MultiPoly._of({k: -c for k, c in t.items()})
 
     def __rsub__(self, other) -> "MultiPoly":
         return -(self - other)
 
     def __mul__(self, other) -> "MultiPoly":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        names, a, b = self._aligned(self, other)
-        out: dict[Exponents, Fraction] = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                key = tuple(x + y for x, y in zip(e1, e2))
-                out[key] = out.get(key, Fraction(0)) + c1 * c2
-        return MultiPoly(out, names)
+        t = _raw(other)
+        return NotImplemented if t is None else MultiPoly._of(_mul(self._t, t))
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "MultiPoly":
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        result = MultiPoly.constant(1)
-        base = self
+        _check_degree(n * self.total_degree())
+        result, base = None, self._t
         while n:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else _mul(result, base)
             n >>= 1
-        return result
+            if n:
+                base = _mul(base, base)
+        return MultiPoly._of({0: 1} if result is None else result)
 
     def derivative(self, name: str) -> "MultiPoly":
-        if name not in self.vars:
+        if name not in _VAR_INDEX:
             return MultiPoly.zero()
-        i = self.vars.index(name)
-        out = {}
-        for exps, coef in self.terms.items():
-            if exps[i]:
-                key = exps[:i] + (exps[i] - 1,) + exps[i + 1:]
-                out[key] = out.get(key, Fraction(0)) + coef * exps[i]
-        return MultiPoly(out, self.vars)
+        s, unit = _SHIFTS[_VAR_INDEX[name]], _VAR_KEY[_VAR_INDEX[name]]
+        return MultiPoly._of({
+            k - unit: _norm(c * ((k >> s) & _MASK)) for k, c in self._t.items() if (k >> s) & _MASK
+        })
 
     # ------------------------------------------------------------------
     # substitution and evaluation
@@ -253,46 +295,62 @@ class MultiPoly:
         """Numeric evaluation; every variable of the polynomial must be bound.
 
         Returns a Fraction when all inputs are exact rationals, otherwise
-        a complex/float following Python numeric promotion.
+        a complex/float following Python numeric promotion.  Each term
+        multiplies its factors in universe order, and the terms are summed
+        in term order.
         """
-        missing = [v for v in self.vars if v not in values]
+        names = self.vars
+        missing = [v for v in names if v not in values]
         if missing:
             raise ValueError(f"unbound variables {missing}")
-        if not self.terms:
+        if not self._t:
             return Fraction(0)
-        pows: list[dict[int, object]] = [{0: 1} for _ in self.vars]
-        base = [values[v] for v in self.vars]
+        fields = [(_SHIFTS[_VAR_INDEX[v]], values[v], {}) for v in names]  # powers cached per variable
         total = None
-        for exps, coef in self.terms.items():
+        for key, coef in self._t.items():
             term = coef
-            for i, e in enumerate(exps):
+            for s, x, cache in fields:
+                e = (key >> s) & _MASK
                 if e:
-                    cache = pows[i]
                     if e not in cache:
-                        cache[e] = base[i] ** e
+                        cache[e] = x ** e
                     term = term * cache[e]
             total = term if total is None else total + term
-        return total
+        return Fraction(total) if type(total) is int else total
+
+    def substitute(self, factors: Mapping[str, Callable[[int], Sequence["MultiPoly"]]]) -> "MultiPoly":
+        """Replace each power name^e by the product of ``factors[name](e)``, exactly.
+
+        Every term c*m becomes c times m without the mapped variables times
+        the factors of its mapped variables, multiplied left to right in
+        universe order.  ``factors[name]`` is called once per exponent that
+        occurs (0 included), so each power is built once per call.
+        """
+        for name in factors:
+            _check_vars((name,))
+        fields = [(_SHIFTS[_VAR_INDEX[n]], _VAR_KEY[_VAR_INDEX[n]], factors[n], {})
+                  for n in sorted(factors, key=_VAR_INDEX.__getitem__)]
+        acc: Terms = {}
+        for key, coef in self._t.items():
+            rest, prod = key, None
+            for s, unit, make, cache in fields:
+                e = (key >> s) & _MASK
+                rest -= e * unit
+                if e not in cache:
+                    cache[e] = [f._t for f in make(e) if f._t != {0: 1}]
+                for f in cache[e]:
+                    prod = f if prod is None else _mul(prod, f)
+            if prod is None:
+                _accumulate(acc, [(rest, coef)])
+            elif prod:
+                _check_degree((max(prod) >> _DEGREE_SHIFT) + (rest >> _DEGREE_SHIFT))
+                _accumulate(acc, ((k + rest, coef * c) for k, c in prod.items()))
+        return MultiPoly._of(acc)
 
     def subs(self, **mapping: "MultiPoly | Scalar") -> "MultiPoly":
         """Polynomial substitution for a subset of variables (exact)."""
-        for name in mapping:
-            _check_vars((name,))
-        result = MultiPoly.zero()
-        for exps, coef in self.terms.items():
-            term = MultiPoly.constant(coef)
-            for var, e in zip(self.vars, exps):
-                if not e:
-                    continue
-                if var in mapping:
-                    repl = mapping[var]
-                    if not isinstance(repl, MultiPoly):
-                        repl = MultiPoly.constant(repl)
-                    term = term * repl ** e
-                else:
-                    term = term * MultiPoly({(e,): Fraction(1)}, (var,))
-            result = result + term
-        return result
+        reps = {n: r if isinstance(r, MultiPoly) else MultiPoly.constant(r) for n, r in mapping.items()}
+        return self.substitute({n: (lambda e, r=r: (r ** e,)) for n, r in reps.items()})
 
     # ------------------------------------------------------------------
     # division and square root
@@ -307,26 +365,19 @@ class MultiPoly:
         """
         if not isinstance(divisor, MultiPoly) or divisor.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
-        names, rem, div = self._aligned(self, divisor)
-        lead = max(div, key=_grlex_key) if div else ()
-        lead_coef = div[lead]
-        quot: dict[Exponents, Fraction] = {}
-        rem = dict(rem)
+        div = divisor._t
+        lead = max(div)
+        need = [(s, (lead >> s) & _MASK) for s in _SHIFTS if (lead >> s) & _MASK]
+        rem = dict(self._t)
+        quot: Terms = {}
         while rem:
-            exps = max(rem, key=_grlex_key)
-            delta = tuple(a - b for a, b in zip(exps, lead))
-            if any(d < 0 for d in delta):
+            key = max(rem)
+            if any((key >> s) & _MASK < e for s, e in need):
                 return None
-            c = rem[exps] / lead_coef
-            quot[delta] = quot.get(delta, Fraction(0)) + c
-            for de, dc in div.items():
-                key = tuple(a + b for a, b in zip(delta, de))
-                val = rem.get(key, Fraction(0)) - c * dc
-                if val:
-                    rem[key] = val
-                elif key in rem:
-                    del rem[key]
-        return MultiPoly(quot, names)
+            delta = key - lead
+            c = quot[delta] = _norm(Fraction(rem[key]) / div[lead])
+            _accumulate(rem, ((delta + dk, -c * dc) for dk, dc in div.items()))
+        return MultiPoly._of(quot)
 
     def exact_div(self, divisor: "MultiPoly") -> "MultiPoly":
         q = self.try_divide(divisor)
@@ -340,14 +391,13 @@ class MultiPoly:
     def coefficients_in(self, name: str) -> dict[int, "MultiPoly"]:
         """Coefficients of powers of one variable, as polynomials in the rest."""
         if name not in self.vars:
-            return {0: self} if self.terms else {}
-        i = self.vars.index(name)
-        rest = self.vars[:i] + self.vars[i + 1:]
-        buckets: dict[int, dict[Exponents, Fraction]] = {}
-        for exps, coef in self.terms.items():
-            key = exps[:i] + exps[i + 1:]
-            buckets.setdefault(exps[i], {})[key] = coef
-        return {d: MultiPoly(t, rest) for d, t in buckets.items()}
+            return {0: self} if self._t else {}
+        s, unit = _SHIFTS[_VAR_INDEX[name]], _VAR_KEY[_VAR_INDEX[name]]
+        buckets: dict[int, Terms] = {}
+        for k, c in self._t.items():
+            e = (k >> s) & _MASK
+            buckets.setdefault(e, {})[k - e * unit] = c
+        return {d: MultiPoly._of(t) for d, t in buckets.items()}
 
     def content_in(self, name: str) -> "MultiPoly":
         """Gcd of the coefficient polynomials of powers of ``name``.
@@ -366,10 +416,9 @@ class MultiPoly:
             raise ValueError("content computation supports at most one coefficient variable")
         if not others:
             return MultiPoly.constant(1)
-        var = others.pop()
         g = coeffs[0]
         for c in coeffs[1:]:
-            g = _univariate_gcd(g, c, var)
+            g = _univariate_gcd(g, c)
             if g.is_constant():
                 return MultiPoly.constant(1)
         return g
@@ -404,62 +453,47 @@ class MultiPoly:
                 raise NotAPerfectSquareError("coefficient matching failed")
             if quotient:
                 q[half - j] = quotient
-        x = MultiPoly.variable(name)
-        candidate = MultiPoly.zero()
-        for d, c in q.items():
-            candidate = candidate + c * x ** d
+        # the parts have no variable in common with name^d, so no keys collide
+        unit = _VAR_KEY[_VAR_INDEX[name]]
+        candidate = MultiPoly._of({k + d * unit: c for d, part in q.items() for k, c in part._t.items()})
         if candidate * candidate != self:
             raise NotAPerfectSquareError(f"{self} is not a perfect square")
-        _, lead = candidate.leading_term()
-        return candidate if lead > 0 else -candidate
+        return candidate.sign_normalized()
 
     def sign_normalized(self) -> "MultiPoly":
         """self or -self, whichever has a positive graded-lex leading coefficient."""
         if self.is_zero():
             return self
-        _, lead = self.leading_term()
-        return self if lead > 0 else -self
+        return self if self._t[max(self._t)] > 0 else -self
 
     def monomial_content(self) -> Exponents:
         """Componentwise minimum exponent vector over all terms (over self.vars)."""
-        if not self.terms:
-            return ()
-        mins = None
-        for exps in self.terms:
-            mins = exps if mins is None else tuple(map(min, mins, exps))
-        return mins
+        return tuple(map(min, zip(*self.terms)))
 
     def strip_monomial_content(self) -> "MultiPoly":
         """Divide out the largest monomial dividing every term."""
         mins = self.monomial_content()
-        if not mins or not any(mins):
+        if not any(mins):
             return self
-        return MultiPoly(
-            {tuple(e - m for e, m in zip(exps, mins)): c for exps, c in self.terms.items()},
-            self.vars,
-        )
+        mono = sum(e * _VAR_KEY[_VAR_INDEX[v]] for v, e in zip(self.vars, mins))
+        return MultiPoly._of({k - mono: c for k, c in self._t.items()})
 
     # ------------------------------------------------------------------
     # serialization
     # ------------------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self._t:
             return "0"
+        fields = [(v, _SHIFTS[_VAR_INDEX[v]]) for v in self.vars]
         parts = []
-        for exps, coef in self.sorted_terms():
-            mono = "*".join(
-                v if e == 1 else f"{v}^{e}" for v, e in zip(self.vars, exps) if e
-            )
+        for key in sorted(self._t, reverse=True):
+            coef = self._t[key]
+            mono = "*".join(v if e == 1 else f"{v}^{e}" for v, s in fields if (e := key >> s & _MASK))
             mag = abs(coef)
-            if mono:
-                body = mono if mag == 1 else f"{_frac_str(mag)}*{mono}"
-            else:
-                body = _frac_str(mag)
-            if not parts:
-                parts.append(body if coef > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if coef > 0 else f"- {body}")
+            body = str(mag) if not mono else mono if mag == 1 else f"{mag}*{mono}"
+            sign = ("+ " if coef > 0 else "- ") if parts else ("" if coef > 0 else "-")
+            parts.append(sign + body)
         return " ".join(parts)
 
     __repr__ = __str__
@@ -467,10 +501,7 @@ class MultiPoly:
     def to_json_dict(self) -> dict:
         return {
             "vars": list(self.vars),
-            "terms": [
-                {"exps": list(exps), "coef": _frac_str(coef)}
-                for exps, coef in self.sorted_terms()
-            ],
+            "terms": [{"exps": list(exps), "coef": str(coef)} for exps, coef in self.sorted_terms()],
         }
 
     def to_json(self) -> str:
@@ -478,19 +509,12 @@ class MultiPoly:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "MultiPoly":
-        return cls(
-            {tuple(t["exps"]): Fraction(t["coef"]) for t in data["terms"]},
-            tuple(data["vars"]),
-        )
+        return cls({tuple(t["exps"]): Fraction(t["coef"]) for t in data["terms"]}, data["vars"])
 
     @classmethod
     def parse(cls, text: str) -> "MultiPoly":
         """Parse the canonical text form (sums of 'c*x^a*y^b' terms)."""
         return _parse_poly(text)
-
-
-def _frac_str(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 def _fraction_sqrt(x: Fraction) -> Fraction:
@@ -502,44 +526,21 @@ def _fraction_sqrt(x: Fraction) -> Fraction:
     return Fraction(pn, pd)
 
 
-def _univariate_gcd(p: MultiPoly, q: MultiPoly, var: str) -> MultiPoly:
-    """Monic gcd of two univariate polynomials over Q."""
-
-    def to_list(f: MultiPoly) -> list[Fraction]:
-        if f.is_zero():
-            return []
-        deg = f.degree_in(var)
-        out = [Fraction(0)] * (deg + 1)
-        for d, c in f.coefficients_in(var).items():
-            out[d] = c.constant_value()
-        return out
-
-    def trim(c: list[Fraction]) -> list[Fraction]:
-        while c and not c[-1]:
-            c.pop()
-        return c
-
-    a, b = to_list(p), to_list(q)
+def _univariate_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
+    """Monic gcd over Q of two polynomials in one and the same variable."""
+    a, b = p._t, q._t
     while b:
-        # remainder of a mod b
-        r = a[:]
-        db, lb = len(b) - 1, b[-1]
-        while len(r) - 1 >= db and trim(r):
-            shift = len(r) - 1 - db
-            c = r[-1] / lb
-            for i, bc in enumerate(b):
-                r[shift + i] -= c * bc
-            trim(r)
-        a, b = b, trim(r)
+        # remainder of a mod b; key order is degree order in one variable
+        lead, r = max(b), dict(a)
+        while r and max(r) >= lead:
+            k = max(r)
+            c = Fraction(r[k]) / b[lead]
+            _accumulate(r, ((k - lead + dk, -c * dc) for dk, dc in b.items()))
+        a, b = b, r
     if not a:
         return MultiPoly.zero()
-    lead = a[-1]
-    x = MultiPoly.variable(var)
-    g = MultiPoly.zero()
-    for d, c in enumerate(a):
-        if c:
-            g = g + MultiPoly.constant(c / lead) * x ** d
-    return g
+    lc = a[max(a)]
+    return MultiPoly._of({k: _norm(Fraction(a[k]) / lc) for k in sorted(a)})
 
 
 _TERM_RE = re.compile(r"\s*(?P<sign>[+-])?\s*(?P<body>[^+-]+)")
@@ -550,23 +551,16 @@ def _parse_poly(text: str) -> MultiPoly:
     s = text.strip()
     if not s:
         raise ValueError("empty polynomial string")
-    if s == "0":
-        return MultiPoly.zero()
-    result = MultiPoly.zero()
+    acc: Terms = {}
     pos = 0
-    first = True
     while pos < len(s):
         m = _TERM_RE.match(s, pos)
         if not m or not m.group("body").strip():
             raise ValueError(f"cannot parse polynomial near {s[pos:]!r}")
-        sign = m.group("sign")
-        if first and sign is None:
-            sign = "+"
-        elif not first and sign is None:
+        if pos and m.group("sign") is None:
             raise ValueError(f"missing +/- separator near {s[pos:]!r}")
-        first = False
-        coef = Fraction(1 if sign == "+" else -1)
-        term = MultiPoly.constant(1)
+        coef: Scalar = -1 if m.group("sign") == "-" else 1
+        key = degree = 0
         for factor in m.group("body").split("*"):
             factor = factor.strip()
             fm = _FACTOR_RE.match(factor)
@@ -575,11 +569,14 @@ def _parse_poly(text: str) -> MultiPoly:
             if fm.group("num") is not None:
                 coef *= Fraction(fm.group("num"))
             else:
+                name = _check_vars((fm.group("var"),))[0]
                 e = int(fm.group("exp") or 1)
-                term = term * MultiPoly.variable(fm.group("var")) ** e
-        result = result + MultiPoly.constant(coef) * term
+                degree += e
+                _check_degree(degree)
+                key += e * _VAR_KEY[_VAR_INDEX[name]]
+        _accumulate(acc, [(key, _norm(coef))])
         pos = m.end()
-    return result
+    return MultiPoly._of(acc)
 
 
 def poly_square_root(p: MultiPoly) -> MultiPoly:

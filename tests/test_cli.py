@@ -267,3 +267,85 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["partition"] == [2, 2, 2]
+
+
+def _src_env():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+class TestOrbitListing:
+    @pytest.mark.parametrize("mu,nu", [("1/3", "0"), ("1/4", "1/4"), ("2/7", "3/7"), ("1/12", "5/12"),
+                                       ("4/15", "1/5"), ("3/16", "0"), ("1/45", "2/9")])
+    def test_list_is_the_sorted_orbit(self, capsys, mu, nu):
+        from pvi import orbits as ob
+
+        v = ob.canonicalize((ob.parse_rational(mu), ob.parse_rational(nu)))
+        expected = [w.as_strings() for w in sorted(ob.enumerate_orbit(v))]
+        code, body, _ = run_json(capsys, "orbit", "--mu", mu, "--nu", nu)
+        assert code == 0
+        assert body["orbit"] == expected
+        code, out, _ = run(capsys, "orbit", "--mu", mu, "--nu", nu, "--format", "text")
+        assert code == 0
+        assert out.splitlines()[1] == "orbit: " + ", ".join(f"({a}, {b})" for a, b in expected)
+
+
+class TestSignedValues:
+    @pytest.mark.parametrize("argv", [
+        ["classify", "--alpha", "-3,1,2,4"],
+        ["classify", "--pvi", "-1/2,1,-2,3"],
+        ["verify", "--curve", "A", "--alpha", "-1,1,2,2", "--samples", "3"],
+        ["verify", "--curve", "B", "--pvi", "-1,2,3,4", "--samples", "3"],
+        ["orbit", "--mu", "-1/3", "--nu", "0"],
+        ["orbit", "--mu", "1/5", "--nu", "-2/5"],
+        ["eval-picard", "--mu", "-1/3", "--nu", "0", "--tau-im", "1.2"],
+        ["eval-picard", "--mu", "1/4", "--nu", "-1/4", "--tau-im", "0.9", "--tau-re", "-0.5"],
+    ])
+    def test_spaced_and_attached_forms_agree(self, capsys, argv):
+        attached = list(argv)
+        for i, tok in enumerate(argv[:-1]):
+            if tok in ("--alpha", "--pvi", "--mu", "--nu"):
+                attached[i:i + 2] = [f"{tok}={argv[i + 1]}", None]
+        attached = [tok for tok in attached if tok is not None]
+        code, out, err = run(capsys, *argv)
+        assert err == ""
+        assert code in (0, 1)
+        assert run(capsys, *attached) == (code, out, err)
+        json.loads(out)
+
+    def test_negative_values_are_read(self, capsys):
+        code, body, _ = run_json(capsys, "classify", "--alpha", "-3,1,2,4")
+        assert code == 0 and body["alpha"] == ["-3", "1", "2", "4"]
+        code, body, _ = run_json(capsys, "orbit", "--mu", "-1/3", "--nu", "0")
+        assert code == 0 and body["vector"] == ["1/3", "0"]
+
+    def test_missing_value_still_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["classify", "--alpha", "--verify"])
+        assert exc.value.code == 2
+
+
+class TestDegreeLimitExit:
+    def test_high_degree_polynomial_exits_2(self, capsys):
+        code, out, err = run(capsys, "verify", "--alpha=1,1,2,2", "--poly", "y^300 - t")
+        assert code == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1 and "255" in err
+
+
+class TestClosedStdout:
+    def test_reader_closed_exits_1_quietly(self):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "pvi.cli", "orbit", "--mu", "1/3", "--nu", "0"],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, env=_src_env(), timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert "Exception ignored" not in proc.stderr

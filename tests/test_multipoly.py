@@ -226,3 +226,296 @@ class TestImmutability:
 
     def test_hashable(self):
         assert len({Y, Y, T}) == 2
+
+
+# ----------------------------------------------------------------------
+# the packed core over the whole universe, against sympy
+# ----------------------------------------------------------------------
+
+from pvi.multipoly import MAX_DEGREE, VARIABLES  # noqa: E402
+
+_ALL_SYMS = {name: sp.Symbol(name) for name in VARIABLES}
+
+
+def to_sympy_all(p: MultiPoly):
+    expr = sp.Integer(0)
+    for exps, coef in p.terms.items():
+        term = sp.Rational(coef.numerator, coef.denominator)
+        for var, e in zip(p.vars, exps):
+            term *= _ALL_SYMS[var] ** e
+        expr += term
+    return sp.expand(expr)
+
+
+def wide_poly(rng, names=VARIABLES, nterms=4, max_degree=MAX_DEGREE):
+    """Random polynomial over ``names`` whose monomials reach total degree ``max_degree``."""
+    terms = {}
+    for _ in range(nterms):
+        exps = [0] * len(names)
+        budget = rng.randint(0, max_degree)
+        for _ in range(rng.randint(1, 3)):
+            i = rng.randrange(len(names))
+            take = rng.randint(0, budget)
+            exps[i] += take
+            budget -= take
+        terms[tuple(exps)] = F(rng.randint(-9, 9), rng.randint(1, 5))
+    return MultiPoly(terms, names)
+
+
+class TestPackedCoreOracle:
+    def test_ring_operations_over_all_variables(self):
+        rng = random.Random(4242)
+        for _ in range(30):
+            p, q = wide_poly(rng, max_degree=MAX_DEGREE // 2), wide_poly(rng, max_degree=MAX_DEGREE // 2)
+            sp_p, sp_q = to_sympy_all(p), to_sympy_all(q)
+            assert p.vars == tuple(v for v in VARIABLES if _ALL_SYMS[v] in sp_p.free_symbols)
+            assert to_sympy_all(p + q) == sp.expand(sp_p + sp_q)
+            assert to_sympy_all(p - q) == sp.expand(sp_p - sp_q)
+            assert to_sympy_all(p * q) == sp.expand(sp_p * sp_q)
+            name = rng.choice(VARIABLES)
+            assert to_sympy_all(p.derivative(name)) == sp.diff(sp_p, _ALL_SYMS[name])
+
+    def test_exponents_at_the_field_limit(self):
+        rng = random.Random(7)
+        for name in VARIABLES:
+            x = MultiPoly.variable(name)
+            top = x ** MAX_DEGREE
+            assert top.total_degree() == top.degree_in(name) == MAX_DEGREE
+            assert top.vars == (name,)
+            assert to_sympy_all(top) == _ALL_SYMS[name] ** MAX_DEGREE
+            p = wide_poly(rng, max_degree=MAX_DEGREE)
+            assert MultiPoly.parse(str(p)) == p
+            assert to_sympy_all(p.derivative(name)) == sp.diff(to_sympy_all(p), _ALL_SYMS[name])
+
+    def test_disjoint_variable_sets(self):
+        rng = random.Random(11)
+        for _ in range(20):
+            names = list(VARIABLES)
+            rng.shuffle(names)
+            left = tuple(sorted(names[:5], key=VARIABLES.index))
+            right = tuple(sorted(names[5:], key=VARIABLES.index))
+            p = wide_poly(rng, left, max_degree=40)
+            q = wide_poly(rng, right, max_degree=40)
+            sp_p, sp_q = to_sympy_all(p), to_sympy_all(q)
+            assert to_sympy_all(p + q) == sp.expand(sp_p + sp_q)
+            assert to_sympy_all(q - p) == sp.expand(sp_q - sp_p)
+            assert to_sympy_all(p * q) == sp.expand(sp_p * sp_q)
+            assert set((p * q).vars) == set(p.vars) | set(q.vars)
+            if not q.is_zero():
+                assert (p * q).exact_div(q) == p
+
+    def test_try_divide(self):
+        rng = random.Random(5)
+        gens = [_ALL_SYMS[n] for n in VARIABLES]
+        for _ in range(40):
+            names = tuple(sorted(rng.sample(VARIABLES, 3), key=VARIABLES.index))
+            a = wide_poly(rng, names, nterms=3, max_degree=6)
+            b = wide_poly(rng, names, nterms=3, max_degree=4)
+            if b.is_zero():
+                continue
+            for num in (a * b, a * b + wide_poly(rng, names, nterms=2, max_degree=5)):
+                quo, rem = sp.div(sp.Poly(to_sympy_all(num), *gens), sp.Poly(to_sympy_all(b), *gens))
+                got = num.try_divide(b)
+                if rem.is_zero:
+                    assert got is not None and to_sympy_all(got) == quo.as_expr()
+                else:
+                    assert got is None
+
+    def test_subs(self):
+        rng = random.Random(21)
+        for _ in range(20):
+            p = wide_poly(rng, nterms=4, max_degree=6)
+            mapping = {
+                name: wide_poly(rng, tuple(sorted(rng.sample(VARIABLES, 2), key=VARIABLES.index)),
+                                nterms=2, max_degree=3)
+                for name in rng.sample(VARIABLES, 3)
+            }
+            expected = sp.expand(to_sympy_all(p).subs(
+                {_ALL_SYMS[n]: to_sympy_all(r) for n, r in mapping.items()}, simultaneous=True))
+            assert to_sympy_all(p.subs(**mapping)) == expected
+        assert (Y * T).subs(t=F(2, 3), z=Y) == F(2, 3) * Y
+
+    def test_square_root(self):
+        rng = random.Random(33)
+        for _ in range(15):
+            p = wide_poly(rng, nterms=3, max_degree=20)
+            if p.is_zero():
+                continue
+            root = (p * p).square_root()
+            assert root == p.sign_normalized()
+            assert sp.expand(to_sympy_all(root) ** 2) == sp.expand(to_sympy_all(p) ** 2)
+
+    def test_coefficients_in(self):
+        rng = random.Random(8)
+        for _ in range(20):
+            p = wide_poly(rng, nterms=5, max_degree=12)
+            name = rng.choice(VARIABLES)
+            coeffs = p.coefficients_in(name)
+            expected = sp.Poly(to_sympy_all(p), _ALL_SYMS[name]).as_dict()
+            assert {d: to_sympy_all(c) for d, c in coeffs.items()} == {
+                k[0]: sp.expand(v) for k, v in expected.items()}
+            assert all(name not in c.vars for c in coeffs.values())
+
+    def test_content_in(self):
+        rng = random.Random(13)
+        for _ in range(15):
+            content = wide_poly(rng, ("t",), nterms=2, max_degree=3)
+            if content.is_constant():
+                continue
+            cofactor = wide_poly(rng, ("y", "t"), nterms=3, max_degree=4)
+            if cofactor.degree_in("y") == 0:
+                continue
+            p = content * cofactor
+            coeffs = sp.Poly(to_sympy_all(p), _ALL_SYMS["y"]).all_coeffs()
+            expected = sp.Poly(sp.gcd_list(coeffs), _ALL_SYMS["t"]).monic().as_expr()
+            got = to_sympy_all(p.content_in("y"))
+            # the content is defined up to a unit of Q
+            assert sp.cancel(got / expected).is_number
+
+    def test_str_and_json_round_trips(self):
+        rng = random.Random(55)
+        for _ in range(30):
+            p = wide_poly(rng, nterms=rng.randint(0, 6))
+            assert MultiPoly.parse(str(p)) == p
+            assert str(MultiPoly.parse(str(p))) == str(p)
+            q = MultiPoly.from_json_dict(json.loads(p.to_json()))
+            assert q == p and q.to_json() == p.to_json()
+            assert to_sympy_all(q) == to_sympy_all(p)
+
+
+class TestDegreeLimit:
+    def test_parse_refuses_high_degree(self):
+        with pytest.raises(ValueError, match=str(MAX_DEGREE)):
+            MultiPoly.parse("y^256")
+        with pytest.raises(ValueError, match=str(MAX_DEGREE)):
+            MultiPoly.parse("y^200*t^56 - 1")
+        assert MultiPoly.parse("y^255").degree_in("y") == MAX_DEGREE
+
+    def test_power_refuses_high_degree(self):
+        with pytest.raises(ValueError, match=str(MAX_DEGREE)):
+            Y ** 256
+        with pytest.raises(ValueError, match=str(MAX_DEGREE)):
+            (Y * T + 1) ** 128
+        assert (Y + 1) ** 255 == ((Y + 1) ** 85) ** 3
+
+    def test_product_refuses_high_degree(self):
+        with pytest.raises(ValueError, match=str(MAX_DEGREE)):
+            Y ** 200 * T ** 56
+        with pytest.raises(ValueError, match=str(MAX_DEGREE)):
+            (Y ** 128 + 1) * (Y ** 128 - 1)
+        assert (Y ** 200 * T ** 55).total_degree() == MAX_DEGREE
+
+    def test_construction_and_substitution_refuse_high_degree(self):
+        with pytest.raises(ValueError, match=str(MAX_DEGREE)):
+            MultiPoly({(200, 56): 1}, ("y", "t"))
+        with pytest.raises(ValueError, match=str(MAX_DEGREE)):
+            (Y ** 100 * T).subs(t=Z ** 156)
+
+
+class TestCoefficientStorage:
+    def test_accessors_return_fractions(self):
+        p = 3 * Y ** 2 - F(1, 2) * T + 4
+        assert all(type(c) is Fraction for c in p.terms.values())
+        assert type(p.leading_term()[1]) is Fraction
+        assert type(MultiPoly.constant(5).constant_value()) is Fraction
+        assert type(p(y=2, t=4)) is Fraction and p(y=2, t=4) == 14
+        assert all(type(c) is Fraction for _, c in p.sorted_terms())
+
+    def test_views_are_read_only(self):
+        p = Y + T
+        with pytest.raises(TypeError):
+            p.terms[(1, 1)] = F(1)
+        assert p == Y + T
+
+
+# ----------------------------------------------------------------------
+# term order: the numeric verifier sums terms in dict order, so every
+# operation must keep the order of the exponent-tuple reference below
+# ----------------------------------------------------------------------
+
+
+def _full(p: MultiPoly) -> list:
+    """(exponents over all of VARIABLES, coefficient) pairs in term order."""
+    return [(tuple(dict(zip(p.vars, e)).get(v, 0) for v in VARIABLES), c) for e, c in p.terms.items()]
+
+
+def ref_mul(p: MultiPoly, q: MultiPoly) -> list:
+    """Nested-loop product over exponent tuples: each key sits where it first arises."""
+    out = {}
+    for e1, c1 in _full(p):
+        for e2, c2 in _full(q):
+            key = tuple(a + b for a, b in zip(e1, e2))
+            out[key] = out.get(key, 0) + c1 * c2
+    return [(k, c) for k, c in out.items() if c]
+
+
+def ref_add(p: MultiPoly, q: MultiPoly) -> list:
+    out = dict(_full(p))
+    for k, c in _full(q):
+        out[k] = out.get(k, 0) + c
+    return [(k, c) for k, c in out.items() if c]
+
+
+def ref_subs(p: MultiPoly, mapping: dict) -> MultiPoly:
+    """Substitution as one chain of public products and sums per term."""
+    result = MultiPoly.zero()
+    for exps, coef in p.terms.items():
+        term = MultiPoly.constant(coef)
+        for var, e in zip(p.vars, exps):
+            if e:
+                term = term * (mapping[var] ** e if var in mapping else MultiPoly.variable(var) ** e)
+        result = result + term
+    return result
+
+
+class TestTermOrder:
+    def test_products_and_sums_keep_reference_order(self):
+        rng = random.Random(808)
+        for _ in range(60):
+            names = tuple(sorted(rng.sample(VARIABLES, 3), key=VARIABLES.index))
+            p = wide_poly(rng, names, nterms=5, max_degree=4)
+            q = wide_poly(rng, names, nterms=5, max_degree=4) + rng.choice([0, 1, F(-1, 3)])
+            assert _full(p * q) == ref_mul(p, q)
+            assert _full(p + q) == ref_add(p, q)
+            assert _full(p - q) == ref_add(p, -q)
+
+    def test_cancelling_product_keeps_reference_order(self):
+        u = [MultiPoly.variable(f"u{i}") for i in range(4)]
+        out = MultiPoly.constant(1)
+        for s1 in (1, -1):
+            for s2 in (1, -1):
+                for s3 in (1, -1):
+                    factor = u[0] + s1 * u[1] + s2 * u[2] + s3 * u[3]
+                    assert _full(out * factor) == ref_mul(out, factor)
+                    out = out * factor
+
+    def test_substitution_keeps_chain_order(self):
+        rng = random.Random(909)
+        for _ in range(20):
+            p = wide_poly(rng, ("y", "t", "z"), nterms=5, max_degree=5)
+            mapping = {"y": wide_poly(rng, ("t", "z"), nterms=3, max_degree=2),
+                       "z": wide_poly(rng, ("y", "t"), nterms=2, max_degree=2) + 1}
+            got, want = p.subs(**mapping), ref_subs(p, mapping)
+            assert got == want and _full(got) == _full(want)
+
+    def test_evaluation_multiplies_and_sums_in_reference_order(self):
+        rng = random.Random(1010)
+
+        def reference(p, point):
+            total = None
+            for exps, coef in p.terms.items():
+                term = coef
+                for var, e in zip(p.vars, exps):
+                    if e:
+                        term = term * point[var] ** e
+                total = term if total is None else total + term
+            return total
+
+        for _ in range(200):
+            point = {v: complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for v in ("y", "t", "z")}
+            point["t"] = point["t"].real
+            monomial = wide_poly(rng, ("y", "t", "z"), nterms=1, max_degree=9)
+            p = wide_poly(rng, ("y", "t", "z"), nterms=6, max_degree=9)
+            for q in (monomial, p):
+                if q.vars:
+                    assert q(**point) == reference(q, point)
