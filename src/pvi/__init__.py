@@ -43,7 +43,7 @@ from .elliptic import (
     wp,
     wp_prime,
 )
-from .multipoly import MultiPoly, poly_square_root
+from .multipoly import MultiPoly
 from .orbits import (
     Gamma2Matrix,
     StandardForm,
@@ -104,7 +104,6 @@ __all__ = [
     "p0_poly",
     "params_convert",
     "picard_eval",
-    "poly_square_root",
     "pvi_residual",
     "reduction_residual",
     "same_orbit",

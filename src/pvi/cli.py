@@ -22,7 +22,6 @@ from . import __version__
 from . import curves as cv
 from . import elliptic as el
 from . import orbits as ob
-from . import selftest as st
 from . import verifier as vf
 from .curves import CurveId
 from .elliptic import AlphaTuple
@@ -230,7 +229,7 @@ def _cmd_eval_picard(args) -> int:
         "master_alpha": None,
     }
     if curve is not None:
-        alpha = st.CANONICAL_ALPHA[curve]
+        alpha = cv.CURVE_TABLE[curve].alpha
         body["curve_residual"] = abs(complex(cv.CURVES[curve](y=y, t=t)))
         body["master_residual"] = abs(complex(cv.master_poly(alpha)(y=y, t=t)))
         body["master_alpha"] = [ob.format_rational(a) for a in alpha]
@@ -271,6 +270,7 @@ def _cmd_derive_quartics(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    from . import selftest as st
     results = st.run_all()
     ok = all(r.passed for r in results)
     if args.json:
@@ -298,8 +298,18 @@ def _cmd_selftest(args) -> int:
 # parser
 # ----------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    # argparse drops a failed write of --help or --version to stdout and exits
+    # 0; let it reach main, which exits 1 for a stdout closed by its reader.
+    def _print_message(self, message, file=None):
+        if file is sys.stdout:
+            file.write(message)
+        else:
+            super()._print_message(message, file)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pvi",
         description="Smooth (zero-, one-, pole- and fixed-point-free) solutions "
                     "of the sixth Painleve equation: classification, orbit "

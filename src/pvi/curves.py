@@ -5,8 +5,9 @@ Everything here is exact arithmetic over Q via :class:`~pvi.multipoly.MultiPoly`
 * the parameter-weighted sextic whose nontrivial irreducible factors are the
   only candidate curves for smooth (zero-, one-, pole- and fixed-point-free)
   solutions;
-* the seven canonical curves A..G and the reducibility surface (a quartic
-  relation in the four parameters, with three distinguished lines);
+* the table of the seven canonical curves A..G (:data:`CURVE_TABLE`) and the
+  reducibility surface (a quartic relation in the four parameters, with
+  three distinguished lines);
 * the degree-3 multiplication identity for the normalized elliptic
   coordinate w = (p - e1)/(e2 - e1), whose numerator/denominator
   factorizations produce the four quartic curves;
@@ -22,7 +23,8 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import product
-from typing import Iterable, Sequence, Union
+from math import gcd, lcm
+from typing import Iterable, NamedTuple, Sequence, Union
 
 from .multipoly import MultiPoly, Scalar
 
@@ -47,17 +49,37 @@ class CurveId(str, Enum):
         return self.value
 
 
-CURVES: dict[CurveId, MultiPoly] = {
-    CurveId.A: MultiPoly.parse("y^2 - t"),
-    CurveId.B: MultiPoly.parse("y^2 - 2*y + t"),
-    CurveId.C: MultiPoly.parse("y^2 - 2*y*t + t"),
-    CurveId.D: MultiPoly.parse("3*y^4 - 4*y^3*t - 4*y^3 + 6*y^2*t - t^2"),
-    CurveId.E: MultiPoly.parse("y^4 - 6*y^2*t + 4*y*t^2 + 4*y*t - 3*t^2"),
-    CurveId.F: MultiPoly.parse("y^4 - 4*y^3 + 6*y^2*t - 4*y*t^2 + t^2"),
-    CurveId.G: MultiPoly.parse("y^4 - 4*y^3*t + 6*y^2*t - 4*y*t + t^2"),
+class CurveRow(NamedTuple):
+    """A canonical curve; a parameter point on its pattern; the Kummer line that
+    is a conic's pattern (None for a quartic, whose pattern is the nonzero
+    multiples of ``alpha``); and a class (mu, nu) whose Picard solution traces it."""
+
+    poly: MultiPoly
+    alpha: tuple[Fraction, ...]
+    line: str | None
+    picard_class: tuple[Fraction, ...]
+
+
+def _row(poly: str, alpha: str, line: str | None, picard_class: str) -> CurveRow:
+    return CurveRow(MultiPoly.parse(poly), tuple(map(Fraction, alpha.split())), line,
+                    tuple(map(Fraction, picard_class.split())))
+
+
+CURVE_TABLE: dict[CurveId, CurveRow] = {
+    CurveId.A: _row("y^2 - t", "1 1 2 2", "L1", "1/4 0"),
+    CurveId.B: _row("y^2 - 2*y + t", "1 2 1 2", "L2", "0 1/4"),
+    CurveId.C: _row("y^2 - 2*y*t + t", "1 2 2 1", "L3", "1/4 1/4"),
+    CurveId.D: _row("3*y^4 - 4*y^3*t - 4*y^3 + 6*y^2*t - t^2", "9 1 1 1", None, "1/3 0"),
+    CurveId.E: _row("y^4 - 6*y^2*t + 4*y*t^2 + 4*y*t - 3*t^2", "1 9 1 1", None, "1/6 0"),
+    CurveId.F: _row("y^4 - 4*y^3 + 6*y^2*t - 4*y*t^2 + t^2", "1 1 9 1", None, "0 1/6"),
+    CurveId.G: _row("y^4 - 4*y^3*t + 6*y^2*t - 4*y*t + t^2", "1 1 1 9", None, "1/6 1/6"),
 }
 
-QUARTIC_CURVES = (CurveId.D, CurveId.E, CurveId.F, CurveId.G)
+# Every reader of a curve polynomial goes through this dict, not the table, so
+# that replacing an entry reaches them all.
+CURVES: dict[CurveId, MultiPoly] = {cid: row.poly for cid, row in CURVE_TABLE.items()}
+
+QUARTIC_CURVES = tuple(cid for cid, row in CURVE_TABLE.items() if row.line is None)
 
 
 def master_poly(alpha: AlphaLike) -> MultiPoly:
@@ -88,7 +110,6 @@ def p0_poly(alpha: AlphaLike) -> MultiPoly:
 # reducibility surface
 # ----------------------------------------------------------------------
 
-LINES = ("L1", "L2", "L3")
 _LINE_PAIRINGS = {"L1": ((0, 1), (2, 3)), "L2": ((0, 2), (1, 3)), "L3": ((0, 3), (1, 2))}
 
 
@@ -136,11 +157,28 @@ def verify_kummer_equivalence() -> bool:
 def line_membership(alpha: AlphaLike) -> set[str]:
     """Which of the three distinguished lines of the surface contain alpha."""
     a = [Fraction(x) for x in alpha]
-    out = set()
-    for name, ((i, j), (k, l)) in _LINE_PAIRINGS.items():
-        if a[i] == a[j] and a[k] == a[l]:
-            out.add(name)
-    return out
+    return {name for name, ((i, j), (k, l)) in _LINE_PAIRINGS.items()
+            if a[i] == a[j] and a[k] == a[l]}
+
+
+def pattern_curves(alpha: AlphaLike) -> list[CurveId]:
+    """Curves of :data:`CURVE_TABLE` whose parameter pattern contains alpha, in table order."""
+    a = [Fraction(x) for x in alpha]
+    lines = line_membership(a)
+    point = _projective_point(a)
+    return [cid for cid, row in CURVE_TABLE.items()
+            if (row.line in lines if row.line else _QUARTIC_POINTS[cid] == point)]
+
+
+def _projective_point(a: Sequence[Fraction]) -> tuple[int, ...] | None:
+    """The primitive integer multiple of a with first nonzero entry positive; None for zero."""
+    den = lcm(*(x.denominator for x in a))
+    v = [x.numerator * (den // x.denominator) for x in a]
+    g = gcd(*v) if next((x for x in v if x), 0) >= 0 else -gcd(*v)
+    return tuple(x // g for x in v) if g else None
+
+
+_QUARTIC_POINTS = {cid: _projective_point(CURVE_TABLE[cid].alpha) for cid in QUARTIC_CURVES}
 
 
 # ----------------------------------------------------------------------
@@ -326,15 +364,15 @@ def is_irreducible(p: MultiPoly) -> IrreducibilityResult:
     if degy == 0:
         return IrreducibilityResult("unknown")
 
-    lead = p.coefficients_in("y")[degy]
+    coefficients = p.coefficients_in("y")
+    dense = [coefficients.get(d, MultiPoly.zero()) for d in range(degy + 1)]
+    primes = [q for q in _PRIMES if q ** (degy // 2) <= _FP_ENUMERATION_CAP]
     for t0 in _SPECIALIZATION_POINTS:
-        lead_val = lead(t=Fraction(t0)) if not lead.is_constant() else lead.constant_value()
-        if lead_val == 0:
+        values = [c(t=Fraction(t0)) for c in dense]
+        if values[degy] == 0:
             continue
-        for prime in _PRIMES:
-            if prime ** (degy // 2) > _FP_ENUMERATION_CAP:
-                continue
-            coeffs = _specialize_mod(p, t0, prime)
+        for prime in primes:
+            coeffs = _reduce_mod(values, prime)
             if coeffs is None or len(coeffs) - 1 != degy:
                 continue
             if _fp_is_irreducible(coeffs, prime):
@@ -342,14 +380,11 @@ def is_irreducible(p: MultiPoly) -> IrreducibilityResult:
     return IrreducibilityResult("unknown")
 
 
-def _specialize_mod(p: MultiPoly, t0: int, prime: int) -> list[int] | None:
-    """Dense coefficients (ascending) of p(y, t0) mod prime, or None when unusable."""
-    coeffs = [0] * (p.degree_in("y") + 1)
-    for d, c in p.coefficients_in("y").items():
-        val = c(t=Fraction(t0)) if not c.is_constant() else c.constant_value()
-        if val.denominator % prime == 0:
-            return None
-        coeffs[d] = (val.numerator * pow(val.denominator, -1, prime)) % prime
+def _reduce_mod(values: list[Fraction], prime: int) -> list[int] | None:
+    """Dense coefficients (ascending) of exact values mod prime, or None when unusable."""
+    if any(v.denominator % prime == 0 for v in values):
+        return None
+    coeffs = [(v.numerator * pow(v.denominator, -1, prime)) % prime for v in values]
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     return coeffs or None

@@ -385,9 +385,6 @@ class MultiPoly:
             raise ExactDivisionError(f"{divisor} does not divide exactly")
         return q
 
-    def divides(self, other: "MultiPoly") -> bool:
-        return other.try_divide(self) is not None
-
     def coefficients_in(self, name: str) -> dict[int, "MultiPoly"]:
         """Coefficients of powers of one variable, as polynomials in the rest."""
         if name not in self.vars:
@@ -577,8 +574,3 @@ def _parse_poly(text: str) -> MultiPoly:
         _accumulate(acc, [(key, _norm(coef))])
         pos = m.end()
     return MultiPoly._of(acc)
-
-
-def poly_square_root(p: MultiPoly) -> MultiPoly:
-    """Module-level alias for :meth:`MultiPoly.square_root`."""
-    return p.square_root()

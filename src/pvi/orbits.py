@@ -251,9 +251,9 @@ def enumerate_orbit(v: RationalPair) -> frozenset[RationalPair]:
     return frozenset(RationalPair(fractions[a], fractions[b]) for a, b in seen)
 
 
-def _orbit_key(v: RationalPair) -> tuple[int, ...]:
-    """Invariant that fixes the orbit of a nonzero class: N, plus (m, n) mod 2 for even N."""
-    data = standard_form(canonicalize(v))
+def orbit_key(v: RationalPair) -> tuple[int, ...]:
+    """Key of the orbit of a nonzero canonical class: N, plus (m, n) mod 2 for even N."""
+    data = standard_form(v)
     if data.N % 2:
         return (data.N,)
     return (data.N, data.m % 2, data.n % 2)
@@ -263,7 +263,7 @@ def same_orbit(v1: RationalPair, v2: RationalPair) -> bool:
     """True when the classes of v1 and v2 lie in one orbit."""
     if v1.is_zero() or v2.is_zero():
         raise ValueError("orbit membership is defined for nonzero classes")
-    return _orbit_key(v1) == _orbit_key(v2)
+    return orbit_key(canonicalize(v1)) == orbit_key(canonicalize(v2))
 
 
 def eligible_classes(N: int) -> list[RationalPair]:

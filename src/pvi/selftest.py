@@ -3,8 +3,9 @@
 Each check is a zero-argument callable returning a human-readable detail
 string on success and raising :class:`CheckFailure` on failure; the runner
 wraps them with timing so the command-line front end can print one
-pass/fail line per check.  The pytest acceptance suite runs the same
-checks one criterion per test.
+pass/fail line per check.  These are the only copy of the checks: the
+pytest acceptance suite (``tests/test_acceptance.py``) runs the callables
+of :data:`CHECKS` themselves.
 """
 
 from __future__ import annotations
@@ -45,15 +46,7 @@ def _require(cond: bool, message: str) -> None:
         raise CheckFailure(message)
 
 
-CANONICAL_ALPHA: dict[CurveId, AlphaTuple] = {
-    CurveId.A: AlphaTuple(*map(Fraction, (1, 1, 2, 2))),
-    CurveId.B: AlphaTuple(*map(Fraction, (1, 2, 1, 2))),
-    CurveId.C: AlphaTuple(*map(Fraction, (1, 2, 2, 1))),
-    CurveId.D: AlphaTuple(*map(Fraction, (9, 1, 1, 1))),
-    CurveId.E: AlphaTuple(*map(Fraction, (1, 9, 1, 1))),
-    CurveId.F: AlphaTuple(*map(Fraction, (1, 1, 9, 1))),
-    CurveId.G: AlphaTuple(*map(Fraction, (1, 1, 1, 9))),
-}
+CANONICAL_ALPHA = {cid: AlphaTuple(*row.alpha) for cid, row in cv.CURVE_TABLE.items()}
 
 _FIVE_TAUS = (1j, 1 + 2j, 3j, 0.3 + 0.8j, -0.4 + 1.1j)
 
@@ -129,10 +122,12 @@ def check_kummer_lines() -> str:
 
 
 def check_quartic_derivation() -> str:
+    _require(-cv.TRIPLING_G == cv.CURVES[CurveId.D], "tripling denominator g != -D exactly")
+    _require(cv.TRIPLING_F == cv.CURVES[CurveId.E], "tripling numerator f != E exactly")
     derived = cv.derive_quartics()
     for cid in cv.QUARTIC_CURVES:
         _require(derived[cid] == cv.CURVES[cid], f"derived quartic {cid} mismatch")
-    return "tripling numerator/denominator factorizations reproduce all four quartics"
+    return "f = E and -g = D exactly; the tripling factorizations reproduce all four quartics"
 
 
 def check_uniformizations() -> str:
@@ -257,13 +252,11 @@ def check_tripling() -> str:
     third = 0.0
     sixth = 0.0
     for tau in (1j, 0.2 + 0.9j, -0.3 + 1.3j):
-        inv = el.invariants_at(tau)
-        z3 = (1 + tau) / 3
-        y = (el.wp(z3, tau) - inv.e1) / (inv.e2 - inv.e1)
-        third = max(third, abs(complex(cv.TRIPLING_G(y=y, t=inv.t))))
-        z6 = 0.5 + 0j
-        y6 = (el.wp(z6 / 3, tau) - inv.e1) / (inv.e2 - inv.e1)
-        sixth = max(sixth, abs(complex(cv.TRIPLING_F(y=y6, t=inv.t))))
+        t = el.invariants_at(tau).t
+        y3 = el.normalized_w((1 + tau) / 3, tau)
+        third = max(third, abs(complex(cv.TRIPLING_G(y=y3, t=t))))
+        y6 = el.normalized_w((0.5 + 0j) / 3, tau)
+        sixth = max(sixth, abs(complex(cv.TRIPLING_F(y=y6, t=t))))
     _require(third < 1e-7, f"denominator does not vanish at third-order points: {third:.2e}")
     _require(sixth < 1e-7, f"numerator does not vanish at sixth-order points: {sixth:.2e}")
     return f"50 samples agree to {worst:.1e}; order-3 and order-6 loci vanish as required"
@@ -272,7 +265,8 @@ def check_tripling() -> str:
 def check_reduction_identity() -> str:
     v = ob.canonicalize((Fraction(1, 4), 0))
     worst = 0.0
-    for c, d in ((Fraction(1), Fraction(2)), (Fraction(3, 2), Fraction(-5, 7))):
+    for c, d in ((Fraction(1), Fraction(2)), (Fraction(3, 2), Fraction(-5, 7)),
+                 (Fraction(-3, 5), Fraction(7, 2))):
         alpha = AlphaTuple(c, c, d, d)
         for tau in _FIVE_TAUS:
             worst = max(worst, abs(el.reduction_residual(alpha, v, tau)))

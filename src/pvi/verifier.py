@@ -9,8 +9,8 @@ of 1e-8 and a reject threshold of 1e-3 separate them with a loud error in
 the inconclusive gap.
 
 The rule-based classification (which curves solve the equation for given
-parameters) is exact rational ratio testing; ``classify(..., verify=True)``
-cross-checks every rule decision numerically.
+parameters) reads the patterns of :data:`pvi.curves.CURVE_TABLE` exactly;
+``classify(..., verify=True)`` cross-checks every rule decision numerically.
 """
 
 from __future__ import annotations
@@ -23,10 +23,10 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .curves import CURVES, CurveId
+from .curves import CURVE_TABLE, CURVES, CurveId, pattern_curves
 from .elliptic import AlphaTuple
 from .multipoly import MultiPoly
-from .orbits import RationalPair, canonicalize, format_rational, standard_form
+from .orbits import RationalPair, canonicalize, format_rational, orbit_key
 
 ACCEPT_TOL = 1e-8
 REJECT_TOL = 1e-3
@@ -393,26 +393,6 @@ _PICARD_NOTE = (
 )
 
 
-def _rule_curves(a: AlphaTuple) -> list[CurveId]:
-    a0, a1, a2, a3 = (Fraction(x) for x in a)
-    out = []
-    if a0 == a1 and a2 == a3:
-        out.append(CurveId.A)
-    if a0 == a2 and a1 == a3:
-        out.append(CurveId.B)
-    if a0 == a3 and a1 == a2:
-        out.append(CurveId.C)
-    if a1 != 0 and a1 == a2 == a3 and a0 == 9 * a1:
-        out.append(CurveId.D)
-    if a0 != 0 and a0 == a2 == a3 and a1 == 9 * a0:
-        out.append(CurveId.E)
-    if a0 != 0 and a0 == a1 == a3 and a2 == 9 * a0:
-        out.append(CurveId.F)
-    if a0 != 0 and a0 == a1 == a2 and a3 == 9 * a0:
-        out.append(CurveId.G)
-    return out
-
-
 def classify(
     alpha: Union[AlphaTuple, PviParams, Sequence],
     verify: bool = False,
@@ -422,7 +402,7 @@ def classify(
 ) -> ClassificationResult:
     """Complete list of smooth-solution curves for exact rational parameters.
 
-    Ratio conditions are tested exactly.  With ``verify`` set, every one of
+    Parameter patterns are tested exactly.  With ``verify`` set, every one of
     the seven canonical curves is run through :func:`verify_curve`: listed
     curves must pass at ``accept_tol``, unlisted ones must fail at
     ``reject_tol``, and anything in between raises
@@ -431,7 +411,7 @@ def classify(
     a = coerce_alpha(alpha)
     if a.is_zero():
         return ClassificationResult(kind="picard_family", picard_note=_PICARD_NOTE)
-    listed = _rule_curves(a)
+    listed = pattern_curves(a)
     reports = None
     if verify:
         params = params_convert(a)
@@ -459,17 +439,9 @@ def classify(
 # orbit -> curve dictionary
 # ----------------------------------------------------------------------
 
-# Keyed by (level N, parity class of (m, n)); the level-6 assignments are
-# pinned by the numeric cross-checks in the test suite (picard_eval points
-# land on exactly one canonical curve).
-_PARITY_TO_CURVE = {
-    (4, "odd-even"): CurveId.A,
-    (4, "even-odd"): CurveId.B,
-    (4, "odd-odd"): CurveId.C,
-    (3, "any"): CurveId.D,
-    (6, "odd-even"): CurveId.E,
-    (6, "even-odd"): CurveId.F,
-    (6, "odd-odd"): CurveId.G,
+# Keyed by orbit key; each curve's row names one class of its orbit.
+_CURVE_OF_ORBIT = {
+    orbit_key(canonicalize(row.picard_class)): cid for cid, row in CURVE_TABLE.items()
 }
 
 
@@ -479,14 +451,10 @@ def orbit_to_curve(v: Union[RationalPair, Sequence]) -> Optional[CurveId]:
     None when the orbit length exceeds 6 (no algebraic curve of the listed
     families matches); half-integer classes are rejected as trivial.  Only
     levels 3, 4 and 6 have orbits of length at most 6 (J_2(N)/2 for odd N,
-    J_2(N)/6 for even N), so the answer is read off the level and parity
-    without listing the orbit, at any denominator.
+    J_2(N)/6 for even N), so the answer is read off the orbit key without
+    listing the orbit, at any denominator.
     """
     pair = v if isinstance(v, RationalPair) else canonicalize(v)
     if pair.is_half_integer():
         raise ValueError(f"{pair} lies in (Z/2)^2: trivial solution, no curve")
-    data = standard_form(pair)
-    if data.N == 3:
-        return _PARITY_TO_CURVE[(3, "any")]
-    parity = f"{'even' if data.m % 2 == 0 else 'odd'}-{'even' if data.n % 2 == 0 else 'odd'}"
-    return _PARITY_TO_CURVE.get((data.N, parity))
+    return _CURVE_OF_ORBIT.get(orbit_key(pair))

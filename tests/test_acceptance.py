@@ -1,256 +1,41 @@
-"""Acceptance suite: one test per criterion, each at its stated tolerance.
+"""Acceptance suite: every headline criterion runs the named checks of `pvi.selftest`.
 
-Every test prints one `ACCEPTANCE <n>: PASS` line (visible with `pytest -s`);
-a failed assertion leaves the criterion marked FAIL by pytest itself.
+The checks exist once, in :data:`pvi.selftest.CHECKS`; each test here runs
+one or two of them by name, in order, and prints one `ACCEPTANCE <n>` line
+per check with the check's detail (visible with `pytest -s`).  A failing
+check raises :class:`pvi.selftest.CheckFailure`, an AssertionError, with its
+own message.
 """
 
-import random
-from fractions import Fraction
+from pvi.selftest import CHECKS
+
+_CHECK = dict(CHECKS)
+_COVERED: list[str] = []
 
 
-from pvi.curves import (
-    CURVES,
-    QUARTIC_CURVES,
-    TRIPLING_F,
-    TRIPLING_G,
-    CurveId,
-    is_irreducible,
-    kummer_condition,
-    master_poly,
-    p0_poly,
-    signed_sum_product,
-    kummer_defect_poly,
-    verify_uniformization,
-)
-from pvi.elliptic import (
-    AlphaTuple,
-    half_periods,
-    invariants_at,
-    lattice_distance,
-    picard_eval,
-    reduction_residual,
-    triple_check,
-    wp,
-    wp_prime,
-)
-from pvi.multipoly import MultiPoly
-from pvi.orbits import canonicalize, orbit_partition, same_orbit
-from pvi.selftest import CANONICAL_ALPHA
-from pvi.verifier import (
-    PviParams,
-    classify,
-    params_convert,
-    verify_curve,
-)
+def _criterion(n: int, *names: str):
+    _COVERED.extend(names)
 
-F = Fraction
-Y = MultiPoly.variable("y")
-T = MultiPoly.variable("t")
+    def test():
+        for name in names:
+            print(f"ACCEPTANCE {n:2d}: PASS - {name}: {_CHECK[name]()}")
 
-FIVE_TAUS = (1j, 1 + 2j, 3j, 0.3 + 0.8j, -0.4 + 1.1j)
+    return test
 
 
-def report(n: int, text: str) -> None:
-    print(f"ACCEPTANCE {n:2d}: PASS - {text}")
+test_01_three_factor_identity = _criterion(1, "three-factor-identity")
+test_02_vanishing_parameter_cofactor = _criterion(2, "vanishing-a3-cofactor")
+test_03_kummer_equivalence_and_lines = _criterion(3, "kummer-equivalence", "kummer-lines")
+test_04_quartic_derivation = _criterion(4, "quartic-derivation")
+test_05_uniformizations = _criterion(5, "uniformizations")
+test_06_orbit_counts_and_merging = _criterion(6, "orbit-partitions", "orbit-merging")
+test_07_elliptic_engine = _criterion(7, "elliptic-core")
+test_08_tripling = _criterion(8, "tripling")
+test_09_reduction_identity = _criterion(9, "reduction-identity")
+test_10_ode_residuals = _criterion(10, "ode-residuals")
+test_11_classification = _criterion(11, "classification")
+test_12_cross_module_consistency = _criterion(12, "picard-curve-consistency")
 
 
-def test_01_three_factor_identity():
-    product = CURVES[CurveId.A] * CURVES[CurveId.B] * CURVES[CurveId.C]
-    defect = master_poly((1, 1, 1, 1)) - product
-    assert defect.is_zero()
-    report(1, "equal-parameter sextic equals the three-conic product exactly")
-
-
-def test_02_vanishing_parameter_cofactor():
-    rng = random.Random(424242)
-    for _ in range(20):
-        triple = tuple(F(rng.randint(-9, 9), rng.randint(1, 8)) for _ in range(3))
-        quotient = master_poly((*triple, 0)).exact_div((Y - T) ** 2)
-        assert quotient == p0_poly(triple)
-    cert = is_irreducible(p0_poly((1, 1, 1)))
-    assert cert.status == "irreducible"
-    report(2, f"20 random cofactor splits exact; P0(1,1,1) certificate {cert.certificate}")
-
-
-def test_03_kummer_equivalence_and_lines():
-    subs = {f"a{i}": MultiPoly.variable(f"u{i}") ** 2 for i in range(4)}
-    assert signed_sum_product() == kummer_defect_poly().subs(**subs)
-    rng = random.Random(51423)
-    patterns = [lambda c, d: (c, c, d, d), lambda c, d: (c, d, c, d),
-                lambda c, d: (c, d, d, c)]
-    for make in patterns:
-        for _ in range(50):
-            a = make(F(rng.randint(-9, 9), rng.randint(1, 8)),
-                     F(rng.randint(-9, 9), rng.randint(1, 8)))
-            holds, defect = kummer_condition(a)
-            assert holds and defect == 0
-    report(3, "sign-product identity exact; 150 random line points exactly on surface")
-
-
-def test_04_quartic_derivation():
-    assert -TRIPLING_G == CURVES[CurveId.D]
-    assert TRIPLING_F == CURVES[CurveId.E]
-    one_locus = (Y * TRIPLING_F ** 2 - TRIPLING_G ** 2).exact_div(Y - 1)
-    t_locus = (Y * TRIPLING_F ** 2 - T * TRIPLING_G ** 2).exact_div(Y - T)
-    assert one_locus.square_root() == CURVES[CurveId.F]
-    assert t_locus.square_root() == CURVES[CurveId.G]
-    report(4, "tripling f, g give curves E, -D; value loci are squares of F, G")
-
-
-def test_05_uniformizations():
-    for cid in QUARTIC_CURVES:
-        assert verify_uniformization(cid)
-    report(5, "all four parametrizations annihilate their curves exactly")
-
-
-def test_06_orbit_counts_and_merging():
-    from math import gcd
-
-    assert orbit_partition(3) == [4]
-    assert orbit_partition(4) == [2, 2, 2]
-    assert orbit_partition(5) == [12]
-    assert orbit_partition(6) == [4, 4, 4]
-    for N in range(2, 13):
-        for M in range(1, N):
-            if gcd(M, N) != 1:
-                continue
-            f = F(M, N)
-            merged = N % 2 == 1
-            assert same_orbit(canonicalize((f, 0)), canonicalize((0, f))) == merged
-            assert same_orbit(canonicalize((f, 0)), canonicalize((f, f))) == merged
-    report(6, "partitions [4], [2,2,2], [12], [4,4,4]; merging iff N odd up to N = 12")
-
-
-def _sample_z(rng, tau, margin=0.15):
-    while True:
-        z = (rng.uniform(0.08, 0.42) * rng.choice((1, -1))
-             + rng.uniform(0.08, 0.42) * rng.choice((1, -1)) * tau)
-        if lattice_distance(z, tau) >= margin and lattice_distance(2 * z, tau) >= 0.1:
-            return z
-
-
-def test_07_elliptic_engine():
-    rng = random.Random(606060)
-    worst = dict(sume=0.0, ode=0.0, per=0.0, half=0.0)
-    for _ in range(50):
-        tau = complex(rng.uniform(-1, 1), rng.uniform(0.5, 3.0))
-        z = _sample_z(rng, tau)
-        inv = invariants_at(tau)
-        worst["sume"] = max(worst["sume"], abs(inv.e1 + inv.e2 + inv.e3))
-        p, pp = wp(z, tau), wp_prime(z, tau)
-        worst["ode"] = max(
-            worst["ode"],
-            abs(pp * pp - 4 * (p - inv.e1) * (p - inv.e2) * (p - inv.e3)),
-        )
-        worst["per"] = max(worst["per"],
-                           abs(wp(z + 1, tau) - p), abs(wp(z + tau, tau) - p))
-        es = (inv.e1, inv.e2, inv.e3)
-        for k, om in enumerate(half_periods(tau)[1:]):
-            ei, ej = (es[m] for m in range(3) if m != k)
-            rhs = es[k] + (es[k] - ei) * (es[k] - ej) / (p - es[k])
-            worst["half"] = max(worst["half"], abs(wp(z + om, tau) - rhs))
-    assert worst["sume"] < 1e-12
-    assert worst["ode"] < 1e-9
-    assert worst["per"] < 1e-9
-    assert worst["half"] < 1e-9
-    report(7, f"50 samples: sum {worst['sume']:.1e}, ODE {worst['ode']:.1e}, "
-              f"periods {worst['per']:.1e}, half-period {worst['half']:.1e}")
-
-
-def test_08_tripling():
-    rng = random.Random(707070)
-    worst = 0.0
-    n = 0
-    while n < 50:
-        tau = complex(rng.uniform(-1, 1), rng.uniform(0.5, 3.0))
-        z = _sample_z(rng, tau, margin=0.12)
-        if lattice_distance(3 * z, tau) < 0.1:
-            continue
-        try:
-            lhs, rhs = triple_check(z, tau)
-        except ValueError:
-            continue
-        if max(abs(lhs), abs(rhs)) > 1e4:
-            continue
-        n += 1
-        worst = max(worst, abs(lhs - rhs))
-    assert worst < 1e-8
-    report(8, f"50 guarded samples agree to {worst:.1e}")
-
-
-def test_09_reduction_identity():
-    v = canonicalize((F(1, 4), 0))
-    worst = 0.0
-    for c, d in ((F(1), F(2)), (F(-3, 5), F(7, 2))):
-        for tau in FIVE_TAUS:
-            worst = max(worst, abs(reduction_residual(AlphaTuple(c, c, d, d), v, tau)))
-    assert worst < 1e-8
-    floor = min(abs(reduction_residual((1, 2, 3, 4), v, tau)) for tau in FIVE_TAUS)
-    assert floor > 1e-3
-    report(9, f"matched sums <= {worst:.1e}; mismatched >= {floor:.1e} at 5 tau")
-
-
-def test_10_ode_residuals():
-    equal = params_convert(AlphaTuple(*map(F, (1, 1, 1, 1))))
-    matched = [
-        (CurveId.A, equal),
-        (CurveId.B, equal),
-        (CurveId.C, equal),
-        (CurveId.D, PviParams(F(9, 8), F(-1, 8), F(1, 8), F(3, 8))),
-        (CurveId.E, params_convert(AlphaTuple(F(1, 8), F(9, 8), F(1, 8), F(1, 8)))),
-        (CurveId.F, params_convert(AlphaTuple(F(1, 8), F(1, 8), F(9, 8), F(1, 8)))),
-        (CurveId.G, params_convert(AlphaTuple(F(1, 8), F(1, 8), F(1, 8), F(9, 8)))),
-    ]
-    worst = 0.0
-    for cid, params in matched:
-        rep = verify_curve(cid, params)
-        worst = max(worst, rep.max_residual)
-        assert rep.max_residual < 1e-8, (cid, rep.max_residual)
-    controls = [
-        (CurveId.A, CANONICAL_ALPHA[CurveId.D]),
-        (CurveId.D, AlphaTuple(*map(F, (1, 1, 1, 1)))),
-        (CurveId.E, CANONICAL_ALPHA[CurveId.D]),
-        (CurveId.B, CANONICAL_ALPHA[CurveId.A]),
-        (CurveId.G, AlphaTuple(*map(F, (1, 2, 3, 4)))),
-    ]
-    floor = float("inf")
-    for cid, alpha in controls:
-        rep = verify_curve(cid, params_convert(alpha))
-        floor = min(floor, rep.max_residual)
-        assert rep.max_residual > 1e-3, (cid, rep.max_residual)
-    report(10, f"7 pairings <= {worst:.1e}; 5 controls >= {floor:.1e}")
-
-
-def test_11_classification():
-    cases = {
-        (0, 0, 0, 0): ("picard_family", ()),
-        (1, 1, 2, 2): ("finite_list", ("A",)),
-        (1, 2, 1, 2): ("finite_list", ("B",)),
-        (1, 2, 2, 1): ("finite_list", ("C",)),
-        (9, 1, 1, 1): ("finite_list", ("D",)),
-        (1, 9, 1, 1): ("finite_list", ("E",)),
-        (1, 1, 9, 1): ("finite_list", ("F",)),
-        (1, 1, 1, 9): ("finite_list", ("G",)),
-        (1, 2, 3, 4): ("empty", ()),
-    }
-    for alpha, (kind, names) in cases.items():
-        plain = classify(alpha)
-        assert plain.kind == kind
-        assert tuple(c.value for c in plain.curves) == names
-        verified = classify(alpha, verify=alpha != (0, 0, 0, 0))
-        assert tuple(c.value for c in verified.curves) == names
-    report(11, "9 parameter points reproduce the classification, verified numerically")
-
-
-def test_12_cross_module_consistency():
-    v = canonicalize((F(1, 4), 0))
-    alpha = CANONICAL_ALPHA[CurveId.A]
-    sextic = master_poly(list(alpha))
-    worst = 0.0
-    for tau in FIVE_TAUS:
-        t, y = picard_eval(v, tau)
-        worst = max(worst, abs(complex(sextic(y=y, t=t))),
-                    abs(complex(CURVES[CurveId.A](y=y, t=t))))
-        assert abs(complex(sextic(y=y, t=t))) < 1e-6
-        assert abs(complex(CURVES[CurveId.A](y=y, t=t))) < 1e-6
-    report(12, f"Picard points sit on curve A and the sextic to {worst:.1e} at 5 tau")
+def test_every_check_is_one_criterion():
+    assert _COVERED == [name for name, _ in CHECKS]

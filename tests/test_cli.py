@@ -349,3 +349,23 @@ class TestClosedStdout:
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         assert "Exception ignored" not in proc.stderr
+
+    @pytest.mark.parametrize("unbuffered", [True, False])
+    @pytest.mark.parametrize("argv", [["--version"], ["--help"], ["orbit", "--denominator", "6"]])
+    def test_parser_output_to_closed_reader_exits_1(self, argv, unbuffered):
+        env = _src_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "pvi.cli", *argv],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert "Exception ignored" not in proc.stderr

@@ -1,9 +1,12 @@
 """Identity layer: master sextic, reducibility surface, quartics, symmetries."""
 
 import random
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+import sympy
 
 from pvi.curves import (
     CURVES,
@@ -267,3 +270,27 @@ class TestIrreducibility:
     def test_high_degree_rejected(self):
         with pytest.raises(ValueError):
             is_irreducible(Y ** 7)
+
+
+class TestReadmeCurveTable:
+    def test_readme_polynomials_match_curves(self):
+        from sympy.parsing.sympy_parser import (
+            convert_xor,
+            implicit_multiplication_application,
+            parse_expr,
+            standard_transformations,
+        )
+
+        transformations = standard_transformations + (
+            implicit_multiplication_application, convert_xor)
+        names = {"y": sympy.Symbol("y"), "t": sympy.Symbol("t")}
+
+        def expr(text):
+            return sympy.expand(parse_expr(text, local_dict=names,
+                                           transformations=transformations))
+
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        rows = dict(re.findall(r"^\| ([A-G]) \| `([^`]+)` \|", readme, re.M))
+        assert sorted(rows) == [c.value for c in CurveId]
+        for cid, poly in CURVES.items():
+            assert expr(rows[cid.value]) == expr(str(poly)), cid

@@ -11,7 +11,6 @@ from pvi.multipoly import (
     ExactDivisionError,
     MultiPoly,
     NotAPerfectSquareError,
-    poly_square_root,
 )
 
 F = Fraction
@@ -135,23 +134,23 @@ class TestDivision:
 
 class TestSquareRoot:
     def test_linear_square(self):
-        assert poly_square_root((Y - 1) ** 2) == Y - 1
+        assert ((Y - 1) ** 2).square_root() == Y - 1
 
     def test_quartic_square(self):
         q = Y ** 4 - 4 * Y ** 3 + 6 * T * Y ** 2 - 4 * T ** 2 * Y + T ** 2
-        assert poly_square_root(q * q) == q
+        assert (q * q).square_root() == q
 
     def test_sign_normalization(self):
         q = -(Y - T)
-        assert poly_square_root(q * q) == Y - T
+        assert (q * q).square_root() == Y - T
 
     def test_not_square(self):
         with pytest.raises(NotAPerfectSquareError):
-            poly_square_root(Y ** 2 + T)
+            (Y ** 2 + T).square_root()
         with pytest.raises(NotAPerfectSquareError):
-            poly_square_root(Y ** 3)
+            (Y ** 3).square_root()
         with pytest.raises(NotAPerfectSquareError):
-            poly_square_root(MultiPoly.constant(-4))
+            MultiPoly.constant(-4).square_root()
 
     def test_random_squares(self):
         rng = random.Random(2718)
@@ -159,10 +158,10 @@ class TestSquareRoot:
             p = random_poly(rng, nterms=3, deg=2)
             if p.is_zero():
                 continue
-            assert poly_square_root(p * p) == p.sign_normalized()
+            assert (p * p).square_root() == p.sign_normalized()
 
     def test_constant(self):
-        assert poly_square_root(MultiPoly.constant(F(9, 4))) == F(3, 2)
+        assert MultiPoly.constant(F(9, 4)).square_root() == F(3, 2)
 
 
 class TestOrderingAndContent:

@@ -1,5 +1,6 @@
 """ODE residual certification and the parameter classification."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -320,3 +321,39 @@ class TestCrossModuleConsistency:
                 assert abs(complex(CURVES[CurveId.A](y=y, t=t))) < 1e-7
                 assert abs(complex(sextic(y=y, t=t))) < 1e-6
                 assert abs(reduction_residual(alpha, v, tau)) < 1e-8
+
+
+class TestPatternRuleAgainstSextic:
+    """The rule read off the curve table agrees with exact division of the sextic."""
+
+    SCALES = (F(-7, 3), F(-1), F(0), F(1, 2), F(5))
+
+    @staticmethod
+    def dividing_curves(alpha):
+        master = master_poly(alpha)
+        return tuple(cid for cid in CurveId if master.try_divide(CURVES[cid]) is not None)
+
+    def check(self, points):
+        points = [a for a in points if any(a)]
+        assert points
+        for alpha in points:
+            assert classify(alpha).curves == self.dividing_curves(alpha), alpha
+
+    def test_random_small_rationals(self):
+        rng = random.Random(4711)
+        self.check([tuple(F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(4))
+                    for _ in range(150)])
+
+    def test_scaled_patterns(self):
+        points = set()
+        for alpha in map(tuple, CANONICAL_ALPHA.values()):
+            points.update(tuple(k * a for a in alpha) for k in self.SCALES)
+            # c where the canonical point has its first entry, d elsewhere
+            points.update(
+                tuple(c if a == alpha[0] else d for a in alpha)
+                for c in self.SCALES for d in self.SCALES
+            )
+        self.check(sorted(points))
+
+    def test_signed_unit_cube(self):
+        self.check(list(itertools.product((-1, 0, 1), repeat=4)))
