@@ -223,10 +223,15 @@ def wp_prime(z: complex, tau: complex, config: EllipticConfig = DEFAULT_CONFIG) 
     return _TWO_PI_I ** 3 * s
 
 
+def _normalized(wp_value: complex, inv: EllipticInvariants) -> complex:
+    """(wp - e1)/(e2 - e1) for a value of wp and the invariants at its tau."""
+    return (wp_value - inv.e1) / (inv.e2 - inv.e1)
+
+
 def normalized_w(z: complex, tau: complex, config: EllipticConfig = DEFAULT_CONFIG) -> complex:
     """w(z) = (wp(z) - e1)/(e2 - e1), the normalized elliptic coordinate."""
     inv = invariants_at(tau, config)
-    return (wp(z, tau, config) - inv.e1) / (inv.e2 - inv.e1)
+    return _normalized(wp(z, tau, config), inv)
 
 
 PairLike = Union[RationalPair, Sequence]
@@ -254,8 +259,7 @@ def picard_eval(
     tau = _require_tau(tau, config)
     inv = invariants_at(tau, config)
     p = float(pair.mu) + float(pair.nu) * tau
-    y = (wp(p, tau, config) - inv.e1) / (inv.e2 - inv.e1)
-    return inv.t, y
+    return inv.t, _normalized(wp(p, tau, config), inv)
 
 
 def reduction_residual(
@@ -294,8 +298,8 @@ def triple_check(
     """
     tau = _require_tau(tau, config)
     inv = invariants_at(tau, config)
-    y = (wp(z, tau, config) - inv.e1) / (inv.e2 - inv.e1)
-    lhs = (wp(3 * z, tau, config) - inv.e1) / (inv.e2 - inv.e1)
+    y = _normalized(wp(z, tau, config), inv)
+    lhs = _normalized(wp(3 * z, tau, config), inv)
     t = inv.t
     fval = complex(TRIPLING_F(y=y, t=t))
     gval = complex(TRIPLING_G(y=y, t=t))

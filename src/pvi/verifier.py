@@ -16,12 +16,13 @@ parameters) reads the patterns of :data:`pvi.curves.CURVE_TABLE` exactly;
 from __future__ import annotations
 
 import cmath
+import functools
+import itertools
+import math
 import statistics
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence, Union
-
-import numpy as np
 
 from .curves import CURVE_TABLE, CURVES, CurveId, pattern_curves
 from .elliptic import AlphaTuple
@@ -30,6 +31,7 @@ from .orbits import RationalPair, canonicalize, format_rational, orbit_key
 
 ACCEPT_TOL = 1e-8
 REJECT_TOL = 1e-3
+MAX_SAMPLES = 10_000  # t samples per curve; a pass holds O(count * deg_y^2) numbers
 
 
 class SingularPointError(ValueError):
@@ -103,51 +105,75 @@ def coerce_alpha(alpha: Union[AlphaTuple, PviParams, Sequence]) -> AlphaTuple:
 # jets and the ODE residual
 # ----------------------------------------------------------------------
 
-class _Compiled:
-    """Numeric form of a polynomial in (y, t): term lists for P and partials."""
+_RESIDUAL_EXCLUSION = 1e-10
+_PARTIALS = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))  # P, P_y, P_t, P_yy, P_yt, P_tt
 
-    __slots__ = ("terms", "dy", "dt", "dyy", "dyt", "dtt", "ydeg")
 
-    def __init__(self, poly: MultiPoly):
-        if not set(poly.vars) <= {"y", "t"}:
-            raise ValueError(f"curve polynomial must involve only (y, t), got {poly.vars}")
-        self.terms = self._terms(poly)
-        self.dy = self._terms(poly.derivative("y"))
-        self.dt = self._terms(poly.derivative("t"))
-        self.dyy = self._terms(poly.derivative("y").derivative("y"))
-        self.dyt = self._terms(poly.derivative("y").derivative("t"))
-        self.dtt = self._terms(poly.derivative("t").derivative("t"))
-        self.ydeg = poly.degree_in("y")
+@functools.lru_cache(maxsize=32)
+def _dense(poly: MultiPoly, order: tuple):
+    """Terms (i, j, c) of c*y^i*t^j in the given order, and the dense coefficients
+    of P, P_y, P_t, P_yy, P_yt, P_tt: a read-only (6, deg_y + 1, deg_t + 1) array
+    whose partials come from those of P by index shifts and integer multiplies.
+    """
+    import numpy as np
 
-    @staticmethod
-    def _terms(poly: MultiPoly) -> list[tuple[int, int, complex]]:
-        iy = poly.vars.index("y") if "y" in poly.vars else None
-        it = poly.vars.index("t") if "t" in poly.vars else None
-        out = []
-        for exps, coef in poly.terms.items():
-            out.append(
-                (exps[iy] if iy is not None else 0,
-                 exps[it] if it is not None else 0,
-                 complex(coef))
-            )
-        return out
+    names = poly.vars
+    if not set(names) <= {"y", "t"}:
+        raise ValueError(f"curve polynomial must involve only (y, t), got {names}")
+    iy, it = (names.index(v) if v in names else None for v in ("y", "t"))
+    terms = tuple((e[iy] if iy is not None else 0, e[it] if it is not None else 0,
+                   complex(poly.terms[e])) for e in order)
+    d = np.zeros((6, max((i for i, _, _ in terms), default=0) + 1,
+                  max((j for _, j, _ in terms), default=0) + 1), dtype=complex)
+    for i, j, c in terms:
+        for k, (a, b) in enumerate(_PARTIALS):
+            if i >= a and j >= b:
+                d[k, i - a, j - b] = math.perm(i, a) * math.perm(j, b) * c
+    d.flags.writeable = False
+    return terms, d
 
-    @staticmethod
-    def _eval(terms, yv: complex, tv: complex) -> complex:
-        total = 0j
-        for i, j, c in terms:
-            total += c * yv ** i * tv ** j
-        return total
 
-    def value(self, yv, tv):
-        return self._eval(self.terms, yv, tv)
+def _in_y(poly: MultiPoly, points: Sequence[complex]):
+    """The y-coefficients of P and its partials at every t: (6, deg_y + 1, len(points)).
 
-    def y_coefficients(self, tv: complex) -> np.ndarray:
-        """Coefficients of P(., tv) in y, highest degree first (for np.roots)."""
-        coeffs = np.zeros(self.ydeg + 1, dtype=complex)
-        for i, j, c in self.terms:
-            coeffs[self.ydeg - i] += c * tv ** j
-        return coeffs
+    The partials reach every t in one matrix product.  P's own coefficients are
+    summed term by term in term order with Python's powers of t, so its roots
+    are those ``np.roots`` finds, to the bit.
+    """
+    import numpy as np
+
+    terms, d = _dense(poly, tuple(poly.terms))
+    tpow = np.array([[tv ** j for tv in points] for j in range(d.shape[2])],
+                    dtype=complex).reshape(d.shape[2], len(points))
+    out = (d.reshape(-1, d.shape[2]) @ tpow).reshape(d.shape[:2] + (len(points),))
+    out[0] = 0
+    for i, j, c in terms:
+        out[0, i] += c * tpow[j]
+    return out
+
+
+def _horner(c, y):
+    """sum_i c[..., i, :] * y**i."""
+    out = c[..., -1, :]
+    for i in range(c.shape[-2] - 2, -1, -1):
+        out = out * y + c[..., i, :]
+    return out
+
+
+def _jet(py, pt, pyy, pyt, ptt):
+    """(y', y'') of the branch through a point, from the partials of P there."""
+    y1 = -pt / py
+    return y1, -(ptt + 2 * pyt * y1 + pyy * y1 * y1) / py
+
+
+def _rhs(params: PviParams, t, y, y1):
+    """Right-hand side of the sixth Painleve equation (complex scalars or arrays)."""
+    al, be, ga, de = params.as_complex()
+    b, c, s = y - 1, y - t, t - 1
+    ia, ib, ic = 1 / y, 1 / b, 1 / c
+    return ((0.5 * (ia + ib + ic) * y1 - (1 / t + 1 / s + ic)) * y1
+            + y * b * c / (t * t * s * s)
+            * (al + be * t * ia * ia + ga * s * ib * ib + de * t * s * ic * ic))
 
 
 def implicit_derivs(
@@ -159,24 +185,16 @@ def implicit_derivs(
     P to (numerically) vanish at the point and raises
     :class:`SingularPointError` when |P_y| < py_floor.
     """
-    c = _Compiled(poly)
-    return _jet(c, complex(t), complex(y), py_floor)
-
-
-def _jet(c: _Compiled, tv: complex, yv: complex, py_floor: float) -> tuple[complex, complex]:
-    py = c._eval(c.dy, yv, tv)
+    tv, yv = complex(t), complex(y)
+    py, pt, pyy, pyt, ptt = _horner(_in_y(poly, [tv])[1:], yv)[:, 0].tolist()
     if abs(py) < py_floor:
         raise SingularPointError(f"|dP/dy| = {abs(py):.2e} at (t, y) = ({tv}, {yv})")
-    pt = c._eval(c.dt, yv, tv)
-    y1 = -pt / py
-    y2 = -(c._eval(c.dtt, yv, tv) + 2 * c._eval(c.dyt, yv, tv) * y1
-           + c._eval(c.dyy, yv, tv) * y1 * y1) / py
-    return y1, y2
+    return _jet(py, pt, pyy, pyt, ptt)
 
 
 def pvi_residual(
     params: PviParams, t: complex, y: complex, y1: complex, y2: complex,
-    exclusion_tol: float = 1e-10,
+    exclusion_tol: float = _RESIDUAL_EXCLUSION,
 ) -> float:
     """|y'' - RHS| of the sixth Painleve equation for the given 2-jet."""
     t, y, y1, y2 = complex(t), complex(y), complex(y1), complex(y2)
@@ -184,15 +202,7 @@ def pvi_residual(
         raise ExcludedPointError(f"t = {t} is a fixed singular point")
     if min(abs(y), abs(y - 1), abs(y - t)) < exclusion_tol:
         raise ExcludedPointError(f"y = {y} collides with 0, 1 or t")
-    al, be, ga, de = params.as_complex()
-    rhs = (
-        0.5 * (1 / y + 1 / (y - 1) + 1 / (y - t)) * y1 * y1
-        - (1 / t + 1 / (t - 1) + 1 / (y - t)) * y1
-        + y * (y - 1) * (y - t) / (t * t * (t - 1) * (t - 1))
-        * (al + be * t / (y * y) + ga * (t - 1) / ((y - 1) * (y - 1))
-           + de * t * (t - 1) / ((y - t) * (y - t)))
-    )
-    return abs(y2 - rhs)
+    return abs(y2 - _rhs(params, t, y, y1))
 
 
 # ----------------------------------------------------------------------
@@ -210,6 +220,10 @@ class SampleSpec:
     py_floor: float = 1e-8
     exclusion_tol: float = 1e-8
     newton_tol: float = 1e-12
+
+    def __post_init__(self):
+        if self.count > MAX_SAMPLES:
+            raise ValueError(f"sample count {self.count} exceeds the limit of {MAX_SAMPLES}")
 
     def points(self) -> list[complex]:
         return [
@@ -293,6 +307,78 @@ def _resolve_curve(curve: Union[CurveId, str, MultiPoly]) -> tuple[Optional[str]
     return cid.value, CURVES[cid]
 
 
+_REASONS = (None, "degenerate polynomial", "root polishing failed", "y in {0, 1, t}",
+            "singular point (dP/dy ~ 0)")
+_DEGENERATE, _POLISH_FAILED, _EXCLUDED, _SINGULAR = range(1, 5)
+
+
+def _sample(poly: MultiPoly, params: PviParams, spec: SampleSpec):
+    """(samples, skips) of every root at every t of the spec, in one array pass.
+
+    Both lists run in t order and, within one t, in the root order of
+    ``np.roots`` (zero roots last); a degenerate t is skipped once.
+    """
+    import numpy as np
+
+    points = spec.points()
+    c = _in_y(poly, points)
+    deg = c.shape[1] - 1
+    # np.roots at every t: strip leading and trailing zeros, then companion
+    # eigenvalues, one eigvals call per (top, low) shape, and the zero roots
+    nonzero = c[0] != 0
+    top = deg - np.argmax(nonzero[::-1], axis=0)
+    low = np.argmax(nonzero, axis=0)
+    degenerate = ~nonzero.any(axis=0) | (top == 0)
+    slots = np.arange(max(deg, 1)) < np.where(degenerate, 1, top)[:, None]
+    roots = np.zeros(slots.shape, dtype=complex)
+    for hi, lo in set(zip(top[~degenerate].tolist(), low[~degenerate].tolist())):
+        m = hi - lo
+        if m:
+            cols = np.flatnonzero(~degenerate & (top == hi) & (low == lo))
+            p = c[0][hi:lo - 1 if lo else None:-1, cols].T
+            comp = np.zeros((cols.size, m, m), dtype=complex)
+            comp[:, 0, :] = -p[:, 1:] / p[:, :1]
+            comp.reshape(cols.size, m * m)[:, m::m + 1] = 1
+            roots[cols, :m] = np.linalg.eigvals(comp)
+    tix = np.nonzero(slots)[0]
+    y, t, c = roots[slots], np.array(points, dtype=complex)[tix], c[..., tix]
+    code = np.where(degenerate[tix], _DEGENERATE, 0)
+
+    with np.errstate(all="ignore"):
+        # Newton on every root at once, each stopping as a scalar loop would:
+        # |P| < newton_tol, |P_y| < 1e-14, a step below 1e-16 |y|, 60 steps
+        live = np.flatnonzero(code == 0)
+        done = np.zeros(y.shape, dtype=bool)
+        for _ in range(60):
+            pv = _horner(c[0][:, live], y[live])
+            hit = np.abs(pv) < spec.newton_tol
+            done[live[hit]] = True
+            live, pv = live[~hit], pv[~hit]
+            if not live.size:
+                break
+            dv = _horner(c[1][:, live], y[live])
+            keep = ~(np.abs(dv) < 1e-14)
+            live, step = live[keep], pv[keep] / dv[keep]
+            y[live] -= step
+            live = live[~(np.abs(step) < 1e-16 * np.fmax(1.0, np.abs(y[live])))]
+        check = np.flatnonzero((code == 0) & ~done)
+        code[check[~(np.abs(_horner(c[0][:, check], y[check])) < 1e-9)]] = _POLISH_FAILED
+        dist = np.minimum(np.minimum(np.abs(y), np.abs(y - 1)), np.abs(y - t))
+        code[(code == 0) & (dist < spec.exclusion_tol)] = _EXCLUDED
+        ok = np.flatnonzero(code == 0)
+        py, pt, pyy, pyt, ptt = _horner(c[1:, :, ok], y[ok])
+        code[ok[np.abs(py) < spec.py_floor]] = _SINGULAR
+        near = np.minimum(dist, np.minimum(np.abs(t), np.abs(t - 1)))
+        code[(code == 0) & (near < _RESIDUAL_EXCLUSION)] = _EXCLUDED
+        y1, y2 = _jet(py, pt, pyy, pyt, ptt)
+        residual = np.zeros(y.shape)
+        residual[ok] = np.abs(y2 - _rhs(params, t[ok], y[ok], y1))
+    ts, ok = [points[k] for k in tix.tolist()], code == 0
+    samples = list(map(ResidualSample, itertools.compress(ts, ok.tolist()),
+                       y[ok].tolist(), residual[ok].tolist()))
+    return samples, [SkippedSample(ts[k], _REASONS[code[k]]) for k in np.flatnonzero(code)]
+
+
 def verify_curve(
     curve: Union[CurveId, str, MultiPoly],
     params: PviParams,
@@ -303,36 +389,11 @@ def verify_curve(
     For each sample t the roots y of P(., t) come from companion-matrix
     eigenvalues polished by Newton; roots colliding with {0, 1, t}, branch
     points (|dP/dy| below the floor) and unpolishable roots are skipped with
-    a reason rather than polluting the aggregate.
+    a reason rather than polluting the aggregate.  All samples are computed
+    in one array pass.
     """
     label, poly = _resolve_curve(curve)
-    c = _Compiled(poly)
-    samples: list[ResidualSample] = []
-    skipped: list[SkippedSample] = []
-    for tv in spec.points():
-        coeffs = c.y_coefficients(tv)
-        lead = np.flatnonzero(np.abs(coeffs) > 0)
-        if lead.size == 0 or coeffs.size - lead[0] < 2:
-            skipped.append(SkippedSample(tv, "degenerate polynomial"))
-            continue
-        for y0 in np.roots(coeffs[lead[0]:]):
-            yv = _newton(c, complex(y0), tv, spec.newton_tol)
-            if yv is None:
-                skipped.append(SkippedSample(tv, "root polishing failed"))
-                continue
-            if min(abs(yv), abs(yv - 1), abs(yv - tv)) < spec.exclusion_tol:
-                skipped.append(SkippedSample(tv, "y in {0, 1, t}"))
-                continue
-            try:
-                y1, y2 = _jet(c, tv, yv, spec.py_floor)
-                res = pvi_residual(params, tv, yv, y1, y2)
-            except SingularPointError:
-                skipped.append(SkippedSample(tv, "singular point (dP/dy ~ 0)"))
-                continue
-            except ExcludedPointError:
-                skipped.append(SkippedSample(tv, "y in {0, 1, t}"))
-                continue
-            samples.append(ResidualSample(tv, yv, res))
+    samples, skipped = _sample(poly, params, spec)
     if not samples:
         raise NoValidSamplesError("every sample was skipped; nothing to report")
     residuals = [s.residual for s in samples]
@@ -344,21 +405,6 @@ def verify_curve(
         max_residual=max(residuals),
         median_residual=statistics.median(residuals),
     )
-
-
-def _newton(c: _Compiled, yv: complex, tv: complex, tol: float) -> Optional[complex]:
-    for _ in range(60):
-        pv = c.value(yv, tv)
-        if abs(pv) < tol:
-            return yv
-        dv = c._eval(c.dy, yv, tv)
-        if abs(dv) < 1e-14:
-            break
-        step = pv / dv
-        yv -= step
-        if abs(step) < 1e-16 * max(1.0, abs(yv)):
-            break
-    return yv if abs(c.value(yv, tv)) < 1e-9 else None
 
 
 # ----------------------------------------------------------------------

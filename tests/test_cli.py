@@ -77,6 +77,13 @@ class TestClassify:
             cli.main(["classify", "--alpha", "9,1,1,1", "--verify", "--samples", samples])
         assert exc.value.code == 2
 
+    def test_samples_above_limit_exit_2(self, capsys):
+        code, out, err = run(capsys, "classify", "--alpha", "9,1,1,1", "--verify",
+                             "--samples", str(vf.MAX_SAMPLES + 1))
+        assert code == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1 and str(vf.MAX_SAMPLES) in err
+
     def test_no_valid_samples_exits_1(self, capsys, monkeypatch):
         def no_samples(*args, **kwargs):
             raise vf.NoValidSamplesError("every sample was skipped; nothing to report")
@@ -182,6 +189,13 @@ class TestVerify:
         with pytest.raises(SystemExit) as exc:
             cli.main(["verify", "--curve", "A", "--alpha", "9,1,1,1", "--samples", samples])
         assert exc.value.code == 2
+
+    def test_samples_above_limit_exit_2(self, capsys):
+        code, out, err = run(capsys, "verify", "--curve", "A", "--alpha", "1,1,2,2",
+                             "--samples", str(vf.MAX_SAMPLES + 1))
+        assert code == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1 and str(vf.MAX_SAMPLES) in err
 
     def test_bad_polynomial_exits_2(self, capsys):
         code, _, err = run(capsys, "verify", "--poly", "y^^2", "--alpha", "1,1,2,2")
@@ -369,3 +383,37 @@ class TestClosedStdout:
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         assert "Exception ignored" not in proc.stderr
+
+
+class TestLazyNumpy:
+    """numpy is loaded only when a curve is verified."""
+
+    SCRIPT = """
+import contextlib, io, sys
+import pvi.cli as cli
+assert "numpy" not in sys.modules, "import pvi.cli"
+for argv in {argvs!r}:
+    with contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code == 0, (argv, code)
+    print("numpy" in sys.modules)
+"""
+
+    def run(self, argvs):
+        proc = subprocess.run([sys.executable, "-c", self.SCRIPT.format(argvs=argvs)],
+                              capture_output=True, text=True, env=_src_env(), timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.split()
+
+    def test_commands_without_verification_skip_numpy(self):
+        argvs = [["--version"], ["orbit", "--mu", "1/3", "--nu", "0"], ["derive-quartics"],
+                 ["eval-picard", "--mu", "1/4", "--nu", "0", "--tau-im", "1"],
+                 ["classify", "--alpha", "9,1,1,1"]]
+        assert self.run(argvs) == ["False"] * len(argvs)
+
+    def test_verification_loads_numpy(self):
+        # the control: the same probe sees numpy once a curve is verified
+        assert self.run([["classify", "--alpha", "9,1,1,1", "--verify", "--samples", "2"]]) == ["True"]

@@ -3,7 +3,9 @@
 import itertools
 import random
 from fractions import Fraction
+from typing import Optional
 
+import numpy as np
 import pytest
 
 from pvi.curves import CURVES, CurveId, master_poly
@@ -13,12 +15,15 @@ from pvi.orbits import canonicalize
 from pvi.selftest import CANONICAL_ALPHA
 from pvi.verifier import (
     ACCEPT_TOL,
+    MAX_SAMPLES,
     REJECT_TOL,
     ExcludedPointError,
     NoValidSamplesError,
     PviParams,
+    ResidualSample,
     SampleSpec,
     SingularPointError,
+    SkippedSample,
     VerificationError,
     classify,
     coerce_alpha,
@@ -28,6 +33,7 @@ from pvi.verifier import (
     pvi_residual,
     verify_curve,
 )
+from pvi.verifier import _sample
 
 F = Fraction
 Y = MultiPoly.variable("y")
@@ -177,6 +183,224 @@ class TestVerifyCurve:
         rows = rep.csv_rows()
         assert all(len(r) == 5 for r in rows)
         assert rep.median_residual <= rep.max_residual
+
+
+# ----------------------------------------------------------------------
+# the per-sample loop verifier: the reference the batched pass is checked against
+# ----------------------------------------------------------------------
+#
+# The scalar verifier that preceded the one array pass of ``verify_curve``,
+# kept unchanged: Python complex arithmetic, ``MultiPoly.derivative``
+# partials, ``np.roots`` per sample and a Newton loop per root.  It is the
+# reference implementation the tests compare the batch against, so a
+# simplicity review keeps it, as it keeps any safety code; it is not dead code.
+
+
+class _Compiled:
+    """Numeric form of a polynomial in (y, t): term lists for P and partials."""
+
+    __slots__ = ("terms", "dy", "dt", "dyy", "dyt", "dtt", "ydeg")
+
+    def __init__(self, poly: MultiPoly):
+        if not set(poly.vars) <= {"y", "t"}:
+            raise ValueError(f"curve polynomial must involve only (y, t), got {poly.vars}")
+        self.terms = self._terms(poly)
+        self.dy = self._terms(poly.derivative("y"))
+        self.dt = self._terms(poly.derivative("t"))
+        self.dyy = self._terms(poly.derivative("y").derivative("y"))
+        self.dyt = self._terms(poly.derivative("y").derivative("t"))
+        self.dtt = self._terms(poly.derivative("t").derivative("t"))
+        self.ydeg = poly.degree_in("y")
+
+    @staticmethod
+    def _terms(poly: MultiPoly) -> list[tuple[int, int, complex]]:
+        iy = poly.vars.index("y") if "y" in poly.vars else None
+        it = poly.vars.index("t") if "t" in poly.vars else None
+        out = []
+        for exps, coef in poly.terms.items():
+            out.append(
+                (exps[iy] if iy is not None else 0,
+                 exps[it] if it is not None else 0,
+                 complex(coef))
+            )
+        return out
+
+    @staticmethod
+    def _eval(terms, yv: complex, tv: complex) -> complex:
+        total = 0j
+        for i, j, c in terms:
+            total += c * yv ** i * tv ** j
+        return total
+
+    def value(self, yv, tv):
+        return self._eval(self.terms, yv, tv)
+
+    def y_coefficients(self, tv: complex) -> np.ndarray:
+        """Coefficients of P(., tv) in y, highest degree first (for np.roots)."""
+        coeffs = np.zeros(self.ydeg + 1, dtype=complex)
+        for i, j, c in self.terms:
+            coeffs[self.ydeg - i] += c * tv ** j
+        return coeffs
+
+
+def _jet(c: _Compiled, tv: complex, yv: complex, py_floor: float) -> tuple[complex, complex]:
+    py = c._eval(c.dy, yv, tv)
+    if abs(py) < py_floor:
+        raise SingularPointError(f"|dP/dy| = {abs(py):.2e} at (t, y) = ({tv}, {yv})")
+    pt = c._eval(c.dt, yv, tv)
+    y1 = -pt / py
+    y2 = -(c._eval(c.dtt, yv, tv) + 2 * c._eval(c.dyt, yv, tv) * y1
+           + c._eval(c.dyy, yv, tv) * y1 * y1) / py
+    return y1, y2
+
+
+def _pvi_residual(
+    params: PviParams, t: complex, y: complex, y1: complex, y2: complex,
+    exclusion_tol: float = 1e-10,
+) -> float:
+    """|y'' - RHS| of the sixth Painleve equation for the given 2-jet."""
+    t, y, y1, y2 = complex(t), complex(y), complex(y1), complex(y2)
+    if min(abs(t), abs(t - 1)) < exclusion_tol:
+        raise ExcludedPointError(f"t = {t} is a fixed singular point")
+    if min(abs(y), abs(y - 1), abs(y - t)) < exclusion_tol:
+        raise ExcludedPointError(f"y = {y} collides with 0, 1 or t")
+    al, be, ga, de = params.as_complex()
+    rhs = (
+        0.5 * (1 / y + 1 / (y - 1) + 1 / (y - t)) * y1 * y1
+        - (1 / t + 1 / (t - 1) + 1 / (y - t)) * y1
+        + y * (y - 1) * (y - t) / (t * t * (t - 1) * (t - 1))
+        * (al + be * t / (y * y) + ga * (t - 1) / ((y - 1) * (y - 1))
+           + de * t * (t - 1) / ((y - t) * (y - t)))
+    )
+    return abs(y2 - rhs)
+
+
+def loop_verify(poly: MultiPoly, params: PviParams, spec: SampleSpec):
+    """(samples, skipped) of the per-sample loop, before any aggregation."""
+    c = _Compiled(poly)
+    samples: list[ResidualSample] = []
+    skipped: list[SkippedSample] = []
+    for tv in spec.points():
+        coeffs = c.y_coefficients(tv)
+        lead = np.flatnonzero(np.abs(coeffs) > 0)
+        if lead.size == 0 or coeffs.size - lead[0] < 2:
+            skipped.append(SkippedSample(tv, "degenerate polynomial"))
+            continue
+        for y0 in np.roots(coeffs[lead[0]:]):
+            yv = _newton(c, complex(y0), tv, spec.newton_tol)
+            if yv is None:
+                skipped.append(SkippedSample(tv, "root polishing failed"))
+                continue
+            if min(abs(yv), abs(yv - 1), abs(yv - tv)) < spec.exclusion_tol:
+                skipped.append(SkippedSample(tv, "y in {0, 1, t}"))
+                continue
+            try:
+                y1, y2 = _jet(c, tv, yv, spec.py_floor)
+                res = _pvi_residual(params, tv, yv, y1, y2)
+            except SingularPointError:
+                skipped.append(SkippedSample(tv, "singular point (dP/dy ~ 0)"))
+                continue
+            except ExcludedPointError:
+                skipped.append(SkippedSample(tv, "y in {0, 1, t}"))
+                continue
+            samples.append(ResidualSample(tv, yv, res))
+    return samples, skipped
+
+
+def _newton(c: _Compiled, yv: complex, tv: complex, tol: float) -> Optional[complex]:
+    for _ in range(60):
+        pv = c.value(yv, tv)
+        if abs(pv) < tol:
+            return yv
+        dv = c._eval(c.dy, yv, tv)
+        if abs(dv) < 1e-14:
+            break
+        step = pv / dv
+        yv -= step
+        if abs(step) < 1e-16 * max(1.0, abs(yv)):
+            break
+    return yv if abs(c.value(yv, tv)) < 1e-9 else None
+
+
+def _same_within_tolerance(loop, batch):
+    """The batch pass against the loop: exact t, order and reasons; residuals
+    below ACCEPT_TOL within 1e-10 absolute, any other within 1e-9 relative."""
+    (ref_samples, ref_skipped), (samples, skipped) = loop, batch
+    assert skipped == ref_skipped
+    assert [s.t for s in samples] == [s.t for s in ref_samples]
+    for got, want in zip(samples, ref_samples):
+        assert type(got.y) is complex and type(got.residual) is float
+        assert abs(got.y - want.y) <= 1e-12 * max(1.0, abs(want.y))
+        if want.residual < ACCEPT_TOL:
+            assert abs(got.residual - want.residual) <= 1e-10
+        else:
+            assert abs(got.residual - want.residual) <= 1e-9 * want.residual
+
+
+class TestBatchAgainstLoop:
+    """``verify_curve``'s one array pass against the per-sample loop above."""
+
+    @pytest.mark.parametrize("count", [1, 7, 25])
+    @pytest.mark.parametrize("matched", [True, False])
+    @pytest.mark.parametrize("cid", list(CurveId))
+    def test_canonical_curves(self, cid, matched, count):
+        alpha = CANONICAL_ALPHA[cid] if matched else alpha_of(1, 2, 3, 4)
+        params, spec = params_convert(alpha), SampleSpec(count=count)
+        loop = loop_verify(CURVES[cid], params, spec)
+        _same_within_tolerance(loop, _sample(CURVES[cid], params, spec))
+        rep = verify_curve(cid, params, spec)
+        residuals = [s.residual for s in loop[0]]
+        assert rep.verdict() == ("pass" if matched else "fail")
+        assert rep.verdict() == ("pass" if max(residuals) < ACCEPT_TOL else "fail")
+
+    @pytest.mark.parametrize("count", [1, 7, 25])
+    @pytest.mark.parametrize("poly,reason", [
+        (T, "degenerate polynomial"),
+        (Y ** 3 - T * Y, "y in {0, 1, t}"),  # a zero root from a trailing zero
+        # the triple root; a double root as (y-2)^2 (y-t) keeps |P_y| ~ 5e-8
+        # above the floor, since eigvals places it only ~1.5e-8 off
+        ((Y - 2) ** 3 * (Y - T), "singular point (dP/dy ~ 0)"),
+        (F(1, 3) * Y ** 3 + F(5, 7) * T ** 2 * Y - F(2, 9) * T + 3 * T ** 2, None),
+    ])
+    def test_every_skip_reason(self, poly, reason, count):
+        params, spec = params_convert(alpha_of(1, 1, 2, 2)), SampleSpec(count=count)
+        loop = loop_verify(poly, params, spec)
+        batch = _sample(poly, params, spec)
+        _same_within_tolerance(loop, batch)
+        if reason is not None:
+            assert reason in {s.reason for s in batch[1]}
+
+    def test_root_polishing_failure_is_reachable(self):
+        # |P| of a scaled double root sits at rounding level near the 1e-9
+        # acceptance, so which roots fail depends on the last bits of P, which
+        # the loop (term sums) and the batch (Horner) round differently: only
+        # the reason itself is compared
+        poly, params = 10 ** 12 * (Y - 2) ** 2 * (Y - T), params_convert(alpha_of(1, 1, 2, 2))
+        for samples, skipped in (loop_verify(poly, params, SampleSpec(count=7)),
+                                 _sample(poly, params, SampleSpec(count=7))):
+            assert "root polishing failed" in {s.reason for s in skipped}
+            assert len(samples) + len(skipped) == 21
+
+    def test_jets_against_the_loop(self):
+        rng = random.Random(3)
+        for cid in CurveId:
+            c = _Compiled(CURVES[cid])
+            for _ in range(5):
+                t = complex(rng.uniform(0.3, 0.7), rng.uniform(-0.2, 0.2))
+                y = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+                want = _jet(c, t, y, 0.0)
+                got = implicit_derivs(CURVES[cid], t, y, 0.0)
+                assert all(abs(g - w) <= 1e-12 * max(1.0, abs(w)) for g, w in zip(got, want))
+                params = params_convert(CANONICAL_ALPHA[cid])
+                assert pvi_residual(params, t, y, *want) == pytest.approx(
+                    _pvi_residual(params, t, y, *want), rel=1e-12)
+
+
+class TestSampleLimit:
+    def test_limit_is_checked_before_the_work(self):
+        assert SampleSpec(count=MAX_SAMPLES).count == MAX_SAMPLES
+        with pytest.raises(ValueError, match=str(MAX_SAMPLES)):
+            SampleSpec(count=MAX_SAMPLES + 1)
 
 
 class TestClassify:
