@@ -192,8 +192,8 @@ class TestVerifyCurve:
 # The scalar verifier that preceded the one array pass of ``verify_curve``,
 # kept unchanged: Python complex arithmetic, ``MultiPoly.derivative``
 # partials, ``np.roots`` per sample and a Newton loop per root.  It is the
-# reference implementation the tests compare the batch against, so a
-# simplicity review keeps it, as it keeps any safety code; it is not dead code.
+# reference implementation the tests compare the batch against: keep it,
+# although nothing in ``src/`` calls it; it is not dead code.
 
 
 class _Compiled:
