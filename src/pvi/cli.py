@@ -143,11 +143,9 @@ def _cmd_orbit(args) -> int:
     if v.is_zero() or v.is_half_integer():
         raise UsageError(f"class {v} is half-integer: labels a trivial solution")
     data = ob.standard_form(v)
-    # Every member has level N, so sorting the integer numerators (mu*N, nu*N)
-    # gives the order of the Fraction pairs without comparing Fractions.
-    level = data.N
-    orbit = sorted(ob.enumerate_orbit(v), key=lambda w: (
-        w.mu.numerator * (level // w.mu.denominator), w.nu.numerator * (level // w.nu.denominator)))
+    level, members = ob.orbit_numerators(v)
+    text = [ob.format_rational(Fraction(k, level)) for k in range(level)]
+    orbit = [[text[a], text[b]] for a, b in members]
     curve = vf.orbit_to_curve(v)
     body = {
         "vector": v.as_strings(),
@@ -155,7 +153,7 @@ def _cmd_orbit(args) -> int:
             "M": data.M, "N": data.N, "m": data.m, "n": data.n,
             "standard": data.standard.as_strings(),
         },
-        "orbit": [w.as_strings() for w in orbit],
+        "orbit": orbit,
         "size": len(orbit),
         "curve": curve.value if curve else None,
     }
@@ -163,7 +161,7 @@ def _cmd_orbit(args) -> int:
         _emit_json(_payload("orbit", **body))
     else:
         print(f"class {v}: N = {data.N}, standard {data.standard}, orbit size {len(orbit)}")
-        print("orbit: " + ", ".join(str(w) for w in orbit))
+        print("orbit: " + ", ".join(f"({mu}, {nu})" for mu, nu in orbit))
         if curve:
             print(f"curve: {curve.value}  ({cv.CURVES[curve]} = 0)")
         else:

@@ -113,13 +113,15 @@ def p0_poly(alpha: AlphaLike) -> MultiPoly:
 _LINE_PAIRINGS = {"L1": ((0, 1), (2, 3)), "L2": ((0, 2), (1, 3)), "L3": ((0, 3), (1, 2))}
 
 
+def _kummer_expression(a):
+    """(sum a_i^2 - 2 sum_{i<j} a_i a_j)^2 - 64 a0 a1 a2 a3, over Fractions or MultiPolys."""
+    sym2 = sum(a[i] * a[j] for i in range(4) for j in range(i + 1, 4))
+    return (sum(x * x for x in a) - 2 * sym2) ** 2 - 64 * a[0] * a[1] * a[2] * a[3]
+
+
 def kummer_defect(alpha: AlphaLike) -> Fraction:
     """LHS - RHS of the quartic surface relation, exactly."""
-    a = [Fraction(x) for x in alpha]
-    sym2 = sum(a[i] * a[j] for i in range(4) for j in range(i + 1, 4))
-    lhs = (sum(x * x for x in a) - 2 * sym2) ** 2
-    rhs = 64 * a[0] * a[1] * a[2] * a[3]
-    return lhs - rhs
+    return _kummer_expression([Fraction(x) for x in alpha])
 
 
 def kummer_condition(alpha: AlphaLike) -> tuple[bool, Fraction]:
@@ -130,13 +132,7 @@ def kummer_condition(alpha: AlphaLike) -> tuple[bool, Fraction]:
 
 def kummer_defect_poly() -> MultiPoly:
     """The defect as a polynomial in the parameter variables a0..a3."""
-    a = [MultiPoly.variable(f"a{i}") for i in range(4)]
-    sym2 = MultiPoly.zero()
-    for i in range(4):
-        for j in range(i + 1, 4):
-            sym2 = sym2 + a[i] * a[j]
-    lhs = (a[0] ** 2 + a[1] ** 2 + a[2] ** 2 + a[3] ** 2 - 2 * sym2) ** 2
-    return lhs - 64 * a[0] * a[1] * a[2] * a[3]
+    return _kummer_expression([MultiPoly.variable(f"a{i}") for i in range(4)])
 
 
 def signed_sum_product() -> MultiPoly:

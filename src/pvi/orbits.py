@@ -8,12 +8,13 @@ class is finite.
 
 Orbit questions are answered in closed form.  A nonzero class of level N
 (the lcm of its denominators) lies in the orbit fixed by N alone when N is
-odd, and by N and the parity of its standard-form numerators (m, n) when N
-is even.  The eligible classes of level N > 2 form one orbit of J_2(N)/2
-classes for odd N and three orbits of J_2(N)/6 for even N, with J_2 the
-Jordan totient; at N = 2 the three half-integer classes are fixed points.
-Listing an orbit (:func:`enumerate_orbit`) is a breadth-first closure
-under the generators, so it stays an independent check on the closed form.
+odd, and by N and the parity of its numerators at level N when N is even.
+The eligible classes of level N > 2 form one orbit of J_2(N)/2 classes for
+odd N and three orbits of J_2(N)/6 for even N, with J_2 the Jordan
+totient; at N = 2 the three half-integer classes are fixed points.
+Listing reads the same rule: an orbit is the canonical classes of its
+level in ascending order, filtered by numerator parity at even level; the
+breadth-first closure that checks the rule is in :mod:`pvi.selftest`.
 
 Conventions fixed here and relied on throughout the package:
 
@@ -30,12 +31,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Union
+from typing import Iterable, Iterator, Optional, Union
 
 RationalLike = Union[Fraction, int, str]
 
-# Listing an orbit is guarded by this cap on the class denominator; the action
-# preserves denominators, so it bounds the orbit size, not the work per step.
+# Listing an orbit is guarded by this cap on the class denominator, which
+# bounds the orbit size (below N^2/2) and so the work.
 # Deciding calls (same_orbit, orbit_partition, the orbit-to-curve dictionary)
 # are closed form and answer above it.
 MAX_ORBIT_DENOMINATOR = 1000
@@ -60,12 +61,6 @@ def format_rational(x: Fraction) -> str:
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
-
-
-def _coerce(x: RationalLike) -> Fraction:
-    if isinstance(x, str):
-        return parse_rational(x)
-    return Fraction(x)
 
 
 @dataclass(frozen=True, order=True)
@@ -101,10 +96,6 @@ class RationalPair:
     def as_strings(self) -> list[str]:
         return [format_rational(self.mu), format_rational(self.nu)]
 
-    @classmethod
-    def from_strings(cls, mu: str, nu: str) -> "RationalPair":
-        return canonicalize((parse_rational(mu), parse_rational(nu)))
-
 
 def canonicalize(v: Iterable[RationalLike]) -> RationalPair:
     """Canonical representative of the class of v modulo Z^2 and sign.
@@ -112,7 +103,7 @@ def canonicalize(v: Iterable[RationalLike]) -> RationalPair:
     canonicalize(v) == canonicalize(-v) == canonicalize(v + k) for any
     integer vector k.
     """
-    mu, nu = (_coerce(x) for x in v)
+    mu, nu = (parse_rational(x) if isinstance(x, str) else Fraction(x) for x in v)
     plus = (mu % 1, nu % 1)
     minus = ((-mu) % 1, (-nu) % 1)
     return RationalPair(*min(plus, minus))
@@ -156,10 +147,6 @@ class Gamma2Matrix:
 GEN_SHEAR_UPPER = Gamma2Matrix(1, 2, 0, 1)
 GEN_SHEAR_LOWER = Gamma2Matrix(1, 0, 2, 1)
 GENERATORS = (GEN_SHEAR_UPPER, GEN_SHEAR_LOWER)
-# Entries (a, b, c, d) of the generators and their inverses, for the integer BFS.
-_GENERATOR_ENTRIES = tuple(
-    (g.a, g.b, g.c, g.d) for h in GENERATORS for g in (h, h.inverse())
-)
 
 
 def act(matrix: Gamma2Matrix, v: RationalPair) -> RationalPair:
@@ -191,18 +178,11 @@ def standard_form(v: RationalPair) -> StandardForm:
     """Reduce a nonzero class to its standard form; rejects the zero class."""
     if v.is_zero():
         raise ValueError("zero vector has no standard form")
-    mu, nu = v.mu, v.nu
-    N = lcm(mu.denominator, nu.denominator)
-    M = gcd(mu.numerator * (N // mu.denominator), nu.numerator * (N // nu.denominator))
-    m = mu.numerator * (N // mu.denominator) // M
-    n = nu.numerator * (N // nu.denominator) // M
-    frac = Fraction(M, N)
-    if m % 2 == 0:
-        standard = canonicalize((0, frac))
-    elif n % 2 == 0:
-        standard = canonicalize((frac, 0))
-    else:
-        standard = canonicalize((frac, frac))
+    N, a, b = level_numerators(v)
+    M = gcd(a, b)
+    m, n = a // M, b // M
+    f = Fraction(M, N)
+    standard = canonicalize((0, f) if m % 2 == 0 else (f, 0) if n % 2 == 0 else (f, f))
     return StandardForm(M=M, N=N, m=m, n=n, standard=standard)
 
 
@@ -219,44 +199,53 @@ def merging_matrix(N: int) -> Gamma2Matrix:
     return Gamma2Matrix(-N, N + 1, -1 - N * N, 1 + N * (N + 1))
 
 
-def enumerate_orbit(v: RationalPair) -> frozenset[RationalPair]:
-    """Full orbit of the class of v as canonical representatives.
+def level_numerators(v: RationalPair) -> tuple[int, int, int]:
+    """(N, a, b) with v = (a/N, b/N) and N its level, the lcm of the denominators."""
+    N = v.denominator
+    return N, v.mu.numerator * (N // v.mu.denominator), v.nu.numerator * (N // v.nu.denominator)
 
-    Breadth-first closure under the two generators and their inverses, run
-    on the integer numerators (a, b) of (a/N, b/N) modulo N; the action
-    preserves the class denominator N, so the orbit is finite.
+
+def _level_classes(N: int, parity: Optional[tuple[int, int]] = None) -> Iterator[tuple[int, int]]:
+    """Numerators (a, b) of the canonical classes (a/N, b/N) of level N, ascending,
+    and only those with (a % 2, b % 2) == parity if it is given.
+
+    Canonical: (a, b) <= (-a mod N, -b mod N), so a <= N/2, and b <= N/2 where
+    a is its own negative.  Of level N: gcd(a, b, N) = gcd(b, gcd(a, N)) = 1.
     """
+    (pa, pb), step = parity or (0, 0), 2 if parity else 1
+    for a in range(pa, N // 2 + 1, step):
+        g = gcd(a, N)
+        stop = N // 2 + 1 if a == 0 or 2 * a == N else N
+        for b in range(pb, stop, step):
+            if g == 1 or gcd(b, g) == 1:
+                yield a, b
+
+
+def orbit_numerators(v: RationalPair) -> tuple[int, list[tuple[int, int]]]:
+    """Level N of v and the numerators (a, b) of its orbit's members (a/N, b/N), ascending:
+    every canonical class of level N, or at even N those with v's numerator parity."""
     if v.denominator > MAX_ORBIT_DENOMINATOR:
         raise ValueError(
             f"denominator {v.denominator} exceeds the orbit enumeration cap "
             f"{MAX_ORBIT_DENOMINATOR}"
         )
-    start = canonicalize(v)
-    N = start.denominator
-    first = (start.mu.numerator * (N // start.mu.denominator),
-             start.nu.numerator * (N // start.nu.denominator))
-    seen = {first}
-    frontier = [first]
-    while frontier:
-        nxt = []
-        for a, b in frontier:
-            for ga, gb, gc, gd in _GENERATOR_ENTRIES:
-                x, y = (ga * a + gb * b) % N, (gc * a + gd * b) % N
-                img = min((x, y), (-x % N, -y % N))
-                if img not in seen:
-                    seen.add(img)
-                    nxt.append(img)
-        frontier = nxt
+    N, a, b = level_numerators(v)
+    return N, list(_level_classes(N, (a % 2, b % 2) if N % 2 == 0 else None))
+
+
+def enumerate_orbit(v: RationalPair) -> frozenset[RationalPair]:
+    """Full orbit of the class of v as canonical representatives."""
+    N, members = orbit_numerators(v)
     fractions = [Fraction(k, N) for k in range(N)]
-    return frozenset(RationalPair(fractions[a], fractions[b]) for a, b in seen)
+    return frozenset(RationalPair(fractions[a], fractions[b]) for a, b in members)
 
 
 def orbit_key(v: RationalPair) -> tuple[int, ...]:
-    """Key of the orbit of a nonzero canonical class: N, plus (m, n) mod 2 for even N."""
-    data = standard_form(v)
-    if data.N % 2:
-        return (data.N,)
-    return (data.N, data.m % 2, data.n % 2)
+    """Key of the orbit of a nonzero class: N, plus its numerators mod 2 for even N."""
+    N, a, b = level_numerators(v)
+    if a == b == 0:
+        raise ValueError("zero vector has no standard form")
+    return (N,) if N % 2 else (N, a % 2, b % 2)
 
 
 def same_orbit(v1: RationalPair, v2: RationalPair) -> bool:
@@ -267,13 +256,9 @@ def same_orbit(v1: RationalPair, v2: RationalPair) -> bool:
 
 
 def eligible_classes(N: int) -> list[RationalPair]:
-    """All classes (m/N, n/N) whose numerator gcd is coprime to N, canonicalized."""
-    out = set()
-    for m in range(N):
-        for n in range(N):
-            if gcd(gcd(m, n), N) == 1:
-                out.add(canonicalize((Fraction(m, N), Fraction(n, N))))
-    return sorted(out)
+    """All classes (m/N, n/N) whose numerator gcd is coprime to N, canonicalized, ascending."""
+    fractions = [Fraction(k, N) for k in range(N)]
+    return [RationalPair(fractions[a], fractions[b]) for a, b in _level_classes(N)]
 
 
 def _jordan_totient2(N: int) -> int:

@@ -140,6 +140,23 @@ def check_uniformizations() -> str:
 # orbit checks
 # ----------------------------------------------------------------------
 
+def _fraction_bfs(v: ob.RationalPair) -> set[ob.RationalPair]:
+    """The orbit of v by closure under act() with the generators and their
+    inverses: the reference for the closed-form listing."""
+    gens = [h for g in ob.GENERATORS for h in (g, g.inverse())]
+    seen, frontier = {v}, [v]
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for g in gens:
+                img = ob.act(g, w)
+                if img not in seen:
+                    seen.add(img)
+                    nxt.append(img)
+        frontier = nxt
+    return seen
+
+
 def check_orbit_partitions() -> str:
     expected = {3: [4], 4: [2, 2, 2], 5: [12], 6: [4, 4, 4]}
     for N, sizes in expected.items():
@@ -152,7 +169,10 @@ def check_orbit_partitions() -> str:
         )
         bfs_sizes = []
         while classes:
-            orbit = ob.enumerate_orbit(min(classes))
+            start = min(classes)
+            orbit = _fraction_bfs(start)
+            _require(orbit == ob.enumerate_orbit(start),
+                     f"listed orbit of {start} is not its BFS closure")
             bfs_sizes.append(len(orbit))
             classes -= orbit
         _require(

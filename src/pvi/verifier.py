@@ -308,8 +308,8 @@ def _resolve_curve(curve: Union[CurveId, str, MultiPoly]) -> tuple[Optional[str]
 
 
 _REASONS = (None, "degenerate polynomial", "root polishing failed", "y in {0, 1, t}",
-            "singular point (dP/dy ~ 0)")
-_DEGENERATE, _POLISH_FAILED, _EXCLUDED, _SINGULAR = range(1, 5)
+            "singular point (dP/dy ~ 0)", "t in {0, 1}")
+_DEGENERATE, _POLISH_FAILED, _EXCLUDED, _SINGULAR, _FIXED_T = range(1, 6)
 
 
 def _sample(poly: MultiPoly, params: PviParams, spec: SampleSpec):
@@ -368,8 +368,8 @@ def _sample(poly: MultiPoly, params: PviParams, spec: SampleSpec):
         ok = np.flatnonzero(code == 0)
         py, pt, pyy, pyt, ptt = _horner(c[1:, :, ok], y[ok])
         code[ok[np.abs(py) < spec.py_floor]] = _SINGULAR
-        near = np.minimum(dist, np.minimum(np.abs(t), np.abs(t - 1)))
-        code[(code == 0) & (near < _RESIDUAL_EXCLUSION)] = _EXCLUDED
+        code[(code == 0) & (np.minimum(np.abs(t), np.abs(t - 1)) < _RESIDUAL_EXCLUSION)] = _FIXED_T
+        code[(code == 0) & (dist < _RESIDUAL_EXCLUSION)] = _EXCLUDED
         y1, y2 = _jet(py, pt, pyy, pyt, ptt)
         residual = np.zeros(y.shape)
         residual[ok] = np.abs(y2 - _rhs(params, t[ok], y[ok], y1))
@@ -388,9 +388,9 @@ def verify_curve(
 
     For each sample t the roots y of P(., t) come from companion-matrix
     eigenvalues polished by Newton; roots colliding with {0, 1, t}, branch
-    points (|dP/dy| below the floor) and unpolishable roots are skipped with
-    a reason rather than polluting the aggregate.  All samples are computed
-    in one array pass.
+    points (|dP/dy| below the floor), unpolishable roots and roots at t near
+    0 or 1 are skipped with a reason rather than polluting the aggregate.
+    All samples are computed in one array pass.
     """
     label, poly = _resolve_curve(curve)
     samples, skipped = _sample(poly, params, spec)

@@ -1,5 +1,6 @@
 """Command-line front end: output schemas, exit codes, determinism."""
 
+import hashlib
 import json
 import os
 import shutil
@@ -304,6 +305,21 @@ class TestOrbitListing:
         code, out, _ = run(capsys, "orbit", "--mu", mu, "--nu", nu, "--format", "text")
         assert code == 0
         assert out.splitlines()[1] == "orbit: " + ", ".join(f"({a}, {b})" for a, b in expected)
+
+    # sha256 of the JSON bytes as the breadth-first listing printed them: the
+    # three numerator parities at level 160, odd level 45, and levels 96 and 6
+    @pytest.mark.parametrize("mu,nu,digest", [
+        ("1/160", "0", "f4296013b153d334567ec29e1b3098329adcce92ba16d62a958a5cc49c774329"),
+        ("3/160", "1/160", "29e0939611c39c6b275d96fad1527099cd156f5315590b0f375ce367f3bd6fdf"),
+        ("0", "7/160", "a48215a0bad2fcf588cf3f5f9216edde6192133c0e6ac880b316f838f0290d5d"),
+        ("2/45", "7/45", "b242197e24d2176fad8b69908c028049e2d0d7451f90026d928e98459389dcfb"),
+        ("5/96", "1/96", "5827f95ba3d18eed630aff08a5d50ab356c4d041c64cbb41ef2ac263e6ff5617"),
+        ("1/6", "5/6", "1ae7257584fef37a47b4a9db76df8ef0489b6a1a4ef89b2890bab2e503a8ddda"),
+    ])
+    def test_json_bytes_are_pinned(self, capsys, mu, nu, digest):
+        code, out, _ = run(capsys, "orbit", "--mu", mu, "--nu", nu)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestSignedValues:

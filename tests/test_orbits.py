@@ -22,6 +22,7 @@ from pvi.orbits import (
     parse_rational,
     same_orbit,
 )
+from pvi.selftest import _fraction_bfs
 from pvi.verifier import orbit_to_curve
 
 F = Fraction
@@ -236,22 +237,6 @@ class TestOrbitPartition:
             orbit_partition(MAX_PARTITION_DENOMINATOR + 1)
 
 
-def _fraction_bfs(v):
-    """The orbit by closure under act() on Fraction pairs: the reference for the integer BFS."""
-    gens = [h for g in GENERATORS for h in (g, g.inverse())]
-    seen, frontier = {v}, [v]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for g in gens:
-                img = act(g, w)
-                if img not in seen:
-                    seen.add(img)
-                    nxt.append(img)
-        frontier = nxt
-    return seen
-
-
 class TestClosedFormAgainstBFS:
     @pytest.mark.parametrize("N", range(2, 17))
     def test_enumeration_matches_fraction_bfs(self, N):
@@ -260,6 +245,16 @@ class TestClosedFormAgainstBFS:
             orbit = _fraction_bfs(min(remaining))
             # an orbit is the orbit of each of its members
             assert all(enumerate_orbit(w) == orbit for w in orbit)
+            remaining -= orbit
+
+    @pytest.mark.parametrize("N", [24, 45, 60, 64, 96])
+    def test_listing_matches_fraction_bfs_at_higher_levels(self, N):
+        # one start class per orbit, each orbit against its listing
+        remaining = set(eligible_classes(N))
+        while remaining:
+            start = min(remaining)
+            orbit = _fraction_bfs(start)
+            assert enumerate_orbit(start) == orbit
             remaining -= orbit
 
     @pytest.mark.parametrize("N", range(2, 25))

@@ -301,7 +301,8 @@ def loop_verify(poly: MultiPoly, params: PviParams, spec: SampleSpec):
                 skipped.append(SkippedSample(tv, "singular point (dP/dy ~ 0)"))
                 continue
             except ExcludedPointError:
-                skipped.append(SkippedSample(tv, "y in {0, 1, t}"))
+                fixed_t = min(abs(tv), abs(tv - 1)) < 1e-10
+                skipped.append(SkippedSample(tv, "t in {0, 1}" if fixed_t else "y in {0, 1, t}"))
                 continue
             samples.append(ResidualSample(tv, yv, res))
     return samples, skipped
@@ -369,6 +370,21 @@ class TestBatchAgainstLoop:
         _same_within_tolerance(loop, batch)
         if reason is not None:
             assert reason in {s.reason for s in batch[1]}
+
+    @pytest.mark.parametrize("poly,center,reasons", [
+        (CURVES[CurveId.A], 0j, {"t in {0, 1}"}),
+        (Y - 2, 1 + 0j, {"t in {0, 1}"}),
+        # the root y ~ 1 collides first, so only y ~ -1 reaches the t test
+        (CURVES[CurveId.A], 1 + 0j, {"y in {0, 1, t}", "t in {0, 1}"}),
+    ])
+    def test_t_near_a_fixed_singular_point(self, poly, center, reasons):
+        # the case of test_every_skip_reason that needs its own sample circle
+        params = params_convert(alpha_of(1, 1, 2, 2))
+        spec = SampleSpec(center=center, radius=1e-11, count=3)
+        loop = loop_verify(poly, params, spec)
+        batch = _sample(poly, params, spec)
+        _same_within_tolerance(loop, batch)
+        assert batch[0] == [] and {s.reason for s in batch[1]} == reasons
 
     def test_root_polishing_failure_is_reachable(self):
         # |P| of a scaled double root sits at rounding level near the 1e-9
