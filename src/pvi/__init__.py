@@ -34,7 +34,6 @@ from .curves import (
 )
 from .elliptic import (
     AlphaTuple,
-    EllipticConfig,
     EllipticInvariants,
     invariants_at,
     picard_eval,
@@ -76,7 +75,6 @@ __all__ = [
     "CURVES",
     "ClassificationResult",
     "CurveId",
-    "EllipticConfig",
     "EllipticInvariants",
     "Gamma2Matrix",
     "StandardForm",

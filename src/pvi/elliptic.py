@@ -9,10 +9,10 @@ Everything is computed from q-series in double precision:
 * wp and wp' use the exponential Fourier series in qbar = q^2 after reducing
   the argument to the centered fundamental cell of the lattice Z + tau*Z.
 
-Arguments closer to a lattice point than ``pole_threshold`` raise
-:class:`PoleProximityError` instead of returning a huge value, and tau below
-``im_tau_floor`` raises :class:`PrecisionError`.  The floor is configuration,
-not law: callers that map tau through the group may lower it explicitly.
+Arguments closer to a lattice point than :data:`POLE_THRESHOLD` raise
+:class:`PoleProximityError` instead of returning a huge value, and Im tau below
+:data:`IM_TAU_FLOOR`, where the series lose accuracy, raises :class:`PrecisionError`.
+Re tau is first reduced exactly into [-1, 1], which keeps the lattice and q.
 """
 
 from __future__ import annotations
@@ -29,6 +29,11 @@ from .orbits import RationalPair, canonicalize
 _PI = math.pi
 _TWO_PI_I = 2j * _PI
 
+IM_TAU_FLOOR = 0.1
+POLE_THRESHOLD = 1e-6
+_SERIES_TOL = 1e-16
+_MAX_TERMS = 2000
+
 
 class EllipticError(ValueError):
     """Base class for evaluation failures in this module."""
@@ -40,19 +45,6 @@ class PrecisionError(EllipticError):
 
 class PoleProximityError(EllipticError):
     """Evaluation point too close to a pole or a vanishing denominator."""
-
-
-@dataclass(frozen=True)
-class EllipticConfig:
-    """Immutable evaluation thresholds; safe to share across threads."""
-
-    im_tau_floor: float = 0.1
-    pole_threshold: float = 1e-6
-    series_tol: float = 1e-16
-    max_terms: int = 2000
-
-
-DEFAULT_CONFIG = EllipticConfig()
 
 
 @dataclass(frozen=True)
@@ -83,15 +75,18 @@ class AlphaTuple:
         return all(a == 0 for a in self)
 
 
-def _require_tau(tau: complex, config: EllipticConfig) -> complex:
+def _require_tau(tau: complex) -> complex:
+    """tau - 2k with the real part in [-1, 1]; the subtraction is exact."""
     tau = complex(tau)
     if not (tau.imag > 0):
         raise EllipticError(f"tau must lie in the upper half-plane, got {tau}")
-    if tau.imag < config.im_tau_floor:
+    if not cmath.isfinite(tau):
+        raise EllipticError(f"tau must be finite, got {tau}")
+    if tau.imag < IM_TAU_FLOOR:
         raise PrecisionError(
-            f"Im tau = {tau.imag:g} below the precision floor {config.im_tau_floor:g}"
+            f"Im tau = {tau.imag:g} below the precision floor {IM_TAU_FLOOR:g}"
         )
-    return tau
+    return complex(math.remainder(tau.real, 2), tau.imag)
 
 
 def half_periods(tau: complex) -> tuple[complex, complex, complex, complex]:
@@ -100,9 +95,9 @@ def half_periods(tau: complex) -> tuple[complex, complex, complex, complex]:
     return 0j, 0.5 + 0j, tau / 2, (1 + tau) / 2
 
 
-def theta_constants(tau: complex, config: EllipticConfig = DEFAULT_CONFIG):
+def theta_constants(tau: complex):
     """Theta constants (theta2, theta3, theta4) at nome q = exp(i*pi*tau)."""
-    tau = _require_tau(tau, config)
+    tau = _require_tau(tau)
     q = cmath.exp(1j * _PI * tau)
     if q == 0:
         raise PrecisionError(f"nome underflows at tau = {tau}")
@@ -110,13 +105,13 @@ def theta_constants(tau: complex, config: EllipticConfig = DEFAULT_CONFIG):
     t3 = 1 + 0j
     t4 = 1 + 0j
     qabs = abs(q)
-    for n in range(1, config.max_terms):
+    for n in range(1, _MAX_TERMS):
         sq = q ** (n * n)
         tr = q ** (n * (n + 1))
         t3 += 2 * sq
         t4 += 2 * ((-1) ** n) * sq
         t2 += tr
-        if qabs ** (n * n) < config.series_tol:
+        if qabs ** (n * n) < _SERIES_TOL:
             break
     else:
         raise PrecisionError("theta series did not converge")
@@ -129,14 +124,14 @@ def _root4(q: complex) -> complex:
     return cmath.exp(cmath.log(q) / 4)
 
 
-def invariants_at(tau: complex, config: EllipticConfig = DEFAULT_CONFIG) -> EllipticInvariants:
+def invariants_at(tau: complex) -> EllipticInvariants:
     """Half-period values e_k = wp(omega_k), cubic coefficients, and t(tau).
 
     e1 + e2 + e3 = 0 by construction; t = (e3 - e1)/(e2 - e1) avoids {0, 1}
     for any tau in the upper half-plane, and a degenerate numerical value
     raises :class:`PrecisionError`.
     """
-    t2, t3, t4 = theta_constants(tau, config)
+    t2, t3, t4 = theta_constants(tau)
     p2 = _PI * _PI / 3
     e1 = p2 * (t3 ** 4 + t4 ** 4)
     e2 = -p2 * (t2 ** 4 + t3 ** 4)
@@ -172,51 +167,51 @@ def lattice_distance(z: complex, tau: complex) -> float:
     return best
 
 
-def _series_point(z: complex, tau: complex, config: EllipticConfig) -> complex:
+def _series_point(z: complex, tau: complex) -> complex:
     zr = _reduce_cell(complex(z), complex(tau))
-    if lattice_distance(zr, tau) < config.pole_threshold:
+    if lattice_distance(zr, tau) < POLE_THRESHOLD:
         raise PoleProximityError(
-            f"z = {z} within {config.pole_threshold:g} of the period lattice"
+            f"z = {z} within {POLE_THRESHOLD:g} of the period lattice"
         )
     return zr
 
 
-def wp(z: complex, tau: complex, config: EllipticConfig = DEFAULT_CONFIG) -> complex:
+def wp(z: complex, tau: complex) -> complex:
     """Weierstrass wp(z | tau) for the lattice Z + tau*Z."""
-    tau = _require_tau(tau, config)
-    zr = _series_point(z, tau, config)
+    tau = _require_tau(tau)
+    zr = _series_point(z, tau)
     qbar = cmath.exp(_TWO_PI_I * tau)
     u = cmath.exp(_TWO_PI_I * zr)
     s = 1.0 / 12 + u / (1 - u) ** 2
     qn = 1 + 0j
-    for _ in range(1, config.max_terms):
+    for _ in range(1, _MAX_TERMS):
         qn *= qbar
         w = qn * u
         v = qn / u
         term = w / (1 - w) ** 2 + v / (1 - v) ** 2 - 2 * qn / (1 - qn) ** 2
         s += term
-        if abs(term) < config.series_tol * max(1.0, abs(s)) and abs(qn) < 1e-8:
+        if abs(term) < _SERIES_TOL * max(1.0, abs(s)) and abs(qn) < 1e-8:
             break
     else:
         raise PrecisionError(f"wp series did not converge at tau = {tau}")
     return _TWO_PI_I ** 2 * s
 
 
-def wp_prime(z: complex, tau: complex, config: EllipticConfig = DEFAULT_CONFIG) -> complex:
+def wp_prime(z: complex, tau: complex) -> complex:
     """Derivative wp'(z | tau); odd and lattice-periodic."""
-    tau = _require_tau(tau, config)
-    zr = _series_point(z, tau, config)
+    tau = _require_tau(tau)
+    zr = _series_point(z, tau)
     qbar = cmath.exp(_TWO_PI_I * tau)
     u = cmath.exp(_TWO_PI_I * zr)
     s = u * (1 + u) / (1 - u) ** 3
     qn = 1 + 0j
-    for _ in range(1, config.max_terms):
+    for _ in range(1, _MAX_TERMS):
         qn *= qbar
         w = qn * u
         v = qn / u
         term = w * (1 + w) / (1 - w) ** 3 - v * (1 + v) / (1 - v) ** 3
         s += term
-        if abs(term) < config.series_tol * max(1.0, abs(s)) and abs(qn) < 1e-8:
+        if abs(term) < _SERIES_TOL * max(1.0, abs(s)) and abs(qn) < 1e-8:
             break
     else:
         raise PrecisionError(f"wp' series did not converge at tau = {tau}")
@@ -228,10 +223,10 @@ def _normalized(wp_value: complex, inv: EllipticInvariants) -> complex:
     return (wp_value - inv.e1) / (inv.e2 - inv.e1)
 
 
-def normalized_w(z: complex, tau: complex, config: EllipticConfig = DEFAULT_CONFIG) -> complex:
+def normalized_w(z: complex, tau: complex) -> complex:
     """w(z) = (wp(z) - e1)/(e2 - e1), the normalized elliptic coordinate."""
-    inv = invariants_at(tau, config)
-    return _normalized(wp(z, tau, config), inv)
+    inv = invariants_at(tau)
+    return _normalized(wp(z, tau), inv)
 
 
 PairLike = Union[RationalPair, Sequence]
@@ -243,9 +238,17 @@ def _as_pair(v: PairLike) -> RationalPair:
     return canonicalize(v)
 
 
-def picard_eval(
-    v: PairLike, tau: complex, config: EllipticConfig = DEFAULT_CONFIG
-) -> tuple[complex, complex]:
+def _label_point(pair: RationalPair, tau: complex) -> tuple[complex, complex]:
+    """(tau - 2k, p) for mu + nu*tau = (mu + 2k*nu) + nu*(tau - 2k): p takes the
+    first part mod 1 in Fractions, so no float ever holds 2k*nu."""
+    tau = complex(tau)
+    reduced = _require_tau(tau)
+    k = int(tau.real - reduced.real) // 2
+    mu = (pair.mu + 2 * k * pair.nu) % 1 if k else pair.mu
+    return reduced, float(mu) + float(pair.nu) * reduced
+
+
+def picard_eval(v: PairLike, tau: complex) -> tuple[complex, complex]:
     """Point (t, y) of the Picard solution labeled by the class (mu, nu).
 
     Half-integer classes are rejected: p(tau) = mu + nu*tau would sit on a
@@ -256,18 +259,12 @@ def picard_eval(
         raise ValueError(
             f"{pair} lies in (Z/2)^2: the corresponding solution is trivial"
         )
-    tau = _require_tau(tau, config)
-    inv = invariants_at(tau, config)
-    p = float(pair.mu) + float(pair.nu) * tau
-    return inv.t, _normalized(wp(p, tau, config), inv)
+    tau, p = _label_point(pair, tau)
+    inv = invariants_at(tau)
+    return inv.t, _normalized(wp(p, tau), inv)
 
 
-def reduction_residual(
-    alpha: Union[AlphaTuple, Sequence],
-    v: PairLike,
-    tau: complex,
-    config: EllipticConfig = DEFAULT_CONFIG,
-) -> complex:
+def reduction_residual(alpha: Union[AlphaTuple, Sequence], v: PairLike, tau: complex) -> complex:
     """The four-term derivative sum sum_k alpha_k * wp'(mu + nu*tau + omega_k | tau).
 
     Vanishing identically in tau is exactly the condition for the class
@@ -278,28 +275,25 @@ def reduction_residual(
     if len(a) != 4:
         raise ValueError("alpha must have four components")
     pair = _as_pair(v)
-    tau = _require_tau(tau, config)
-    p = float(pair.mu) + float(pair.nu) * tau
+    tau, p = _label_point(pair, tau)
     total = 0j
     for ak, om in zip(a, half_periods(tau)):
         if ak == 0:
             continue
-        total += complex(ak) * wp_prime(p + om, tau, config)
+        total += complex(ak) * wp_prime(p + om, tau)
     return total
 
 
-def triple_check(
-    z: complex, tau: complex, config: EllipticConfig = DEFAULT_CONFIG
-) -> tuple[complex, complex]:
+def triple_check(z: complex, tau: complex) -> tuple[complex, complex]:
     """Both sides of the multiplication identity w(3z) = y * (f(y,t)/g(y,t))^2.
 
     y = w(z); raises on pole proximity of z or 3z and when the denominator
     g(y, t) is too close to zero for a meaningful comparison.
     """
-    tau = _require_tau(tau, config)
-    inv = invariants_at(tau, config)
-    y = _normalized(wp(z, tau, config), inv)
-    lhs = _normalized(wp(3 * z, tau, config), inv)
+    tau = _require_tau(tau)
+    inv = invariants_at(tau)
+    y = _normalized(wp(z, tau), inv)
+    lhs = _normalized(wp(3 * z, tau), inv)
     t = inv.t
     fval = complex(TRIPLING_F(y=y, t=t))
     gval = complex(TRIPLING_G(y=y, t=t))

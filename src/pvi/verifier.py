@@ -31,6 +31,9 @@ from .orbits import RationalPair, canonicalize, format_rational, orbit_key
 
 ACCEPT_TOL = 1e-8
 REJECT_TOL = 1e-3
+PY_FLOOR = 1e-8  # |dP/dy| below this is a branch point
+EXCLUSION_TOL = 1e-8  # t within this of {0, 1}, or y of {0, 1, t}, is skipped
+NEWTON_TOL = 1e-12  # |P| at which Newton accepts a root
 MAX_SAMPLES = 10_000  # t samples per curve; a pass holds O(count * deg_y^2) numbers
 
 
@@ -105,7 +108,6 @@ def coerce_alpha(alpha: Union[AlphaTuple, PviParams, Sequence]) -> AlphaTuple:
 # jets and the ODE residual
 # ----------------------------------------------------------------------
 
-_RESIDUAL_EXCLUSION = 1e-10
 _PARTIALS = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))  # P, P_y, P_t, P_yy, P_yt, P_tt
 
 
@@ -176,31 +178,26 @@ def _rhs(params: PviParams, t, y, y1):
             * (al + be * t * ia * ia + ga * s * ib * ib + de * t * s * ic * ic))
 
 
-def implicit_derivs(
-    poly: MultiPoly, t: complex, y: complex, py_floor: float = 1e-8
-) -> tuple[complex, complex]:
+def implicit_derivs(poly: MultiPoly, t: complex, y: complex) -> tuple[complex, complex]:
     """First and second derivative of the branch of P(y, t) = 0 through (t, y).
 
     y' = -P_t / P_y and y'' = -(P_tt + 2 P_ty y' + P_yy y'^2) / P_y; requires
     P to (numerically) vanish at the point and raises
-    :class:`SingularPointError` when |P_y| < py_floor.
+    :class:`SingularPointError` when |P_y| < :data:`PY_FLOOR`.
     """
     tv, yv = complex(t), complex(y)
     py, pt, pyy, pyt, ptt = _horner(_in_y(poly, [tv])[1:], yv)[:, 0].tolist()
-    if abs(py) < py_floor:
+    if abs(py) < PY_FLOOR:
         raise SingularPointError(f"|dP/dy| = {abs(py):.2e} at (t, y) = ({tv}, {yv})")
     return _jet(py, pt, pyy, pyt, ptt)
 
 
-def pvi_residual(
-    params: PviParams, t: complex, y: complex, y1: complex, y2: complex,
-    exclusion_tol: float = _RESIDUAL_EXCLUSION,
-) -> float:
+def pvi_residual(params: PviParams, t: complex, y: complex, y1: complex, y2: complex) -> float:
     """|y'' - RHS| of the sixth Painleve equation for the given 2-jet."""
     t, y, y1, y2 = complex(t), complex(y), complex(y1), complex(y2)
-    if min(abs(t), abs(t - 1)) < exclusion_tol:
+    if min(abs(t), abs(t - 1)) < EXCLUSION_TOL:
         raise ExcludedPointError(f"t = {t} is a fixed singular point")
-    if min(abs(y), abs(y - 1), abs(y - t)) < exclusion_tol:
+    if min(abs(y), abs(y - 1), abs(y - t)) < EXCLUSION_TOL:
         raise ExcludedPointError(f"y = {y} collides with 0, 1 or t")
     return abs(y2 - _rhs(params, t, y, y1))
 
@@ -217,9 +214,6 @@ class SampleSpec:
     count: int = 25
     center: complex = 0.5 + 0j
     radius: float = 0.25
-    py_floor: float = 1e-8
-    exclusion_tol: float = 1e-8
-    newton_tol: float = 1e-12
 
     def __post_init__(self):
         if self.count > MAX_SAMPLES:
@@ -256,10 +250,10 @@ class ResidualReport:
     max_residual: float
     median_residual: float
 
-    def verdict(self, accept: float = ACCEPT_TOL, reject: float = REJECT_TOL) -> str:
-        if self.max_residual < accept:
+    def verdict(self) -> str:
+        if self.max_residual < ACCEPT_TOL:
             return "pass"
-        if self.max_residual > reject:
+        if self.max_residual > REJECT_TOL:
             return "fail"
         return "inconclusive"
 
@@ -346,12 +340,12 @@ def _sample(poly: MultiPoly, params: PviParams, spec: SampleSpec):
 
     with np.errstate(all="ignore"):
         # Newton on every root at once, each stopping as a scalar loop would:
-        # |P| < newton_tol, |P_y| < 1e-14, a step below 1e-16 |y|, 60 steps
+        # |P| < NEWTON_TOL, |P_y| < 1e-14, a step below 1e-16 |y|, 60 steps
         live = np.flatnonzero(code == 0)
         done = np.zeros(y.shape, dtype=bool)
         for _ in range(60):
             pv = _horner(c[0][:, live], y[live])
-            hit = np.abs(pv) < spec.newton_tol
+            hit = np.abs(pv) < NEWTON_TOL
             done[live[hit]] = True
             live, pv = live[~hit], pv[~hit]
             if not live.size:
@@ -364,12 +358,11 @@ def _sample(poly: MultiPoly, params: PviParams, spec: SampleSpec):
         check = np.flatnonzero((code == 0) & ~done)
         code[check[~(np.abs(_horner(c[0][:, check], y[check])) < 1e-9)]] = _POLISH_FAILED
         dist = np.minimum(np.minimum(np.abs(y), np.abs(y - 1)), np.abs(y - t))
-        code[(code == 0) & (dist < spec.exclusion_tol)] = _EXCLUDED
+        code[(code == 0) & (dist < EXCLUSION_TOL)] = _EXCLUDED
         ok = np.flatnonzero(code == 0)
         py, pt, pyy, pyt, ptt = _horner(c[1:, :, ok], y[ok])
-        code[ok[np.abs(py) < spec.py_floor]] = _SINGULAR
-        code[(code == 0) & (np.minimum(np.abs(t), np.abs(t - 1)) < _RESIDUAL_EXCLUSION)] = _FIXED_T
-        code[(code == 0) & (dist < _RESIDUAL_EXCLUSION)] = _EXCLUDED
+        code[ok[np.abs(py) < PY_FLOOR]] = _SINGULAR
+        code[(code == 0) & (np.minimum(np.abs(t), np.abs(t - 1)) < EXCLUSION_TOL)] = _FIXED_T
         y1, y2 = _jet(py, pt, pyy, pyt, ptt)
         residual = np.zeros(y.shape)
         residual[ok] = np.abs(y2 - _rhs(params, t[ok], y[ok], y1))
@@ -439,19 +432,14 @@ _PICARD_NOTE = (
 )
 
 
-def classify(
-    alpha: Union[AlphaTuple, PviParams, Sequence],
-    verify: bool = False,
-    spec: SampleSpec = SampleSpec(),
-    accept_tol: float = ACCEPT_TOL,
-    reject_tol: float = REJECT_TOL,
-) -> ClassificationResult:
+def classify(alpha: Union[AlphaTuple, PviParams, Sequence], verify: bool = False,
+             spec: SampleSpec = SampleSpec()) -> ClassificationResult:
     """Complete list of smooth-solution curves for exact rational parameters.
 
     Parameter patterns are tested exactly.  With ``verify`` set, every one of
     the seven canonical curves is run through :func:`verify_curve`: listed
-    curves must pass at ``accept_tol``, unlisted ones must fail at
-    ``reject_tol``, and anything in between raises
+    curves must pass at :data:`ACCEPT_TOL`, unlisted ones must fail at
+    :data:`REJECT_TOL`, and anything in between raises
     :class:`VerificationError` rather than guessing.
     """
     a = coerce_alpha(alpha)
@@ -466,15 +454,15 @@ def classify(
             report = verify_curve(cid, params, spec)
             reports[cid] = report
             expected = cid in listed
-            if expected and report.max_residual >= accept_tol:
+            if expected and report.max_residual >= ACCEPT_TOL:
                 raise VerificationError(
                     f"curve {cid} is classified as a solution but its residual "
-                    f"{report.max_residual:.3e} exceeds {accept_tol:g}"
+                    f"{report.max_residual:.3e} exceeds {ACCEPT_TOL:g}"
                 )
-            if not expected and report.max_residual <= reject_tol:
+            if not expected and report.max_residual <= REJECT_TOL:
                 raise VerificationError(
                     f"curve {cid} is not classified as a solution but its residual "
-                    f"{report.max_residual:.3e} is not above {reject_tol:g}"
+                    f"{report.max_residual:.3e} is not above {REJECT_TOL:g}"
                 )
     if listed:
         return ClassificationResult(kind="finite_list", curves=tuple(listed), reports=reports)

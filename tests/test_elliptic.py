@@ -7,10 +7,9 @@ import mpmath as mp
 import pytest
 
 from pvi.curves import CURVES, TRIPLING_F, TRIPLING_G, CurveId
+from pvi import elliptic
 from pvi.elliptic import (
-    DEFAULT_CONFIG,
     AlphaTuple,
-    EllipticConfig,
     EllipticError,
     PoleProximityError,
     PrecisionError,
@@ -97,24 +96,28 @@ class TestInvariants:
             inv = invariants_at(random_tau(rng))
             assert abs(inv.t) > 1e-10 and abs(inv.t - 1) > 1e-10
 
-    def test_moebius_invariance(self):
+    def test_moebius_invariance(self, monkeypatch):
         rng = random.Random(4)
-        cfg = EllipticConfig(im_tau_floor=0.02)
+        monkeypatch.setattr(elliptic, "IM_TAU_FLOOR", 0.02)
         for _ in range(20):
             tau = complex(rng.uniform(-0.3, 0.3), rng.uniform(0.5, 1.2))
             ref = invariants_at(tau).t
             for g in GENERATORS:
-                assert abs(invariants_at(g.moebius(tau), cfg).t - ref) < 1e-8
+                assert abs(invariants_at(g.moebius(tau)).t - ref) < 1e-8
 
     def test_rejects_lower_half_plane(self):
         with pytest.raises(EllipticError):
             invariants_at(-1j)
 
+    @pytest.mark.parametrize("tau", [complex(float("inf"), 1), complex(1, float("inf")),
+                                     complex(float("nan"), 1)])
+    def test_rejects_non_finite(self, tau):
+        with pytest.raises(EllipticError, match="finite"):
+            invariants_at(tau)
+
     def test_precision_floor(self):
         with pytest.raises(PrecisionError):
             invariants_at(0.5 + 0.05j)
-        # but a relaxed configuration accepts the same point
-        invariants_at(0.5 + 0.05j, EllipticConfig(im_tau_floor=0.02))
 
 
 class TestWeierstrass:
@@ -267,6 +270,50 @@ class TestReductionResidual:
         assert abs(reduction_residual((1, 9, 1, 1), (F(0), F(1, 6)), 1j)) > 1e-3
 
 
+class TestRealPartReduction:
+    """Re tau far outside [-1, 1] against mpmath at 60 digits, which takes each
+    float tau exactly; floats beyond 2^53 are even integers plus i*Im tau."""
+
+    TAUS = (3.7 + 0.6j, -12345.25 + 0.9j, 1e6 + 0.5 + 0.7j, -1e9 - 0.75 + 1.2j,
+            1e17 + 0.6j, -2.0 ** 60 + 0.8j)
+    CLASSES = ((F(1, 3), F(1, 6)), (F(1, 6), F(1, 6)), (F(2, 5), F(1, 5)), (F(0), F(3, 7)))
+
+    @staticmethod
+    def _point(v, tau):
+        return v[0].numerator / mp.mpf(v[0].denominator) + v[1].numerator / mp.mpf(
+            v[1].denominator) * tau
+
+    @pytest.mark.parametrize("tau", TAUS)
+    def test_picard_point_against_oracle(self, tau):
+        with mp.workdps(60):
+            T = mp.mpc(tau)
+            q = mp.exp(1j * mp.pi * T)
+            t2, t3, t4 = (mp.jtheta(n, 0, q) for n in (2, 3, 4))
+            e1 = mp.pi ** 2 / 3 * (t3 ** 4 + t4 ** 4)
+            e2 = -mp.pi ** 2 / 3 * (t2 ** 4 + t3 ** 4)
+            assert abs(invariants_at(tau).t - complex((t4 / t3) ** 4)) < 1e-12
+            for v in self.CLASSES:
+                t, y = picard_eval(v, tau)
+                want = complex((wp_oracle_mp(self._point(v, T), T) - e1) / (e2 - e1))
+                assert abs(t - complex((t4 / t3) ** 4)) < 1e-12
+                assert abs(y - want) < 1e-12 * max(1.0, abs(want))
+
+    @pytest.mark.parametrize("tau", TAUS)
+    def test_reduction_residual_against_oracle(self, tau):
+        alpha = (1, 2, 3, 4)
+        with mp.workdps(60):
+            T = mp.mpc(tau)
+            for v in self.CLASSES:
+                p = self._point(v, T)
+                want = complex(sum(
+                    a * mp.diff(lambda w: wp_oracle_mp(w, T), p + om)
+                    for a, om in zip(alpha, (0, mp.mpf(1) / 2, T / 2, (1 + T) / 2))))
+                got = reduction_residual(alpha, v, tau)
+                assert abs(got - want) < 1e-12 * max(1.0, abs(want))
+        # the class of the last level-six pattern still annihilates it
+        assert abs(reduction_residual((1, 1, 1, 9), (F(1, 6), F(1, 6)), tau)) < 1e-8
+
+
 class TestTripling:
     def test_random_agreement(self):
         rng = random.Random(11)
@@ -305,8 +352,3 @@ class TestTripling:
         with pytest.raises(EllipticError):
             triple_check((1 + tau) / 3, tau)
 
-
-class TestConcurrencySafety:
-    def test_config_is_frozen(self):
-        with pytest.raises(Exception):
-            DEFAULT_CONFIG.pole_threshold = 1.0

@@ -13,9 +13,13 @@ from pvi.elliptic import AlphaTuple, picard_eval, reduction_residual
 from pvi.multipoly import MultiPoly
 from pvi.orbits import canonicalize
 from pvi.selftest import CANONICAL_ALPHA
+from pvi import verifier
 from pvi.verifier import (
     ACCEPT_TOL,
+    EXCLUSION_TOL,
     MAX_SAMPLES,
+    NEWTON_TOL,
+    PY_FLOOR,
     REJECT_TOL,
     ExcludedPointError,
     NoValidSamplesError,
@@ -256,7 +260,7 @@ def _jet(c: _Compiled, tv: complex, yv: complex, py_floor: float) -> tuple[compl
 
 def _pvi_residual(
     params: PviParams, t: complex, y: complex, y1: complex, y2: complex,
-    exclusion_tol: float = 1e-10,
+    exclusion_tol: float = EXCLUSION_TOL,
 ) -> float:
     """|y'' - RHS| of the sixth Painleve equation for the given 2-jet."""
     t, y, y1, y2 = complex(t), complex(y), complex(y1), complex(y2)
@@ -287,21 +291,21 @@ def loop_verify(poly: MultiPoly, params: PviParams, spec: SampleSpec):
             skipped.append(SkippedSample(tv, "degenerate polynomial"))
             continue
         for y0 in np.roots(coeffs[lead[0]:]):
-            yv = _newton(c, complex(y0), tv, spec.newton_tol)
+            yv = _newton(c, complex(y0), tv, NEWTON_TOL)
             if yv is None:
                 skipped.append(SkippedSample(tv, "root polishing failed"))
                 continue
-            if min(abs(yv), abs(yv - 1), abs(yv - tv)) < spec.exclusion_tol:
+            if min(abs(yv), abs(yv - 1), abs(yv - tv)) < EXCLUSION_TOL:
                 skipped.append(SkippedSample(tv, "y in {0, 1, t}"))
                 continue
             try:
-                y1, y2 = _jet(c, tv, yv, spec.py_floor)
+                y1, y2 = _jet(c, tv, yv, PY_FLOOR)
                 res = _pvi_residual(params, tv, yv, y1, y2)
             except SingularPointError:
                 skipped.append(SkippedSample(tv, "singular point (dP/dy ~ 0)"))
                 continue
             except ExcludedPointError:
-                fixed_t = min(abs(tv), abs(tv - 1)) < 1e-10
+                fixed_t = min(abs(tv), abs(tv - 1)) < EXCLUSION_TOL
                 skipped.append(SkippedSample(tv, "t in {0, 1}" if fixed_t else "y in {0, 1, t}"))
                 continue
             samples.append(ResidualSample(tv, yv, res))
@@ -386,6 +390,18 @@ class TestBatchAgainstLoop:
         _same_within_tolerance(loop, batch)
         assert batch[0] == [] and {s.reason for s in batch[1]} == reasons
 
+    def test_t_within_the_exclusion_tolerance(self):
+        # 1e-9 from t = 0: far enough for the roots y ~ +-3e-5 to clear the
+        # y test, near enough that a residual there is not a verdict
+        params = params_convert(alpha_of(1, 1, 2, 2))
+        spec = SampleSpec(center=0j, radius=1e-9, count=3)
+        loop = loop_verify(CURVES[CurveId.A], params, spec)
+        batch = _sample(CURVES[CurveId.A], params, spec)
+        _same_within_tolerance(loop, batch)
+        assert batch[0] == [] and {s.reason for s in batch[1]} == {"t in {0, 1}"}
+        with pytest.raises(NoValidSamplesError):
+            verify_curve(CurveId.A, params, spec)
+
     def test_root_polishing_failure_is_reachable(self):
         # |P| of a scaled double root sits at rounding level near the 1e-9
         # acceptance, so which roots fail depends on the last bits of P, which
@@ -397,15 +413,16 @@ class TestBatchAgainstLoop:
             assert "root polishing failed" in {s.reason for s in skipped}
             assert len(samples) + len(skipped) == 21
 
-    def test_jets_against_the_loop(self):
+    def test_jets_against_the_loop(self, monkeypatch):
         rng = random.Random(3)
+        monkeypatch.setattr(verifier, "PY_FLOOR", 0.0)
         for cid in CurveId:
             c = _Compiled(CURVES[cid])
             for _ in range(5):
                 t = complex(rng.uniform(0.3, 0.7), rng.uniform(-0.2, 0.2))
                 y = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
                 want = _jet(c, t, y, 0.0)
-                got = implicit_derivs(CURVES[cid], t, y, 0.0)
+                got = implicit_derivs(CURVES[cid], t, y)
                 assert all(abs(g - w) <= 1e-12 * max(1.0, abs(w)) for g, w in zip(got, want))
                 params = params_convert(CANONICAL_ALPHA[cid])
                 assert pvi_residual(params, t, y, *want) == pytest.approx(
@@ -478,11 +495,11 @@ class TestClassify:
         assert result.reports[CurveId.A].max_residual < ACCEPT_TOL
         assert result.reports[CurveId.D].max_residual > REJECT_TOL
 
-    def test_verification_error_is_loud(self):
+    def test_verification_error_is_loud(self, monkeypatch):
         # an absurd rejection threshold forces the inconclusive branch
+        monkeypatch.setattr(verifier, "REJECT_TOL", 1e12)
         with pytest.raises(VerificationError):
-            classify((1, 1, 2, 2), verify=True, spec=SampleSpec(count=5),
-                     reject_tol=1e12)
+            classify((1, 1, 2, 2), verify=True, spec=SampleSpec(count=5))
 
     def test_completeness_cross_check(self):
         # random rational grid: the rule-based list and the numeric verdicts
