@@ -22,7 +22,7 @@ import math
 import statistics
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .curves import CURVE_TABLE, CURVES, CurveId, pattern_curves
 from .elliptic import AlphaTuple
@@ -168,14 +168,25 @@ def _jet(py, pt, pyy, pyt, ptt):
     return y1, -(ptt + 2 * pyt * y1 + pyy * y1 * y1) / py
 
 
-def _rhs(params: PviParams, t, y, y1):
-    """Right-hand side of the sixth Painleve equation (complex scalars or arrays)."""
-    al, be, ga, de = params.as_complex()
+def _rhs_parts(t, y, y1):
+    """The parameter-free subexpressions of the right-hand side of the sixth
+    Painleve equation at (t, y, y'), complex scalars or arrays: t, t - 1,
+    1/y, 1/(y - 1), 1/(y - t), the y' terms and the prefactor."""
     b, c, s = y - 1, y - t, t - 1
     ia, ib, ic = 1 / y, 1 / b, 1 / c
-    return ((0.5 * (ia + ib + ic) * y1 - (1 / t + 1 / s + ic)) * y1
-            + y * b * c / (t * t * s * s)
-            * (al + be * t * ia * ia + ga * s * ib * ib + de * t * s * ic * ic))
+    return (t, s, ia, ib, ic, (0.5 * (ia + ib + ic) * y1 - (1 / t + 1 / s + ic)) * y1,
+            y * b * c / (t * t * s * s))
+
+
+def _rhs(params: PviParams, parts):
+    """Right-hand side of the sixth Painleve equation from :func:`_rhs_parts`.
+
+    The parts are subtrees of the one expression, so the split leaves its
+    order of evaluation, and every rounding, as it was.
+    """
+    al, be, ga, de = params.as_complex()
+    t, s, ia, ib, ic, jet, pre = parts
+    return jet + pre * (al + be * t * ia * ia + ga * s * ib * ib + de * t * s * ic * ic)
 
 
 def implicit_derivs(poly: MultiPoly, t: complex, y: complex) -> tuple[complex, complex]:
@@ -199,7 +210,7 @@ def pvi_residual(params: PviParams, t: complex, y: complex, y1: complex, y2: com
         raise ExcludedPointError(f"t = {t} is a fixed singular point")
     if min(abs(y), abs(y - 1), abs(y - t)) < EXCLUSION_TOL:
         raise ExcludedPointError(f"y = {y} collides with 0, 1 or t")
-    return abs(y2 - _rhs(params, t, y, y1))
+    return abs(y2 - _rhs(params, _rhs_parts(t, y, y1)))
 
 
 # ----------------------------------------------------------------------
@@ -209,15 +220,24 @@ def pvi_residual(params: PviParams, t: complex, y: complex, y1: complex, y2: com
 @dataclass(frozen=True)
 class SampleSpec:
     """Sampling strategy: t on a circle around 1/2, clear of 0, 1 and the
-    real branch points of the canonical curves."""
+    real branch points of the canonical curves.  ``count`` is an int in
+    [1, MAX_SAMPLES], ``center`` and ``radius`` are finite and the radius is
+    nonzero; anything else raises ValueError before any work."""
 
     count: int = 25
     center: complex = 0.5 + 0j
     radius: float = 0.25
 
     def __post_init__(self):
+        if isinstance(self.count, bool) or not isinstance(self.count, int) or self.count < 1:
+            raise ValueError(f"sample count must be a positive int, got {self.count!r}")
         if self.count > MAX_SAMPLES:
             raise ValueError(f"sample count {self.count} exceeds the limit of {MAX_SAMPLES}")
+        if not (cmath.isfinite(self.center) and cmath.isfinite(self.radius)):
+            raise ValueError(f"sample circle must be finite, got center {self.center!r}, "
+                             f"radius {self.radius!r}")
+        if self.radius == 0:
+            raise ValueError("sample radius must be nonzero")
 
     def points(self) -> list[complex]:
         return [
@@ -306,10 +326,23 @@ _REASONS = (None, "degenerate polynomial", "root polishing failed", "y in {0, 1,
 _DEGENERATE, _POLISH_FAILED, _EXCLUDED, _SINGULAR, _FIXED_T = range(1, 6)
 
 
-def _sample(poly: MultiPoly, params: PviParams, spec: SampleSpec):
-    """(samples, skips) of every root at every t of the spec, in one array pass.
+class _Branches(NamedTuple):
+    """The parameter-free part of a pass: every root, skip and jet of a curve
+    over a sample circle, with the parameter-free subexpressions of the ODE's
+    right-hand side at each root that reached the jet stage."""
 
-    Both lists run in t order and, within one t, in the root order of
+    skipped: tuple[SkippedSample, ...]
+    ts: tuple[complex, ...]  # t of each sample, in sample order
+    ys: tuple[complex, ...]  # y of each sample
+    keep: object  # which jet roots are samples (read-only bool array)
+    y2: object  # y'' at each jet root (read-only array)
+    rhs: tuple  # _rhs_parts at the jet roots (read-only arrays)
+
+
+def _find_branches(poly: MultiPoly, spec: SampleSpec) -> _Branches:
+    """Every root at every t of the spec, in one array pass.
+
+    Samples and skips run in t order and, within one t, in the root order of
     ``np.roots`` (zero roots last); a degenerate t is skipped once.
     """
     import numpy as np
@@ -364,12 +397,47 @@ def _sample(poly: MultiPoly, params: PviParams, spec: SampleSpec):
         code[ok[np.abs(py) < PY_FLOOR]] = _SINGULAR
         code[(code == 0) & (np.minimum(np.abs(t), np.abs(t - 1)) < EXCLUSION_TOL)] = _FIXED_T
         y1, y2 = _jet(py, pt, pyy, pyt, ptt)
-        residual = np.zeros(y.shape)
-        residual[ok] = np.abs(y2 - _rhs(params, t[ok], y[ok], y1))
-    ts, ok = [points[k] for k in tix.tolist()], code == 0
-    samples = list(map(ResidualSample, itertools.compress(ts, ok.tolist()),
-                       y[ok].tolist(), residual[ok].tolist()))
-    return samples, [SkippedSample(ts[k], _REASONS[code[k]]) for k in np.flatnonzero(code)]
+        rhs = _rhs_parts(t[ok], y[ok], y1)
+    ts, kept = [points[k] for k in tix.tolist()], code == 0
+    branches = _Branches(
+        skipped=tuple(SkippedSample(ts[k], _REASONS[code[k]]) for k in np.flatnonzero(code)),
+        ts=tuple(itertools.compress(ts, kept.tolist())), ys=tuple(y[kept].tolist()),
+        keep=kept[ok], y2=y2, rhs=rhs)
+    for a in (branches.keep, y2) + rhs:
+        a.flags.writeable = False
+    return branches
+
+
+# The parameter-free passes of the last _BRANCH_CACHE_SIZE (curve, term order,
+# circle, tolerances) keys, each kept only if count * deg_y is at most
+# _BRANCH_CACHE_ROOTS: at most 32 * 1024 roots of about 250 bytes, 8 MB.
+_BRANCH_CACHE_SIZE = 32
+_BRANCH_CACHE_ROOTS = 1024
+
+
+@functools.lru_cache(maxsize=_BRANCH_CACHE_SIZE)
+def _cached_branches(poly: MultiPoly, order: tuple, spec: SampleSpec, tolerances: tuple):
+    """:func:`_find_branches`, keyed also on the term order (equal polynomials
+    in another order round differently) and the tolerances it reads."""
+    return _find_branches(poly, spec)
+
+
+def _branches(poly: MultiPoly, spec: SampleSpec) -> _Branches:
+    if spec.count * max(poly.degree_in("y"), 1) > _BRANCH_CACHE_ROOTS:
+        return _find_branches(poly, spec)
+    return _cached_branches(poly, tuple(poly.terms), spec, (NEWTON_TOL, PY_FLOOR, EXCLUSION_TOL))
+
+
+def _sample(poly: MultiPoly, params: PviParams, spec: SampleSpec):
+    """(samples, skips) of every root at every t of the spec: the branches of
+    the curve come from :func:`_branches`, only the residual is computed here."""
+    import numpy as np
+
+    b = _branches(poly, spec)
+    with np.errstate(all="ignore"):
+        residual = np.abs(b.y2 - _rhs(params, b.rhs))
+    return (list(map(ResidualSample, b.ts, b.ys, residual[b.keep].tolist())),
+            list(b.skipped))
 
 
 def verify_curve(
@@ -383,7 +451,8 @@ def verify_curve(
     eigenvalues polished by Newton; roots colliding with {0, 1, t}, branch
     points (|dP/dy| below the floor), unpolishable roots and roots at t near
     0 or 1 are skipped with a reason rather than polluting the aggregate.
-    All samples are computed in one array pass.
+    The roots, skips and jets of a (curve, circle) are found in one array
+    pass and cached; a call at other parameters computes only the residuals.
     """
     label, poly = _resolve_curve(curve)
     samples, skipped = _sample(poly, params, spec)

@@ -322,6 +322,56 @@ class TestOrbitListing:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+class TestVerifierBytes:
+    # sha256 of the verifier's output, taken before the branches of a curve
+    # were cached: every curve at its canonical alpha and at (1, 2, 3, 4), one
+    # CSV report, one custom polynomial and a verified classification.  The
+    # residuals are floating point, so the digests hold for one numpy and
+    # LAPACK build.
+    @pytest.mark.parametrize("argv,code,digest", [
+        (["verify", "--curve", "A", "--alpha=1,1,2,2"], 0,
+         "d2432460e1a4a83da82a35c82e3b63b73127825a0f8ce024eef63d9da77c1784"),
+        (["verify", "--curve", "A", "--alpha=1,2,3,4"], 1,
+         "d6486b81a66f0451d16746b0fbf2ceb9467d0c477b6dd4a4592c86dc31c2e472"),
+        (["verify", "--curve", "B", "--alpha=1,2,1,2"], 0,
+         "32b928b8547bea570e52949f2b6134aa361efdeb9e6139e786c31a72e5576a94"),
+        (["verify", "--curve", "B", "--alpha=1,2,3,4"], 1,
+         "5fbe6e331d0a7699186a09d61896140bf3f5a9aaa55ab536d136900e12a05377"),
+        (["verify", "--curve", "C", "--alpha=1,2,2,1"], 0,
+         "5ccf0fecf6b3253d9732373383085a41a2b5884ae3f44172e71baf5d14201194"),
+        (["verify", "--curve", "C", "--alpha=1,2,3,4"], 1,
+         "4950a758ee6345f897402272987aa2ead56ba4221fc9866e6867ff1c06c24349"),
+        (["verify", "--curve", "D", "--alpha=9,1,1,1"], 0,
+         "b6d1d3f8e1a1ef311548efa5ca7417a304a6f0078f2bab1855b699b3fc78787f"),
+        (["verify", "--curve", "D", "--alpha=1,2,3,4"], 1,
+         "a0a17f17e8e67dc500a0f6c5ae817ccb65a955a0a5cbd1e2ab4b490dd63fc7a4"),
+        (["verify", "--curve", "E", "--alpha=1,9,1,1"], 0,
+         "6ff1d4defb1bfffebba49f8f507dae44747ece2f6fb09bbefe750c4a12eca5d8"),
+        (["verify", "--curve", "E", "--alpha=1,2,3,4"], 1,
+         "7f625ce0e8983e37fe49f3d69003ccb1da5f7653cafcdfc8ed2127b2c722ee9c"),
+        (["verify", "--curve", "F", "--alpha=1,1,9,1"], 0,
+         "dd40b843f2785745f6fd7849e9673b117cefacb49c1f81ae822f6b221f852409"),
+        (["verify", "--curve", "F", "--alpha=1,2,3,4"], 1,
+         "f23e1271a2f9c0e96f6edfcf1841bea6a562b4b80c48d7f528b569d54c9e9775"),
+        (["verify", "--curve", "G", "--alpha=1,1,1,9"], 0,
+         "ef5f2cb11a2adef39db72347a16add3397bb175dcd56d41f3857baa432e199e7"),
+        (["verify", "--curve", "G", "--alpha=1,2,3,4"], 1,
+         "62a4e0abe039ce135052afb28d09c794d7b53ef2c54293f4d2754ef75a8ad92e"),
+        (["verify", "--curve", "D", "--alpha=9,1,1,1", "--format", "csv"], 0,
+         "084544df1723416513577f5de986809f11310ef9537f8717ae3efefe4718a49f"),
+        (["verify", "--poly", "y^3 - t*y + 2*t^2 - 1", "--alpha=1,1,2,2", "--samples", "11"], 1,
+         "9ef6eee989ae449a870c9d9aeed8477ff03de325efe2671f4f7d232a9ad160a1"),
+        (["classify", "--alpha=1,1,1,1", "--verify"], 0,
+         "e3f89f39416d05e27cf3d6e68ea3be4ffcd8522d408489b71aa2e7fd1dc14d2c"),
+    ])
+    def test_bytes_are_pinned(self, capsys, argv, code, digest):
+        # twice: the second run is served the branches the first one found
+        for _ in range(2):
+            got, out, _ = run(capsys, *argv)
+            assert got == code
+            assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 class TestSignedValues:
     @pytest.mark.parametrize("argv", [
         ["classify", "--alpha", "-3,1,2,4"],

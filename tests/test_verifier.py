@@ -435,6 +435,139 @@ class TestSampleLimit:
         with pytest.raises(ValueError, match=str(MAX_SAMPLES)):
             SampleSpec(count=MAX_SAMPLES + 1)
 
+    @pytest.mark.parametrize("count", [0, -3, 2.5, True, "25", None])
+    def test_count_must_be_a_positive_int(self, count):
+        with pytest.raises(ValueError, match="positive int"):
+            SampleSpec(count=count)
+
+    @pytest.mark.parametrize("center,radius", [
+        (complex("nan"), 0.25), (complex(0.5, float("inf")), 0.25), (complex("-inf"), 0.25),
+        (0.5 + 0j, float("nan")), (0.5 + 0j, float("inf")), (0.5 + 0j, -float("inf")),
+    ])
+    def test_circle_must_be_finite(self, center, radius):
+        with pytest.raises(ValueError, match="finite"):
+            SampleSpec(center=center, radius=radius)
+
+    @pytest.mark.parametrize("radius", [0, 0.0, -0.0])
+    def test_radius_must_be_nonzero(self, radius):
+        with pytest.raises(ValueError, match="nonzero"):
+            SampleSpec(radius=radius)
+
+
+def _dump(poly, params, spec):
+    """The samples and skips of a pass, every float to the bit."""
+    samples, skipped = _sample(poly, params, spec)
+    return [(s.t, s.y, s.residual.hex()) for s in samples], skipped
+
+
+@pytest.fixture
+def cold_cache():
+    verifier._cached_branches.cache_clear()
+    yield verifier._cached_branches
+    verifier._cached_branches.cache_clear()
+
+
+class TestBranchCache:
+    """The parameter-free stage is cached; a warm call is a cold call to the bit."""
+
+    SKIP_CASES = [
+        (T, SampleSpec(count=7)),
+        (Y ** 3 - T * Y, SampleSpec(count=7)),
+        ((Y - 2) ** 3 * (Y - T), SampleSpec(count=25)),
+        (F(1, 3) * Y ** 3 + F(5, 7) * T ** 2 * Y - F(2, 9) * T + 3 * T ** 2, SampleSpec(count=1)),
+        (CURVES[CurveId.A], SampleSpec(center=0j, radius=1e-11, count=3)),
+        (CURVES[CurveId.A], SampleSpec(center=1 + 0j, radius=1e-11, count=3)),
+        (CURVES[CurveId.A], SampleSpec(center=0j, radius=1e-9, count=3)),
+        (10 ** 12 * (Y - 2) ** 2 * (Y - T), SampleSpec(count=7)),
+    ]
+
+    @staticmethod
+    def warm_and_cold(cache, poly, alphas, spec):
+        params = [params_convert(a) for a in alphas]
+        warm = [_dump(poly, p, spec) for p in params]
+        assert cache.cache_info().hits >= len(params) - 1
+        for p, got in zip(params, warm):
+            cache.cache_clear()
+            assert got == _dump(poly, p, spec)
+
+    def test_warm_equals_cold_on_the_canonical_curves(self, cold_cache):
+        rng = random.Random(8)
+        alphas = [alpha_of(*(F(rng.randint(-9, 9), rng.randint(1, 8)) for _ in range(4)))
+                  for _ in range(30)] + list(CANONICAL_ALPHA.values())
+        for cid in CurveId:
+            for spec in (SampleSpec(), SampleSpec(count=6)):
+                self.warm_and_cold(cold_cache, CURVES[cid], alphas, spec)
+
+    @pytest.mark.parametrize("poly,spec", SKIP_CASES)
+    def test_warm_equals_cold_with_skips(self, cold_cache, poly, spec):
+        rng = random.Random(9)
+        alphas = [alpha_of(*(F(rng.randint(-9, 9), rng.randint(1, 8)) for _ in range(4)))
+                  for _ in range(10)]
+        self.warm_and_cold(cold_cache, poly, alphas, spec)
+
+    def test_warm_reports_equal_cold_reports(self, cold_cache):
+        params, spec = params_convert(alpha_of(1, 1, 2, 2)), SampleSpec(count=9)
+        warm = [verify_curve(cid, params, spec).to_json_dict() for cid in CurveId for _ in "ab"]
+        cold_cache.cache_clear()
+        cold = [verify_curve(cid, params, spec).to_json_dict() for cid in CurveId for _ in "ab"]
+        assert repr(warm) == repr(cold)
+        assert cold_cache.cache_info().hits == 7
+
+    @pytest.mark.parametrize("poly", [
+        Y - T, F(1, 3) * Y ** 3 + F(5, 7) * T ** 2 * Y - F(2, 9) * T + 3 * T ** 2, CURVES[CurveId.E],
+    ])
+    def test_term_order_is_part_of_the_key(self, cold_cache, poly):
+        # equal polynomials whose terms are summed in another order round
+        # differently, so each is served only its own cold result
+        flipped = MultiPoly(dict(reversed(poly.terms.items())), poly.vars)
+        assert flipped == poly and tuple(flipped.terms) != tuple(poly.terms)
+        params, spec = params_convert(alpha_of(1, 1, 2, 2)), SampleSpec(count=11)
+        cold = {}
+        for p in (poly, flipped):
+            cold_cache.cache_clear()
+            cold[p is poly] = _dump(p, params, spec)
+        cold_cache.cache_clear()
+        for p in (poly, flipped, poly, flipped):
+            assert _dump(p, params, spec) == cold[p is poly]
+        assert cold_cache.cache_info().currsize == 2
+
+    @pytest.mark.parametrize("name,value", [
+        ("NEWTON_TOL", 0.0),  # no root is accepted before its step falls to rounding
+        ("EXCLUSION_TOL", 0.3),
+        ("PY_FLOOR", 0.5),
+    ])
+    def test_a_changed_tolerance_is_not_served_stale(self, cold_cache, monkeypatch, name, value):
+        poly, spec = CURVES[CurveId.D], SampleSpec(count=12)
+        params = params_convert(CANONICAL_ALPHA[CurveId.D])
+        before = _dump(poly, params, spec)
+        monkeypatch.setattr(verifier, name, value)
+        warm = _dump(poly, params, spec)
+        cold_cache.cache_clear()
+        assert warm == _dump(poly, params, spec) != before
+
+    def test_cached_arrays_are_read_only(self, cold_cache):
+        b = verifier._branches(CURVES[CurveId.D], SampleSpec())
+        for a in (b.keep, b.y2) + b.rhs:
+            assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            b.y2[0] = 0
+        assert all(type(x) is tuple for x in (b.skipped, b.ts, b.ys, b.rhs))
+
+    def test_a_pass_above_the_bound_is_not_kept(self, cold_cache):
+        params = params_convert(alpha_of(1, 1, 2, 2))
+        bound = verifier._BRANCH_CACHE_ROOTS
+        verify_curve(Y ** 8 - T, params, SampleSpec(count=bound // 8))
+        assert cold_cache.cache_info().currsize == 1
+        for poly, count in ((Y ** 8 - T, bound // 8 + 1), (Y ** 2 - T, MAX_SAMPLES)):
+            verify_curve(poly, params, SampleSpec(count=count))
+            assert cold_cache.cache_info().currsize == 1
+
+    def test_the_cache_holds_a_bounded_number_of_passes(self, cold_cache):
+        params = params_convert(alpha_of(1, 1, 2, 2))
+        for count in range(1, verifier._BRANCH_CACHE_SIZE + 10):
+            _sample(CURVES[CurveId.A], params, SampleSpec(count=count))
+        assert cold_cache.cache_info().currsize == verifier._BRANCH_CACHE_SIZE
+
 
 class TestClassify:
     def test_canonical_inputs(self):
