@@ -19,8 +19,9 @@ breadth-first closure that checks the rule is in :mod:`pvi.selftest`.
 Conventions fixed here and relied on throughout the package:
 
 * canonical representative: reduce both components into [0, 1), then take
-  the lexicographic minimum of v and -v (so hashing and set membership
-  are well defined);
+  the lexicographic minimum of v and -v (so equal classes give equal
+  pairs); it is computed on the integer numerators at the level N, and a
+  pair hashes by its numerators and denominators, never by Fraction.__hash__;
 * column-vector action A @ (mu, nu)^T followed by canonicalization;
 * generators [[1, 2], [0, 1]] and [[1, 0], [2, 1]] (with -I absorbed by
   the sign quotient) and their inverses.
@@ -70,10 +71,19 @@ class RationalPair:
     Both components lie in [0, 1); among the class representatives v and -v
     the lexicographically smaller is stored.  Construct via
     :func:`canonicalize` (the constructor does not normalize).
+
+    The hash is that of the tuple (mu.numerator, mu.denominator,
+    nu.numerator, nu.denominator).  Fractions are kept in lowest terms, so it
+    agrees with equality, and it skips Fraction.__hash__, a modular inverse
+    per component that would dominate building large orbit sets.
     """
 
     mu: Fraction
     nu: Fraction
+
+    def __hash__(self) -> int:
+        mu, nu = self.mu, self.nu
+        return hash((mu.numerator, mu.denominator, nu.numerator, nu.denominator))
 
     def __iter__(self):
         return iter((self.mu, self.nu))
@@ -103,10 +113,28 @@ def canonicalize(v: Iterable[RationalLike]) -> RationalPair:
     canonicalize(v) == canonicalize(-v) == canonicalize(v + k) for any
     integer vector k.
     """
-    mu, nu = (parse_rational(x) if isinstance(x, str) else Fraction(x) for x in v)
-    plus = (mu % 1, nu % 1)
-    minus = ((-mu) % 1, (-nu) % 1)
-    return RationalPair(*min(plus, minus))
+    mu, nu = map(_as_fraction, v)
+    N = lcm(mu.denominator, nu.denominator)
+    a, b = mu.numerator * (N // mu.denominator), nu.numerator * (N // nu.denominator)
+    if 0 <= a < N and 0 <= b < N and (a, b) <= (-a % N, -b % N):
+        return RationalPair(mu, nu)  # already canonical
+    return _canonical_at(N, a, b)
+
+
+def _as_fraction(x: RationalLike) -> Fraction:
+    if type(x) is Fraction:
+        return x
+    return parse_rational(x) if isinstance(x, str) else Fraction(x)
+
+
+def _canonical_at(N: int, a: int, b: int) -> RationalPair:
+    """Canonical representative of the class of (a/N, b/N): the numerators taken
+    mod N, then the smaller of (a, b) and (-a, -b) mod N."""
+    a, b = a % N, b % N
+    na, nb = -a % N, -b % N
+    if (na, nb) < (a, b):
+        a, b = na, nb
+    return RationalPair(Fraction(a, N), Fraction(b, N))
 
 
 @dataclass(frozen=True)
@@ -150,10 +178,9 @@ GENERATORS = (GEN_SHEAR_UPPER, GEN_SHEAR_LOWER)
 
 
 def act(matrix: Gamma2Matrix, v: RationalPair) -> RationalPair:
-    """Column-vector action: canonicalize(matrix @ (mu, nu)^T)."""
-    return canonicalize(
-        (matrix.a * v.mu + matrix.b * v.nu, matrix.c * v.mu + matrix.d * v.nu)
-    )
+    """Column-vector action: canonicalize(matrix @ (mu, nu)^T), on the level numerators."""
+    N, a, b = level_numerators(v)
+    return _canonical_at(N, matrix.a * a + matrix.b * b, matrix.c * a + matrix.d * b)
 
 
 @dataclass(frozen=True)
@@ -181,8 +208,7 @@ def standard_form(v: RationalPair) -> StandardForm:
     N, a, b = level_numerators(v)
     M = gcd(a, b)
     m, n = a // M, b // M
-    f = Fraction(M, N)
-    standard = canonicalize((0, f) if m % 2 == 0 else (f, 0) if n % 2 == 0 else (f, f))
+    standard = _canonical_at(N, *((0, M) if m % 2 == 0 else (M, 0) if n % 2 == 0 else (M, M)))
     return StandardForm(M=M, N=N, m=m, n=n, standard=standard)
 
 

@@ -110,6 +110,11 @@ def coerce_alpha(alpha: Union[AlphaTuple, PviParams, Sequence]) -> AlphaTuple:
 
 _PARTIALS = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))  # P, P_y, P_t, P_yy, P_yt, P_tt
 
+# _dense keeps a curve's arrays only if (deg_y + 1)(deg_t + 1) is at most
+# _DENSE_CACHE_CELLS: 6 complex arrays of that many cells, 96 KB, so at most
+# 3 MB for the 32 entries.  Larger curves are converted on every call.
+_DENSE_CACHE_CELLS = 1024
+
 
 @functools.lru_cache(maxsize=32)
 def _dense(poly: MultiPoly, order: tuple):
@@ -144,7 +149,9 @@ def _in_y(poly: MultiPoly, points: Sequence[complex]):
     """
     import numpy as np
 
-    terms, d = _dense(poly, tuple(poly.terms))
+    cells = (poly.degree_in("y") + 1) * (poly.degree_in("t") + 1)
+    dense = _dense if cells <= _DENSE_CACHE_CELLS else _dense.__wrapped__
+    terms, d = dense(poly, tuple(poly.terms))
     tpow = np.array([[tv ** j for tv in points] for j in range(d.shape[2])],
                     dtype=complex).reshape(d.shape[2], len(points))
     out = (d.reshape(-1, d.shape[2]) @ tpow).reshape(d.shape[:2] + (len(points),))

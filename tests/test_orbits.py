@@ -6,18 +6,23 @@ from math import gcd
 
 import pytest
 
+from pvi.curves import CURVE_TABLE
 from pvi.orbits import (
     GENERATORS,
     MAX_ORBIT_DENOMINATOR,
     MAX_PARTITION_DENOMINATOR,
     Gamma2Matrix,
+    RationalPair,
+    StandardForm,
     act,
     canonicalize,
     eligible_classes,
     enumerate_orbit,
     format_rational,
+    level_numerators,
     standard_form,
     merging_matrix,
+    orbit_key,
     orbit_partition,
     parse_rational,
     same_orbit,
@@ -297,3 +302,189 @@ class TestMergingMatrix:
             for M in range(1, N):
                 if gcd(M, N) == 1:
                     assert act(m, pair(F(M, N), 0)) == pair(0, F(M, N))
+
+
+# The Fraction formulas canonicalize and standard_form used before they worked
+# on level numerators, kept as the reference for the integer versions.
+def reference_canonicalize(v):
+    mu, nu = (parse_rational(x) if isinstance(x, str) else F(x) for x in v)
+    plus = (mu % 1, nu % 1)
+    minus = ((-mu) % 1, (-nu) % 1)
+    return RationalPair(*min(plus, minus))
+
+
+def reference_standard_form(v, canonical=reference_canonicalize):
+    if v.is_zero():
+        raise ValueError("zero vector has no standard form")
+    N, a, b = level_numerators(v)
+    M = gcd(a, b)
+    m, n = a // M, b // M
+    f = F(M, N)
+    standard = canonical((0, f) if m % 2 == 0 else (f, 0) if n % 2 == 0 else (f, f))
+    return StandardForm(M=M, N=N, m=m, n=n, standard=standard)
+
+
+def reference_same_orbit(v1, v2, canonical=reference_canonicalize):
+    if v1.is_zero() or v2.is_zero():
+        raise ValueError("orbit membership is defined for nonzero classes")
+    return orbit_key(canonical(v1)) == orbit_key(canonical(v2))
+
+
+def reference_act(matrix, v):
+    return reference_canonicalize((matrix.a * v.mu + matrix.b * v.nu,
+                                   matrix.c * v.mu + matrix.d * v.nu))
+
+
+def classes_up_to(level):
+    return [v for N in range(1, level + 1) for v in eligible_classes(N)]
+
+
+def outcome(f, *args):
+    """f(*args), or the type and message of the error it raises."""
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return ValueError, str(exc)
+
+
+def shifted(v, rng):
+    """A non-canonical pair of v's class: -v or v, moved by an integer vector."""
+    s = rng.choice((1, -1))
+    return RationalPair(s * v.mu + rng.randint(-3, 3), s * v.nu + rng.randint(-3, 3))
+
+
+class TestLevelNumerators:
+    """canonicalize, act and standard_form reduce on integers at the level N, and
+    a pair hashes by its numerators and denominators."""
+
+    def test_canonicalize_matches_the_fraction_formula(self):
+        rng = random.Random(7)
+        for k in range(20000):
+            big = k % 4 == 0
+            den = (lambda: rng.randint(1, 10 ** 9)) if big else (lambda: rng.randint(1, 60))
+            num = (lambda: rng.randint(-10 ** 12, 10 ** 12)) if big else (lambda: rng.randint(-200, 200))
+            v = (F(num(), den()), F(num(), den()))
+            got = canonicalize(v)
+            assert got == reference_canonicalize(v)
+            assert type(got.mu) is F and type(got.nu) is F
+            if k % 10 == 0:
+                strings = (str(v[0]), str(v[1]))
+                assert canonicalize(strings) == reference_canonicalize(strings)
+
+    def test_canonicalize_mixed_input_types(self):
+        for v in [(1, 0), (-1, F(1, 2)), ("3/2", 7), ("-5/6", "13/4"), (F(9, 4), "-1/4"),
+                  (0, 0), (2, -3), (0.5, 0.25)]:
+            got = canonicalize(v)
+            assert got == reference_canonicalize(v)
+            assert type(got.mu) is F and type(got.nu) is F
+
+    def test_equal_pairs_hash_equal_from_every_route(self):
+        rng = random.Random(11)
+        for N in (2, 3, 4, 6, 9, 12, 35, 60):
+            orbit_sets, by_value = {}, set(eligible_classes(N))
+            for v in eligible_classes(N):
+                _, a, b = level_numerators(v)
+                routes = [
+                    canonicalize((f"{a + 3 * N}/{N}", f"{b - N}/{N}")),
+                    canonicalize((f"-{a}/{N}", -v.nu)),
+                    canonicalize((v.mu - 2, v.nu + 5)),
+                    canonicalize(shifted(v, rng)),
+                    act(Gamma2Matrix.identity(), v),
+                    act(merging_matrix(1), act(merging_matrix(1).inverse(), v)),
+                ]
+                if v.nu == 0:
+                    routes.append(canonicalize((-v.mu, -4)))
+                if v not in orbit_sets:
+                    orbit = enumerate_orbit(v)
+                    orbit_sets.update((w, orbit) for w in orbit)
+                for w in routes:
+                    assert w == v and hash(w) == hash(v)
+                    assert w in orbit_sets[v] and w in by_value
+                for g in GENERATORS:
+                    image = act(g, v)
+                    assert image in orbit_sets[v]
+                    assert hash(image) == hash(reference_act(g, v))
+
+    def test_hash_is_the_tuple_of_numerators_and_denominators(self):
+        for v in classes_up_to(12):
+            key = (v.mu.numerator, v.mu.denominator, v.nu.numerator, v.nu.denominator)
+            assert hash(v) == hash(key)
+
+    def test_hash_never_calls_fraction_hash(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("Fraction.__hash__ called")
+
+        monkeypatch.setattr(F, "__hash__", refuse)
+        v = canonicalize(("1/160", 0))
+        orbit = enumerate_orbit(v)
+        assert v in orbit and len(orbit) == orbit_partition(160)[0]
+        assert len(set(eligible_classes(24))) == sum(orbit_partition(24))
+
+    def test_hash_separates_classes(self):
+        # tuple hashes of small ints do not depend on the hash seed; distinct
+        # classes colliding would mean a numerator or denominator is ignored
+        classes = classes_up_to(60)
+        assert len({hash(v) for v in classes}) == len(classes)
+
+    def test_act_matches_the_fraction_formula(self):
+        rng = random.Random(12)
+        gens = list(GENERATORS) + [g.inverse() for g in GENERATORS] + [merging_matrix(5)]
+        classes = classes_up_to(40)
+        for v in rng.sample(classes, 3000):
+            for g in gens:
+                assert act(g, v) == reference_act(g, v)
+            u = shifted(v, rng)
+            g = rng.choice(gens)
+            assert act(g, u) == reference_act(g, u)
+
+    def test_deciding_calls_as_before_at_every_class_up_to_level_60(self):
+        rng = random.Random(13)
+        classes = classes_up_to(60)
+        known = {v: reference_canonicalize(v) for v in classes}
+
+        def canonical(v):
+            return known[v] if type(v) is RationalPair and v in known else reference_canonicalize(v)
+
+        curve_orbits = [(cid, enumerate_orbit(canonicalize(row.picard_class)))
+                        for cid, row in CURVE_TABLE.items()]
+        by_level = {}
+        for v in classes:
+            by_level.setdefault(v.denominator, []).append(v)
+
+        def curve_of(x):
+            try:
+                return orbit_to_curve(x)
+            except ValueError as exc:
+                assert "trivial solution" in str(exc)
+                return "trivial"
+
+        for k, v in enumerate(classes):
+            w = rng.choice(by_level[v.denominator])
+            assert outcome(same_orbit, v, w) == outcome(reference_same_orbit, v, w, canonical)
+            assert outcome(standard_form, v) == outcome(reference_standard_form, v, canonical)
+            want = "trivial" if v.is_half_integer() else next(
+                (cid for cid, orbit in curve_orbits if v in orbit), None)
+            assert curve_of(v) == want
+            if k % 4:
+                continue
+            # every fourth class also as a non-canonical pair of its class
+            u, w = shifted(v, rng), rng.choice(classes)
+            assert outcome(same_orbit, w, u) == outcome(reference_same_orbit, w, u, canonical)
+            assert outcome(standard_form, u) == outcome(reference_standard_form, u, canonical)
+            assert curve_of(u) == curve_of((str(u.mu), str(u.nu))) == want
+
+    @pytest.mark.parametrize("zero", [(1, 0), (0, -2), (3, 5), (-1, 1)])
+    def test_non_canonical_zero_classes_as_before(self, zero):
+        v = RationalPair(F(zero[0]), F(zero[1]))
+        assert not v.is_zero()
+        w = pair(F(1, 3), 0)
+        for args in ((v, w), (w, v), (v, v)):
+            assert outcome(same_orbit, *args) == (ValueError, "zero vector has no standard form")
+        got = standard_form(v)
+        assert got == reference_standard_form(v)
+        assert got.standard.is_zero() and got.N == 1
+        for arg in (v, zero, tuple(map(str, zero))):
+            with pytest.raises(ValueError, match="trivial solution"):
+                orbit_to_curve(arg)
+        assert canonicalize(zero) == canonicalize(v) == pair(0, 0)
+        assert hash(canonicalize(zero)) == hash(pair(0, 0))
