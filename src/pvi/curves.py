@@ -304,24 +304,29 @@ class IrreducibilityResult:
         return self.status == "irreducible"
 
 
-_TRIAL_FACTORS = (
-    Y, T, Y - 1, T - 1, Y - T, Y + 1, Y + T,
-    *CURVES.values(),
+_TRIAL_FACTORS = tuple(
+    (f, f.total_degree(), f.degree_in("y"), f.degree_in("t"))
+    for f in (Y - 1, T - 1, Y - T, Y + 1, Y + T, *CURVES.values())
 )
 _SPECIALIZATION_POINTS = (2, 3, 5, 1, -1, 4, 7, 6, -2, 9)
 _PRIMES = (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71,
            73, 79, 83, 89, 97, 3, 2)
+# Primes with p^(d/2) above the cap are skipped for y-degree d. The
+# distinct-degree test does not need the bound; it is kept so that the
+# (t0, p) certificate found for each sextic stays the same.
 _FP_ENUMERATION_CAP = 50000
 
 
 def is_irreducible(p: MultiPoly) -> IrreducibilityResult:
     """Certificate-based irreducibility over Q for a polynomial in (y, t).
 
-    Returns 'reducible' only with an exact factor witness (trial division
-    against low-degree candidates, content and perfect-square extraction);
+    Returns 'reducible' only with an exact factor witness (monomial content,
+    content in y, trial division against low-degree candidates, perfect-square
+    extraction, and content in t once the first specialization has failed);
     'irreducible' only with a specialization certificate (some integer t0 and
     prime p at which the image keeps its y-degree and is irreducible over
-    the p-element field, exhaustively checked); 'unknown' otherwise.
+    the p-element field, decided by the distinct-degree test); 'unknown'
+    otherwise.
     """
     if p.is_zero():
         raise ValueError("irreducibility of the zero polynomial is undefined")
@@ -343,9 +348,10 @@ def is_irreducible(p: MultiPoly) -> IrreducibilityResult:
         if not content.is_constant():
             return IrreducibilityResult("reducible", witness=content)
 
-    total = p.total_degree()
-    for factor in _TRIAL_FACTORS:
-        if 0 < factor.total_degree() < total:
+    # a factor cannot exceed p in any degree, so those candidates cannot divide
+    total, degt = p.total_degree(), p.degree_in("t")
+    for factor, f_total, f_degy, f_degt in _TRIAL_FACTORS:
+        if 0 < f_total < total and f_degy <= degy and f_degt <= degt:
             q = p.try_divide(factor)
             if q is not None and q.total_degree() >= 1:
                 return IrreducibilityResult("reducible", witness=factor)
@@ -363,8 +369,14 @@ def is_irreducible(p: MultiPoly) -> IrreducibilityResult:
     coefficients = p.coefficients_in("y")
     dense = [coefficients.get(d, MultiPoly.zero()) for d in range(degy + 1)]
     primes = [q for q in _PRIMES if q ** (degy // 2) <= _FP_ENUMERATION_CAP]
-    for t0 in _SPECIALIZATION_POINTS:
-        values = [c(t=Fraction(t0)) for c in dense]
+    for i, t0 in enumerate(_SPECIALIZATION_POINTS):
+        if i == 1:
+            # A proper factor g(y) free of t divides every specialization, so
+            # no point can certify p; checked once the first point has failed.
+            content = p.content_in("t")
+            if 0 < content.total_degree() < total:
+                return IrreducibilityResult("reducible", witness=content)
+        values = [c(t=t0) for c in dense]
         if values[degy] == 0:
             continue
         for prime in primes:
@@ -386,6 +398,9 @@ def _reduce_mod(values: list[Fraction], prime: int) -> list[int] | None:
     return coeffs or None
 
 
+# Univariate polynomials over F_p are int lists, ascending, with no zero
+# leading coefficient; [] is the zero polynomial.
+
 def _fp_mod(num: list[int], den: list[int], prime: int) -> list[int]:
     num = num[:]
     inv = pow(den[-1], -1, prime)
@@ -401,16 +416,48 @@ def _fp_mod(num: list[int], den: list[int], prime: int) -> list[int]:
     return num
 
 
+def _fp_mulmod(a: list[int], b: list[int], f: list[int], prime: int) -> list[int]:
+    """a * b mod f over F_p."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, z in enumerate(b):
+            out[i + j] += x * z
+    # the leading coefficient is a product of two units of F_p
+    return _fp_mod([c % prime for c in out], f, prime)
+
+
 def _fp_is_irreducible(coeffs: list[int], prime: int) -> bool:
-    """Exhaustive trial division of a univariate polynomial over F_p."""
+    """Distinct-degree test of a univariate polynomial f of degree d over F_p.
+
+    f is irreducible exactly when gcd(f, y^(p^k) - y) = 1 for k = 1..d/2:
+    a reducible f has an irreducible factor of some degree k <= d/2, which
+    divides y^(p^k) - y, while an irreducible f of degree d > k shares no
+    factor with it. y^(p^k) mod f is the p-th power of y^(p^(k-1)) mod f,
+    taken by square-and-multiply.
+    """
     deg = len(coeffs) - 1
     if deg <= 0:
         return False
     if deg == 1:
         return True
-    for d in range(1, deg // 2 + 1):
-        for lower in product(range(prime), repeat=d):
-            divisor = list(lower) + [1]
-            if not _fp_mod(coeffs, divisor, prime):
-                return False
+    frobenius = [0, 1]
+    for _ in range(deg // 2):
+        power, base, e = [1], frobenius, prime
+        while e:
+            if e & 1:
+                power = _fp_mulmod(power, base, coeffs, prime)
+            e >>= 1
+            if e:
+                base = _fp_mulmod(base, base, coeffs, prime)
+        frobenius = power
+        a, b = coeffs, power + [0] * (2 - len(power))
+        b[1] = (b[1] - 1) % prime
+        while b and b[-1] == 0:
+            b.pop()
+        while b:
+            a, b = b, _fp_mod(a, b, prime)
+        if len(a) > 1:
+            return False
     return True

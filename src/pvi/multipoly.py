@@ -367,6 +367,7 @@ class MultiPoly:
             raise ZeroDivisionError("division by zero polynomial")
         div = divisor._t
         lead = max(div)
+        lc = div[lead]
         need = [(s, (lead >> s) & _MASK) for s in _SHIFTS if (lead >> s) & _MASK]
         rem = dict(self._t)
         quot: Terms = {}
@@ -375,7 +376,11 @@ class MultiPoly:
             if any((key >> s) & _MASK < e for s, e in need):
                 return None
             delta = key - lead
-            c = quot[delta] = _norm(Fraction(rem[key]) / div[lead])
+            rc = rem[key]
+            if type(rc) is int and type(lc) is int and not rc % lc:
+                c = quot[delta] = rc // lc
+            else:
+                c = quot[delta] = _norm(Fraction(rc) / lc)
             _accumulate(rem, ((delta + dk, -c * dc) for dk, dc in div.items()))
         return MultiPoly._of(quot)
 

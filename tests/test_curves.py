@@ -1,8 +1,10 @@
 """Identity layer: master sextic, reducibility surface, quartics, symmetries."""
 
+import hashlib
 import random
 import re
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -27,6 +29,7 @@ from pvi.curves import (
     verify_kummer_equivalence,
     verify_uniformization,
 )
+from pvi.curves import _fp_is_irreducible, _fp_mod
 from pvi.multipoly import MultiPoly
 
 F = Fraction
@@ -271,6 +274,19 @@ class TestIrreducibility:
         with pytest.raises(ValueError):
             is_irreducible(Y ** 7)
 
+    @pytest.mark.parametrize("text,factor", [
+        ("-y^4 + 2*y^3 + 3*y^2*t - 8*y*t + 4*t", "y - 2"),
+        ("4*y^4 - 8*y^3 + 3*y^2 + 2*y*t - t", "y - 1/2"),
+    ])
+    def test_t_free_factor_reducible(self, text, factor):
+        # P0s with a factor free of t: reducible at every (t0, p), so no
+        # certificate exists; the witness is the content in t
+        p = MultiPoly.parse(text)
+        res = is_irreducible(p)
+        assert res.status == "reducible"
+        assert res.witness == MultiPoly.parse(factor)
+        assert p.try_divide(res.witness).total_degree() >= 1
+
 
 class TestReadmeCurveTable:
     def test_readme_polynomials_match_curves(self):
@@ -294,3 +310,151 @@ class TestReadmeCurveTable:
         assert sorted(rows) == [c.value for c in CurveId]
         for cid, poly in CURVES.items():
             assert expr(rows[cid.value]) == expr(str(poly)), cid
+
+
+# ----------------------------------------------------------------------
+# irreducibility over F_p: the distinct-degree test against trial division
+# ----------------------------------------------------------------------
+
+
+def _trial_division_irreducible(coeffs: list[int], prime: int) -> bool:
+    """Reference: trial division by every monic polynomial of degree <= d/2 over F_p."""
+    deg = len(coeffs) - 1
+    if deg <= 0:
+        return False
+    if deg == 1:
+        return True
+    for d in range(1, deg // 2 + 1):
+        for lower in product(range(prime), repeat=d):
+            divisor = list(lower) + [1]
+            if not _fp_mod(coeffs, divisor, prime):
+                return False
+    return True
+
+
+_PRIMES_TO_97 = [q for q in range(2, 98) if all(q % r for r in range(2, q))]
+
+
+class TestFpIrreducible:
+    @pytest.mark.parametrize("prime", [2, 3, 5])
+    def test_every_polynomial_to_degree_four(self, prime):
+        for deg in range(1, 5):
+            for lower in product(range(prime), repeat=deg):
+                for lead in range(1, prime):
+                    coeffs = [*lower, lead]
+                    assert _fp_is_irreducible(coeffs, prime) == \
+                        _trial_division_irreducible(coeffs, prime), (coeffs, prime)
+
+    def test_random_to_degree_six(self):
+        # trial division is p^(d/2) work, so the reference keeps to the
+        # certifier's own bound p^(d/2) <= 50000 (sextics up to p = 31)
+        rng = random.Random(97)
+        seen = {True: 0, False: 0}
+        for prime in _PRIMES_TO_97:
+            for deg in range(1, 7):
+                if prime ** (deg // 2) > 50000:
+                    continue
+                for _ in range(3):
+                    coeffs = [rng.randrange(prime) for _ in range(deg)] + [rng.randrange(1, prime)]
+                    want = _trial_division_irreducible(coeffs, prime)
+                    assert _fp_is_irreducible(coeffs, prime) == want, (coeffs, prime)
+                    seen[want] += 1
+        assert min(seen.values()) >= 50
+
+    def test_random_sextics_to_97_against_sympy(self):
+        # past the bound, an independent oracle: sympy over GF(p)
+        rng = random.Random(98)
+        s = sympy.Symbol("y")
+        for prime in _PRIMES_TO_97[-8:]:
+            for deg in (5, 6):
+                for _ in range(3):
+                    coeffs = [rng.randrange(prime) for _ in range(deg)] + [rng.randrange(1, prime)]
+                    poly = sympy.Poly(list(reversed(coeffs)), s, modulus=prime)
+                    assert _fp_is_irreducible(coeffs, prime) == poly.is_irreducible, (coeffs, prime)
+
+    def test_degenerate_inputs(self):
+        assert not _fp_is_irreducible([3], 5)
+        assert _fp_is_irreducible([0, 2], 5)
+        assert not _fp_is_irreducible([0, 0, 1], 5)  # y^2
+        assert not _fp_is_irreducible([0, 1, 0, 1], 2)  # y (y + 1)^2 over F_2
+        assert _fp_is_irreducible([1, 1, 1], 2)
+
+
+# ----------------------------------------------------------------------
+# pinned certifier results
+# ----------------------------------------------------------------------
+
+
+def _random_yt(rng: random.Random, degy: int, degt: int = 2, nterms: int = 3) -> MultiPoly:
+    """A random polynomial of y-degree exactly degy with a nonzero constant term."""
+    def coef():
+        return F(rng.choice([x for x in range(-4, 5) if x]), rng.choice((1, 1, 1, 2, 3)))
+
+    terms = {(0, 0): coef(), (degy, rng.randint(0, degt)): coef()}
+    for _ in range(nterms):
+        terms[(rng.randint(0, degy), rng.randint(0, degt))] = coef()
+    return MultiPoly(terms, ("y", "t"))
+
+
+def _pin_corpus() -> list[MultiPoly]:
+    """A-G, P0(1,1,1), every P0 the exact-algebra workload draws from,
+    products with every trial factor, squares, random polynomials of y-degree
+    1..6 and products of two random polynomials."""
+    rng = random.Random(2016)
+    corpus = [*CURVES.values(), p0_poly((1, 1, 1))]
+    for a1 in (x for x in range(-6, 7) if x):
+        for a2 in range(-6, 7):
+            for a3 in range(-6, 7):
+                corpus.append(p0_poly((a1, a2, a3)))
+    for factor in (Y - 1, T - 1, Y + T, Y - T, Y + 1, *CURVES.values()):
+        for _ in range(6):
+            corpus.append(_random_yt(rng, rng.randint(1, 6 - factor.degree_in("y"))) * factor)
+    for degy in (1, 2, 3):
+        for _ in range(6):
+            r = _random_yt(rng, degy)
+            corpus.append(r * r)
+    for degy in range(1, 7):
+        for _ in range(10):
+            corpus.append(_random_yt(rng, degy))
+    for dy1, dy2 in ((1, 1), (1, 2), (2, 2), (1, 3), (2, 3), (3, 3), (2, 4), (1, 5)):
+        for _ in range(3):
+            corpus.append(_random_yt(rng, dy1) * _random_yt(rng, dy2))
+    corpus.append(MultiPoly.parse("y^6 + t*y^3 + t^4 - 1"))
+    return corpus
+
+
+def _result_line(i: int, res) -> str:
+    return f"{i} {res.status} {res.witness} {res.certificate}"
+
+
+# Results on _pin_corpus() of the trial-division certifier that preceded the
+# distinct-degree test: the sha256 of the result lines of every input it
+# decided, and the inputs it left 'unknown'.
+_PINNED_SHA256 = "6ce8590335afca60edaa07364c1797e69f38dfe57c896c69df428c89fad124bc"
+_PINNED_UNKNOWN = (416, 884, 1159, 1627, *range(2186, 2210))
+
+
+@pytest.fixture(scope="module")
+def pin_corpus():
+    return _pin_corpus()
+
+
+class TestPinnedResults:
+    def test_decided_results_unchanged(self, pin_corpus):
+        lines = [_result_line(i, is_irreducible(p)) for i, p in enumerate(pin_corpus)
+                 if i not in _PINNED_UNKNOWN]
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == _PINNED_SHA256
+
+    def test_undecided_stay_unknown_or_get_a_witness(self, pin_corpus):
+        moved = 0
+        for i in _PINNED_UNKNOWN:
+            p = pin_corpus[i]
+            res = is_irreducible(p)
+            assert res.status in ("unknown", "reducible"), (i, res)
+            if res.status == "reducible":
+                q = p.try_divide(res.witness)
+                assert q is not None and q.total_degree() >= 1 and res.witness.total_degree() >= 1
+                assert q * res.witness == p
+                moved += 1
+        # the four P0s with a factor free of t
+        assert moved == 4

@@ -518,3 +518,70 @@ class TestTermOrder:
             for q in (monomial, p):
                 if q.vars:
                     assert q(**point) == reference(q, point)
+
+
+def ref_divide(p: MultiPoly, d: MultiPoly) -> list | None:
+    """Graded-lex long division over exponent tuples, every quotient term a
+    Fraction; the quotient's terms in the order they arise, or None if inexact."""
+    def order(e):
+        return sum(e), e
+
+    div = _full(d)
+    lead, lc = max(div, key=lambda kc: order(kc[0]))
+    rem, quot = dict(_full(p)), []
+    while rem:
+        key = max(rem, key=order)
+        delta = tuple(a - b for a, b in zip(key, lead))
+        if min(delta) < 0:
+            return None
+        c = Fraction(rem[key]) / lc
+        quot.append((delta, c))
+        for k, dc in div:
+            k = tuple(a + b for a, b in zip(delta, k))
+            v = rem.get(k, 0) - c * dc
+            if v:
+                rem[k] = v
+            else:
+                rem.pop(k, None)
+    return quot
+
+
+class TestTryDivideIntPath:
+    """try_divide divides ints by ints where the quotient is integral; it must
+    give the Fraction reference's quotient, term for term and in order."""
+
+    @staticmethod
+    def check(num: MultiPoly, den: MultiPoly):
+        got, want = num.try_divide(den), ref_divide(num, den)
+        if want is None:
+            assert got is None
+            return
+        assert _full(got) == want
+        # stored as ints where integral, Fractions otherwise
+        assert all((type(c) is int) == (Fraction(c).denominator == 1) for c in got._t.values())
+
+    def test_non_unit_leading_coefficient(self):
+        d = 2 * Y - 1
+        for q in (Y ** 2 + 3 * T, 4 * Y ** 3 - 6 * Y * T + 2, Y - F(1, 2), 3 * Y ** 2 * T - 5):
+            self.check(q * d, d)
+        assert ((Y ** 2 + 3 * T) * d).try_divide(d) == Y ** 2 + 3 * T
+
+    def test_fraction_leading_coefficient(self):
+        d = F(1, 3) * Y + T
+        for q in (Y ** 2 - 3 * T, 6 * Y + 9, Y * T - F(2, 5)):
+            self.check(q * d, d)
+        assert ((6 * Y + 9) * d).try_divide(d) == 6 * Y + 9
+
+    def test_inexact_returns_none(self):
+        for num, den in ((Y ** 2 + T, 2 * Y - 1), (4 * Y ** 2 + 1, 2 * Y - 1),
+                         (Y ** 2 * T + 1, F(1, 3) * Y + T), ((2 * Y - 1) * (Y + T) + 1, 2 * Y - 1)):
+            assert ref_divide(num, den) is None
+            assert num.try_divide(den) is None
+
+    def test_random_products_keep_reference_order(self):
+        rng = random.Random(1111)
+        for _ in range(60):
+            a = wide_poly(rng, ("y", "t", "z"), nterms=4, max_degree=5)
+            b = wide_poly(rng, ("y", "t", "z"), nterms=3, max_degree=3) + rng.choice([1, 2, F(1, 3)])
+            for num in (a * b, a * b + rng.choice([1, Y, F(1, 2) * T])):
+                self.check(num, b)
