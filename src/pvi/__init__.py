@@ -5,7 +5,7 @@ Subpackage map:
 * :mod:`pvi.orbits` - exact arithmetic on rational classes (mu, nu) under
   the level-2 congruence group: canonical forms, standard-form reduction,
   orbit enumeration and partition counts.
-* :mod:`pvi.elliptic` - double-precision q-series evaluation of wp, the
+* :mod:`pvi.elliptic` - double-precision theta-quotient evaluation of wp, the
   half-period values, the level-2 invariant t(tau), Picard solution points,
   the four-term derivative identity and the degree-3 multiplication check.
 * :mod:`pvi.multipoly` / :mod:`pvi.curves` - exact sparse polynomials over Q

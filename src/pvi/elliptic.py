@@ -2,17 +2,32 @@
 the level-2 invariant t(tau), Picard solution points, the four-term derivative
 identity, and the degree-3 multiplication check.
 
-Everything is computed from q-series in double precision:
+Every call evaluates one short theta sum in double precision:
 
-* theta constants with nome q = exp(i*pi*tau) give the three half-period
-  values e1, e2, e3 (geometric convergence for Im tau bounded away from 0);
-* wp and wp' use the exponential Fourier series in qbar = q^2 after reducing
-  the argument to the centered fundamental cell of the lattice Z + tau*Z.
+* tau is first mapped into the closed fundamental domain of SL2(Z):
+  tau' = (a*tau + b)/(c*tau + d) with |Re tau'| <= 1/2 and |tau'| >= 1, so
+  Im tau' >= sqrt(3)/2 and the nome q' = exp(i*pi*tau') has |q'| <= 0.066;
+* the lattice Z + tau*Z is lam*(Z + tau'*Z) with lam = c*tau + d, so
+  wp(z | tau) = lam^-2 wp(z/lam | tau') and wp'(z | tau) = lam^-3 wp'(z/lam | tau');
+  the point mu + nu*tau of a class goes to mu' + nu'*tau' with
+  (mu', nu') = (a*mu - b*nu, -c*mu + d*nu), computed on the integer
+  numerators of the class, and the half-periods 1/2, tau/2, (1+tau)/2 go to
+  the half-periods of tau' of parity (a, c), (b, d), (a+b, c+d) mod 2;
+* one loop of four steps sums the theta series of theta_1..4(pi*z' | tau')
+  and of the theta constants, and every value is a quotient of them
+  (DLMF 20.7, 23.6):
+  wp - e_k = pi^2 (theta_i theta_j theta_m(pi*z)/theta_1(pi*z))^2,
+  e_k - e_l = +-pi^2 theta_n^4, and
+  wp' = -2 pi^3 (theta_2 theta_3 theta_4)^2 theta_2 theta_3 theta_4(pi*z)/theta_1(pi*z)^3,
+  with the half-period shift laws of theta for wp'(z + omega_k).  So t,
+  1 - t and y are formed without subtracting nearly equal numbers.
 
-Arguments closer to a lattice point than :data:`POLE_THRESHOLD` raise
-:class:`PoleProximityError` instead of returning a huge value, and Im tau below
-:data:`IM_TAU_FLOOR`, where the series lose accuracy, raises :class:`PrecisionError`.
-Re tau is first reduced exactly into [-1, 1], which keeps the lattice and q.
+Arguments closer to a lattice point than :data:`POLE_THRESHOLD`, measured in
+the caller's lattice Z + tau*Z, raise :class:`PoleProximityError` instead of
+returning a huge value.  Im tau below :data:`IM_TAU_FLOOR` raises
+:class:`PrecisionError`: the values are still accurate there, but the
+four-term sums are scaled by lam^-3, so the sums at matching and at
+non-matching parameters no longer separate at fixed absolute tolerances.
 """
 
 from __future__ import annotations
@@ -21,18 +36,27 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 from .curves import TRIPLING_F, TRIPLING_G
-from .orbits import RationalPair, canonicalize
+from .orbits import RationalPair, canonicalize, level_numerators
 
 _PI = math.pi
-_TWO_PI_I = 2j * _PI
+_PI2 = _PI * _PI
+_TWO_PI3 = 2 * _PI2 * _PI
+_TWO_SQRT2 = 2 * math.sqrt(2)
 
 IM_TAU_FLOOR = 0.1
 POLE_THRESHOLD = 1e-6
-_SERIES_TOL = 1e-16
-_MAX_TERMS = 2000
+# Terms n = 1.._THETA_TERMS beyond the central ones of each theta series.  At
+# |q'| <= exp(-pi*sqrt(3)/2) < 0.066 the first omitted term is below 1e-24 of
+# the largest one, for every z' in the centred cell.
+_THETA_TERMS = 4
+# tau' is reduced until |tau'|^2 >= 1 - _UNIT_CIRCLE_SLACK, so rounding cannot
+# make the inversion cycle on the unit circle.
+_UNIT_CIRCLE_SLACK = 1e-12
+# (i, j) with e_i - e_j = +pi^2 theta_n^4, n fixed by the third index
+_POSITIVE_DIFFERENCES = frozenset({(1, 2), (1, 3), (3, 2)})
 
 
 class EllipticError(ValueError):
@@ -75,18 +99,22 @@ class AlphaTuple:
         return all(a == 0 for a in self)
 
 
-def _require_tau(tau: complex) -> complex:
-    """tau - 2k with the real part in [-1, 1]; the subtraction is exact."""
+def _check_tau(tau: complex) -> complex:
     tau = complex(tau)
     if not (tau.imag > 0):
         raise EllipticError(f"tau must lie in the upper half-plane, got {tau}")
     if not cmath.isfinite(tau):
         raise EllipticError(f"tau must be finite, got {tau}")
+    return tau
+
+
+def _require_tau(tau: complex) -> complex:
+    tau = _check_tau(tau)
     if tau.imag < IM_TAU_FLOOR:
         raise PrecisionError(
             f"Im tau = {tau.imag:g} below the precision floor {IM_TAU_FLOOR:g}"
         )
-    return complex(math.remainder(tau.real, 2), tau.imag)
+    return tau
 
 
 def half_periods(tau: complex) -> tuple[complex, complex, complex, complex]:
@@ -95,33 +123,164 @@ def half_periods(tau: complex) -> tuple[complex, complex, complex, complex]:
     return 0j, 0.5 + 0j, tau / 2, (1 + tau) / 2
 
 
-def theta_constants(tau: complex):
-    """Theta constants (theta2, theta3, theta4) at nome q = exp(i*pi*tau)."""
-    tau = _require_tau(tau)
-    q = cmath.exp(1j * _PI * tau)
-    if q == 0:
-        raise PrecisionError(f"nome underflows at tau = {tau}")
-    t2 = 1 + 0j  # sum q^{n(n+1)}, factor 2*q^{1/4} applied at the end
-    t3 = 1 + 0j
-    t4 = 1 + 0j
-    qabs = abs(q)
-    for n in range(1, _MAX_TERMS):
-        sq = q ** (n * n)
-        tr = q ** (n * (n + 1))
-        t3 += 2 * sq
-        t4 += 2 * ((-1) ** n) * sq
-        t2 += tr
-        if qabs ** (n * n) < _SERIES_TOL:
-            break
-    else:
-        raise PrecisionError("theta series did not converge")
-    t2 *= 2 * _root4(q)
-    return t2, t3, t4
+class _Reduction(NamedTuple):
+    """tau0 = tau - n with n = round(Re tau), which is exact and keeps the
+    lattice; [[a, b], [c, d]] in SL2(Z) maps tau0 to tau1 = (a*tau0 + b)/lam,
+    lam = c*tau0 + d, in the closed fundamental domain."""
+
+    n: int
+    a: int
+    b: int
+    c: int
+    d: int
+    tau0: complex
+    tau1: complex
+    lam: complex
 
 
-def _root4(q: complex) -> complex:
-    # principal fourth root; q = exp(i pi tau) never crosses the cut for Im tau > 0
-    return cmath.exp(cmath.log(q) / 4)
+def _reduce(tau: complex) -> _Reduction:
+    """The reduction of tau, which lies in the upper half-plane."""
+    n = round(tau.real)
+    x, y = tau.real - n, tau.imag
+    a, b, c, d = 1, 0, 0, 1
+    while (r2 := x * x + y * y) < 1 - _UNIT_CIRCLE_SLACK:
+        # S = [[0, -1], [1, 0]], then T^-k = [[1, -k], [0, 1]], applied on the left
+        x, y = -x / r2, y / r2
+        k = round(x)
+        x -= k
+        a, b, c, d = -c - k * a, -d - k * b, a, b
+    tau0 = complex(tau.real - n, tau.imag)
+    return _Reduction(n, a, b, c, d, tau0, complex(x, y), c * tau0 + d)
+
+
+def _centre(x: float) -> float:
+    return x - math.floor(x + 0.5)
+
+
+def _moved_coords(z: complex, red: _Reduction) -> tuple[float, float]:
+    """Coordinates (alpha, beta) in [-1/2, 1/2] of z/lam = alpha + beta*tau1 mod Z + tau1*Z,
+    mapped from z's coordinates at tau0 as a class is."""
+    beta = z.imag / red.tau0.imag
+    alpha = z.real - beta * red.tau0.real
+    return _centre(red.a * alpha - red.b * beta), _centre(-red.c * alpha + red.d * beta)
+
+
+def _half_period_indices(red: _Reduction) -> tuple[int, int, int]:
+    """Indices at tau1 (1: 1/2, 2: tau1/2, 3: (1+tau1)/2) of the images of 1/2, tau/2, (1+tau)/2.
+
+    tau/2 is n/2 + tau0/2, so the second column of the whole matrix is (b - a*n, d - c*n).
+    """
+    n, a, b, c, d = red[:5]
+    s1 = a % 2 + 2 * (c % 2)
+    s2 = (b - a * n) % 2 + 2 * ((d - c * n) % 2)
+    return s1, s2, s1 ^ s2
+
+
+def _cell_distance(alpha: float, beta: float, tau: complex) -> float:
+    """Distance from z = alpha + beta*tau, |alpha|, |beta| <= 1/2, to Z + tau*Z for a
+    reduced tau: the nearest lattice point is 0, m or k, with m = +-1 and k = +-tau
+    the signs of alpha and beta.  The cell 0, m, k, m + k of a reduced basis splits
+    into non-obtuse triangles, so a corner of it is nearest, and every point of
+    its quarter next to 0 is at least as close to 0 as to m + k."""
+    z = alpha + beta * tau
+    m = 1.0 if alpha >= 0 else -1.0
+    k = tau if beta >= 0 else -tau
+    return min(abs(z), abs(z - m), abs(z - k))
+
+
+def lattice_distance(z: complex, tau: complex) -> float:
+    """Distance from z to the nearest point of Z + tau*Z."""
+    red = _reduce(_check_tau(tau))
+    return abs(red.lam) * _cell_distance(*_moved_coords(complex(z), red), red.tau1)
+
+
+def _thetas(tau: complex, z: complex):
+    """(t1, t2, t3, t4, c2, c3, c4, q) from one loop, for tau reduced and z centred.
+
+    t_n = theta_n(pi*z | tau) and c_n = theta_n(0 | tau), q = exp(i*pi*tau).
+    t1, t2 and c2 are divided by q^(1/4), and t1..t4 share one more positive
+    factor exp(-pi*|Im z|); every quotient taken of them is homogeneous in
+    both factors, and with them no term over- or underflows.
+    """
+    ipt = 1j * _PI * tau
+    ipz = 1j * _PI * z
+    shift = _PI * abs(z.imag)
+    q = cmath.exp(ipt)
+    up = cmath.exp(ipt + 2 * ipz)  # q*w^2 and q/w^2, w = exp(i*pi*z): both at most 1
+    down = cmath.exp(ipt - 2 * ipz)
+    ev = math.exp(-shift)
+    even_up = even_down = ev  # q^(n^2) w^(+-2n)
+    odd_up = cmath.exp(ipz - shift)  # q^(n^2+n) w^(+-(2n+1))
+    odd_down = cmath.exp(-ipz - shift)
+    t1, t2, t3, t4 = odd_up - odd_down, odd_up + odd_down, ev, ev
+    s2 = s3 = s4 = 0j
+    qe = qo = 1  # q^(n^2), q^(n^2+n)
+    q2n2 = 1  # q^(2n-2)
+    sign = 1
+    for _ in range(_THETA_TERMS):
+        q2n1 = q2n2 * q
+        sign = -sign
+        even_up *= up * q2n2
+        even_down *= down * q2n2
+        odd_up *= up * q2n1
+        odd_down *= down * q2n1
+        qe *= q2n1
+        qo *= q2n1 * q
+        even = even_up + even_down
+        t3 += even
+        t4 += sign * even
+        t2 += odd_up + odd_down
+        t1 += sign * (odd_up - odd_down)
+        s2 += qo
+        s3 += qe
+        s4 += sign * qe
+        q2n2 *= q * q
+    return -1j * t1, t2, t3, t4, 2 * (1 + s2), 1 + 2 * s3, 1 + 2 * s4, q
+
+
+def _difference(f: tuple, i: int, j: int) -> complex:
+    """(e_i - e_j)/pi^2 at tau1 for distinct half-period indices i, j, from
+    f = (theta_2^4, theta_4^4, theta_3^4), indexed by the index missing from {i, j}."""
+    v = f[5 - i - j]
+    return v if (i, j) in _POSITIVE_DIFFERENCES else -v
+
+
+def _wp_minus_e(k: int, th) -> complex:
+    """(wp(z) - e_k)/pi^2 at tau1, a square of theta quotients."""
+    t1, t2, t3, t4, c2, c3, c4, _ = th
+    x = (c3 * c4 * t2, c2 * c3 * t4, c2 * c4 * t3)[k - 1] / t1
+    return x * x
+
+
+def _wp_prime_shifted(k: int, th) -> complex:
+    """wp'(z + omega_k) at tau1, omega_0 = 0, with the half-period shift laws."""
+    t1, t2, t3, t4, c2, c3, c4, q = th
+    scale = _TWO_PI3 * (c2 * c3 * c4) ** 2
+    if k == 0:
+        return -scale * t2 * t3 * t4 / t1 ** 3
+    if k == 1:
+        return scale * t1 * t3 * t4 / t2 ** 3
+    if k == 2:
+        return scale * q * t1 * t2 * t3 / t4 ** 3
+    return -scale * q * t1 * t2 * t4 / t3 ** 3
+
+
+def _level2(red: _Reduction, th):
+    """(e1, e2, e3)/pi^2 at tau1, t, and (e2 - e1)/pi^2 at tau1 for the
+    relabelled half-periods; raises on colliding values or a degenerate t."""
+    c2, c3, c4, q = th[4:]
+    f = (q * c2 ** 4, c4 ** 4, c3 ** 4)
+    s1, s2, s3 = _half_period_indices(red)
+    base = _difference(f, s2, s1)
+    t = _difference(f, s3, s1) / base
+    one_minus_t = _difference(f, s2, s3) / base
+    e = ((f[2] + f[1]) / 3, -(f[0] + f[2]) / 3, (f[0] - f[1]) / 3)
+    tau = red.n + red.tau0
+    if min(map(abs, f)) < 1e-12 * max(map(abs, e)):
+        raise PrecisionError(f"half-period values nearly collide at tau = {tau}")
+    if min(abs(t), abs(one_minus_t)) < 1e-12:
+        raise PrecisionError(f"t(tau) degenerates at tau = {tau}")
+    return (e[s1 - 1], e[s2 - 1], e[s3 - 1]), t, base
 
 
 def invariants_at(tau: complex) -> EllipticInvariants:
@@ -131,102 +290,59 @@ def invariants_at(tau: complex) -> EllipticInvariants:
     for any tau in the upper half-plane, and a degenerate numerical value
     raises :class:`PrecisionError`.
     """
-    t2, t3, t4 = theta_constants(tau)
-    p2 = _PI * _PI / 3
-    e1 = p2 * (t3 ** 4 + t4 ** 4)
-    e2 = -p2 * (t2 ** 4 + t3 ** 4)
-    e3 = p2 * (t2 ** 4 - t4 ** 4)
-    scale = max(abs(e1), abs(e2), abs(e3))
-    if min(abs(e1 - e2), abs(e1 - e3), abs(e2 - e3)) < 1e-12 * scale:
-        raise PrecisionError(f"half-period values nearly collide at tau = {tau}")
-    t = (e3 - e1) / (e2 - e1)
-    if min(abs(t), abs(t - 1)) < 1e-12:
-        raise PrecisionError(f"t(tau) degenerates at tau = {tau}")
+    red = _reduce(_require_tau(tau))
+    (e1, e2, e3), t, _ = _level2(red, _thetas(red.tau1, 0j))
+    scale = _PI2 / red.lam ** 2
+    e1, e2, e3 = e1 * scale, e2 * scale, e3 * scale
     g2 = 2 * (e1 * e1 + e2 * e2 + e3 * e3)
     g3 = 4 * e1 * e2 * e3
     return EllipticInvariants(e1=e1, e2=e2, e3=e3, g2=g2, g3=g3, t=t)
 
 
-def _reduce_cell(z: complex, tau: complex) -> complex:
-    """Representative of z mod Z + tau*Z with cell coordinates in [-1/2, 1/2)."""
-    b = z.imag / tau.imag
-    a = z.real - b * tau.real
-    a -= math.floor(a + 0.5)
-    b -= math.floor(b + 0.5)
-    return complex(a + b * tau.real, b * tau.imag)
+def _point_thetas(z: complex, red: _Reduction):
+    """z's distance to the caller's lattice, and the thetas at z moved to tau1."""
+    alpha, beta = _moved_coords(z, red)
+    tau1 = red.tau1
+    return abs(red.lam) * _cell_distance(alpha, beta, tau1), _thetas(tau1, alpha + beta * tau1)
 
 
-def lattice_distance(z: complex, tau: complex) -> float:
-    """Distance from z to the nearest point of Z + tau*Z."""
-    zr = _reduce_cell(complex(z), complex(tau))
-    best = abs(zr)
-    for m in (-1, 0, 1):
-        for n in (-1, 0, 1):
-            if m or n:
-                best = min(best, abs(zr - (m + n * tau)))
-    return best
-
-
-def _series_point(z: complex, tau: complex) -> complex:
-    zr = _reduce_cell(complex(z), complex(tau))
-    if lattice_distance(zr, tau) < POLE_THRESHOLD:
+def _require_clear(distance: float, z) -> None:
+    if distance < POLE_THRESHOLD:
         raise PoleProximityError(
             f"z = {z} within {POLE_THRESHOLD:g} of the period lattice"
         )
-    return zr
+
+
+def _normalized(th, red: _Reduction, base: complex) -> complex:
+    """(wp(z) - e1)/(e2 - e1) at the original tau, from the thetas at z moved to tau1."""
+    return _wp_minus_e(_half_period_indices(red)[0], th) / base
 
 
 def wp(z: complex, tau: complex) -> complex:
     """Weierstrass wp(z | tau) for the lattice Z + tau*Z."""
-    tau = _require_tau(tau)
-    zr = _series_point(z, tau)
-    qbar = cmath.exp(_TWO_PI_I * tau)
-    u = cmath.exp(_TWO_PI_I * zr)
-    s = 1.0 / 12 + u / (1 - u) ** 2
-    qn = 1 + 0j
-    for _ in range(1, _MAX_TERMS):
-        qn *= qbar
-        w = qn * u
-        v = qn / u
-        term = w / (1 - w) ** 2 + v / (1 - v) ** 2 - 2 * qn / (1 - qn) ** 2
-        s += term
-        if abs(term) < _SERIES_TOL * max(1.0, abs(s)) and abs(qn) < 1e-8:
-            break
-    else:
-        raise PrecisionError(f"wp series did not converge at tau = {tau}")
-    return _TWO_PI_I ** 2 * s
+    red = _reduce(_require_tau(tau))
+    distance, th = _point_thetas(complex(z), red)
+    _require_clear(distance, z)
+    c2, c3 = th[4], th[5]
+    # wp = e_2 + pi^2 (...)^2 at tau1, with e_2 = -pi^2 (theta_2^4 + theta_3^4)/3
+    return _PI2 * (_wp_minus_e(2, th) - (th[7] * c2 ** 4 + c3 ** 4) / 3) / red.lam ** 2
 
 
 def wp_prime(z: complex, tau: complex) -> complex:
     """Derivative wp'(z | tau); odd and lattice-periodic."""
-    tau = _require_tau(tau)
-    zr = _series_point(z, tau)
-    qbar = cmath.exp(_TWO_PI_I * tau)
-    u = cmath.exp(_TWO_PI_I * zr)
-    s = u * (1 + u) / (1 - u) ** 3
-    qn = 1 + 0j
-    for _ in range(1, _MAX_TERMS):
-        qn *= qbar
-        w = qn * u
-        v = qn / u
-        term = w * (1 + w) / (1 - w) ** 3 - v * (1 + v) / (1 - v) ** 3
-        s += term
-        if abs(term) < _SERIES_TOL * max(1.0, abs(s)) and abs(qn) < 1e-8:
-            break
-    else:
-        raise PrecisionError(f"wp' series did not converge at tau = {tau}")
-    return _TWO_PI_I ** 3 * s
-
-
-def _normalized(wp_value: complex, inv: EllipticInvariants) -> complex:
-    """(wp - e1)/(e2 - e1) for a value of wp and the invariants at its tau."""
-    return (wp_value - inv.e1) / (inv.e2 - inv.e1)
+    red = _reduce(_require_tau(tau))
+    distance, th = _point_thetas(complex(z), red)
+    _require_clear(distance, z)
+    return _wp_prime_shifted(0, th) / red.lam ** 3
 
 
 def normalized_w(z: complex, tau: complex) -> complex:
     """w(z) = (wp(z) - e1)/(e2 - e1), the normalized elliptic coordinate."""
-    inv = invariants_at(tau)
-    return _normalized(wp(z, tau), inv)
+    red = _reduce(_require_tau(tau))
+    distance, th = _point_thetas(complex(z), red)
+    base = _level2(red, th)[2]
+    _require_clear(distance, z)
+    return _normalized(th, red, base)
 
 
 PairLike = Union[RationalPair, Sequence]
@@ -238,14 +354,41 @@ def _as_pair(v: PairLike) -> RationalPair:
     return canonicalize(v)
 
 
-def _label_point(pair: RationalPair, tau: complex) -> tuple[complex, complex]:
-    """(tau - 2k, p) for mu + nu*tau = (mu + 2k*nu) + nu*(tau - 2k): p takes the
-    first part mod 1 in Fractions, so no float ever holds 2k*nu."""
-    tau = complex(tau)
-    reduced = _require_tau(tau)
-    k = int(tau.real - reduced.real) // 2
-    mu = (pair.mu + 2 * k * pair.nu) % 1 if k else pair.mu
-    return reduced, float(mu) + float(pair.nu) * reduced
+def _label_point(pair: RationalPair, red: _Reduction):
+    """((N, A, B), p1): the class moved to tau1 is (A/N, B/N) with A, B in
+    [-N/2, N/2), and p1 = A/N + B/N*tau1 its point.
+
+    mu + nu*tau = (mu + n*nu) + nu*tau0, so the class at tau0 is (mu + n*nu, nu).
+    Solving mu + nu*tau0 = lam*(mu' + nu'*tau1) for tau1 = [[a, b], [c, d]] tau0
+    gives (mu', nu') = [[a, -b], [-c, d]] (mu, nu), taken on the level numerators.
+    """
+    n, a, b, c, d = red[:5]
+    N, A, B = level_numerators(pair)
+    A = (A + B * n) % N
+    A, B = (a * A - b * B) % N, (-c * A + d * B) % N
+    A, B = (A - N if 2 * A >= N else A), (B - N if 2 * B >= N else B)
+    return (N, A, B), A / N + B / N * red.tau1
+
+
+def _require_label_clear(numerators, k: int, red: _Reduction, pair: RationalPair) -> None:
+    """Pole check of p1 + omega_k at tau1, with cell coordinates (u, w)/2N taken on the integers.
+
+    For a reduced tau1, |x + y*tau1|^2 >= (x^2 + y^2)/2, so the point lies at least
+    max(|u|, |w|)/(2*sqrt(2)*N) from the lattice; the distance itself is needed
+    only when that bound falls below the threshold.
+    """
+    N, A, B = numerators
+    u = (2 * A + N * (k & 1)) % (2 * N)
+    w = (2 * B + N * (k >> 1)) % (2 * N)
+    u, w = (u - 2 * N if u >= N else u), (w - 2 * N if w >= N else w)
+    lam = abs(red.lam)
+    if lam * max(abs(u), abs(w)) >= _TWO_SQRT2 * N * POLE_THRESHOLD:
+        return
+    if lam * _cell_distance(u / (2 * N), w / (2 * N), red.tau1) < POLE_THRESHOLD:
+        z = float(pair.mu) + float(pair.nu) * (red.n + red.tau0)
+        raise PoleProximityError(
+            f"z = {z} within {POLE_THRESHOLD:g} of the period lattice"
+        )
 
 
 def picard_eval(v: PairLike, tau: complex) -> tuple[complex, complex]:
@@ -259,9 +402,12 @@ def picard_eval(v: PairLike, tau: complex) -> tuple[complex, complex]:
         raise ValueError(
             f"{pair} lies in (Z/2)^2: the corresponding solution is trivial"
         )
-    tau, p = _label_point(pair, tau)
-    inv = invariants_at(tau)
-    return inv.t, _normalized(wp(p, tau), inv)
+    red = _reduce(_require_tau(tau))
+    numerators, p1 = _label_point(pair, red)
+    th = _thetas(red.tau1, p1)
+    _, t, base = _level2(red, th)
+    _require_label_clear(numerators, 0, red, pair)
+    return t, _normalized(th, red, base)
 
 
 def reduction_residual(alpha: Union[AlphaTuple, Sequence], v: PairLike, tau: complex) -> complex:
@@ -275,13 +421,18 @@ def reduction_residual(alpha: Union[AlphaTuple, Sequence], v: PairLike, tau: com
     if len(a) != 4:
         raise ValueError("alpha must have four components")
     pair = _as_pair(v)
-    tau, p = _label_point(pair, tau)
+    red = _reduce(_require_tau(tau))
+    numerators, p1 = _label_point(pair, red)
+    terms = [(ak, k) for ak, k in zip(a, (0, *_half_period_indices(red))) if ak != 0]
+    for _, k in terms:
+        _require_label_clear(numerators, k, red, pair)
+    if not terms:
+        return 0j
+    th = _thetas(red.tau1, p1)
     total = 0j
-    for ak, om in zip(a, half_periods(tau)):
-        if ak == 0:
-            continue
-        total += complex(ak) * wp_prime(p + om, tau)
-    return total
+    for ak, k in terms:
+        total += complex(ak) * _wp_prime_shifted(k, th)
+    return total / red.lam ** 3
 
 
 def triple_check(z: complex, tau: complex) -> tuple[complex, complex]:
@@ -290,11 +441,15 @@ def triple_check(z: complex, tau: complex) -> tuple[complex, complex]:
     y = w(z); raises on pole proximity of z or 3z and when the denominator
     g(y, t) is too close to zero for a meaningful comparison.
     """
-    tau = _require_tau(tau)
-    inv = invariants_at(tau)
-    y = _normalized(wp(z, tau), inv)
-    lhs = _normalized(wp(3 * z, tau), inv)
-    t = inv.t
+    red = _reduce(_require_tau(tau))
+    z = complex(z)
+    distance, th = _point_thetas(z, red)
+    distance3, th3 = _point_thetas(3 * z, red)
+    _, t, base = _level2(red, th)
+    _require_clear(distance, z)
+    _require_clear(distance3, 3 * z)
+    y = _normalized(th, red, base)
+    lhs = _normalized(th3, red, base)
     fval = complex(TRIPLING_F(y=y, t=t))
     gval = complex(TRIPLING_G(y=y, t=t))
     scale = max(1.0, abs(y), abs(t)) ** 4

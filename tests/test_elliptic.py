@@ -22,7 +22,7 @@ from pvi.elliptic import (
     wp,
     wp_prime,
 )
-from pvi.orbits import GENERATORS, canonicalize
+from pvi.orbits import GENERATORS, Gamma2Matrix, act, canonicalize
 
 F = Fraction
 mp.mp.dps = 30
@@ -352,3 +352,222 @@ class TestTripling:
         with pytest.raises(EllipticError):
             triple_check((1 + tau) / 3, tau)
 
+
+
+def _theta_context(tau):
+    """tau as mpc, the nome and the theta constants at 30 digits, without any reduction."""
+    T = mp.mpc(tau)
+    q = mp.exp(1j * mp.pi * T)
+    return T, q, mp.jtheta(2, 0, q), mp.jtheta(3, 0, q), mp.jtheta(4, 0, q)
+
+
+def _wp_prime_ref(z, ctx):
+    """d/dz of wp_oracle_mp through mpmath's theta derivatives, at the point itself."""
+    T, q, c2, c3, c4 = ctx
+    Z = mp.pi * mp.mpc(z)
+    t1, t4 = mp.jtheta(1, Z, q), mp.jtheta(4, Z, q)
+    d1, d4 = mp.jtheta(1, Z, q, 1), mp.jtheta(4, Z, q, 1)
+    r = c2 * c3 * t4 / t1
+    return 2 * mp.pi ** 3 * r * c2 * c3 * (d4 * t1 - t4 * d1) / t1 ** 2
+
+
+def _normalized_ref(z, ctx):
+    T, q, c2, c3, c4 = ctx
+    e1 = mp.pi ** 2 / 3 * (c3 ** 4 + c4 ** 4)
+    e2 = -mp.pi ** 2 / 3 * (c2 ** 4 + c3 ** 4)
+    return (wp_oracle_mp(z, T) - e1) / (e2 - e1)
+
+
+def _label_ref(v, T):
+    mu, nu = v
+    return mp.mpf(mu.numerator) / mu.denominator + mp.mpf(nu.numerator) / nu.denominator * T
+
+
+def _residual_ref(alpha, v, ctx):
+    T = ctx[0]
+    p = _label_ref(v, T)
+    return sum(a * _wp_prime_ref(p + om, ctx)
+               for a, om in zip(alpha, (0, mp.mpf(1) / 2, T / 2, (1 + T) / 2)))
+
+
+def _rel(got, want, floor=0.0):
+    return abs(got - complex(want)) / max(floor, abs(complex(want)))
+
+
+def _random_class(rng):
+    N = rng.choice((3, 4, 5, 6, 8, 12))
+    while True:
+        v = canonicalize((F(rng.randrange(N), N), F(rng.randrange(N), N)))
+        if not v.is_half_integer():
+            return v
+
+
+class TestAgainstMpmathByBand:
+    """Every public evaluator against unreduced 30-digit theta functions, Re tau in [-3, 3]:
+    t, 1 - t and y within 1e-12 relative, the rest within 1e-9 of max(1, |value|)."""
+
+    BANDS = [(0.1, 0.15), (0.15, 0.25), (0.25, 3.0)]
+
+    @pytest.mark.parametrize("lo,hi", BANDS)
+    def test_band(self, lo, hi):
+        rng = random.Random(int(lo * 1000))
+        for _ in range(25):
+            tau = complex(rng.uniform(-3, 3), lo * (hi / lo) ** rng.random())
+            ctx = _theta_context(tau)
+            _, _, c2, c3, c4 = ctx
+            t = invariants_at(tau).t
+            assert _rel(t, (c4 / c3) ** 4) < 1e-12
+            assert _rel(1 - t, (c2 / c3) ** 4) < 1e-12
+
+            v = _random_class(rng)
+            pt, y = picard_eval(v, tau)
+            assert _rel(pt, (c4 / c3) ** 4) < 1e-12
+            assert _rel(y, _normalized_ref(_label_ref(v, ctx[0]), ctx)) < 1e-12
+
+            alpha = [rng.randint(-5, 9) for _ in range(4)]
+            got = reduction_residual(alpha, v, tau)
+            assert _rel(got, _residual_ref(alpha, v, ctx), 1.0) < 1e-9
+
+            z = (rng.uniform(0.06, 0.27) * rng.choice((1, -1))
+                 + rng.uniform(0.06, 0.27) * rng.choice((1, -1)) * tau)
+            assert _rel(wp(z, tau), wp_oracle_mp(z, tau), 1.0) < 1e-9
+            assert _rel(wp_prime(z, tau), _wp_prime_ref(z, ctx), 1.0) < 1e-9
+            try:
+                lhs, rhs = triple_check(z, tau)
+            except PoleProximityError as exc:
+                assert "tripling denominator" in str(exc)
+                continue
+            want = _normalized_ref(3 * mp.mpc(z), ctx)
+            assert _rel(lhs, want, 1.0) < 1e-9
+            assert _rel(rhs, want, 1.0) < 1e-9
+
+
+class TestModularReduction:
+    """The SL2(Z) reduction of tau behind every evaluator."""
+
+    # Near cusps: 0 needs one inversion, the points at +-1/2 and +-1/3 two or more
+    # (at 1/3 + 0.12i one is already best).  At 0.1i itself t is within 1e-12 of 0.
+    CUSP_TAUS = ([complex(dx, im) for dx, im in ((0.0, 0.11), (0.003, 0.13), (-0.007, 0.17), (0.011, 0.2))]
+                 + [complex(x + dx, im) for x in (0.5, -0.5)
+                    for dx, im in ((0.0, 0.1), (0.003, 0.13), (-0.007, 0.17), (0.011, 0.2))]
+                 + [complex(x + dx, im) for x in (1 / 3, -1 / 3)
+                    for dx, im in ((0.0, 0.11), (0.002, 0.1), (-0.003, 0.105), (0.004, 0.115))])
+
+    def test_matrix_and_fundamental_domain(self):
+        rng = random.Random(21)
+        taus = self.CUSP_TAUS + [complex(rng.uniform(-3, 3), 0.1 * 30 ** rng.random())
+                                 for _ in range(300)]
+        for tau in taus + [complex(1e17 + 0.3, 0.2), complex(-12345.5, 0.1)]:
+            red = elliptic._reduce(tau)
+            assert red.a * red.d - red.b * red.c == 1
+            assert red.tau0 == complex(tau.real - red.n, tau.imag)
+            tau1 = red.tau1
+            assert abs(tau1.real) <= 0.5 and abs(tau1) ** 2 >= 1 - 1e-12
+            assert abs(tau1 - (red.a * red.tau0 + red.b) / (red.c * red.tau0 + red.d)) < 1e-12
+            assert red.lam == red.c * red.tau0 + red.d
+
+    def test_cusp_points_take_two_inversions(self):
+        for tau in self.CUSP_TAUS:
+            if abs(tau.real) > 0.1:
+                assert abs(elliptic._reduce(tau).c) >= 2, tau
+
+    # Convention: tau1 = g tau for g = [[a, b], [c, d]] moves the class (mu, nu)
+    # to J g J (mu, nu) = [[a, -b], [-c, d]] (mu, nu), J = diag(1, -1), which is
+    # act(Gamma2Matrix(a, -b, -c, d), v) in orbits.  On the shear generators,
+    # J g J = g^-1.
+    @pytest.mark.parametrize("g", [*GENERATORS, *(h.inverse() for h in GENERATORS),
+                                   GENERATORS[0] @ GENERATORS[1],
+                                   GENERATORS[1] @ GENERATORS[0].inverse()])
+    def test_label_map_is_the_orbit_action(self, g):
+        red = elliptic._Reduction(0, g.a, g.b, g.c, g.d, 1j, 1j, 1j)
+        rng = random.Random(22)
+        for _ in range(50):
+            v = _random_class(rng)
+            (N, A, B), _ = elliptic._label_point(v, red)
+            moved = canonicalize((F(A, N), F(B, N)))
+            assert moved == act(Gamma2Matrix(g.a, -g.b, -g.c, g.d), v)
+            if g in GENERATORS:
+                assert moved == act(g.inverse(), v)
+
+    @pytest.mark.parametrize("g", [*GENERATORS, *(h.inverse() for h in GENERATORS)])
+    def test_picard_point_moves_with_its_class(self, g):
+        rng = random.Random(23)
+        for _ in range(20):
+            tau = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.6, 1.5))
+            moved_tau = g.moebius(tau)
+            if moved_tau.imag < elliptic.IM_TAU_FLOOR:
+                continue
+            v = _random_class(rng)
+            t, y = picard_eval(v, tau)
+            t2, y2 = picard_eval(act(Gamma2Matrix(g.a, -g.b, -g.c, g.d), v), moved_tau)
+            assert abs(t2 - t) < 1e-12 * abs(t) and abs(y2 - y) < 1e-12 * abs(y)
+
+    @pytest.mark.parametrize("tau", CUSP_TAUS)
+    def test_near_cusps_against_unreduced_oracle(self, tau):
+        ctx = _theta_context(tau)
+        _, _, c2, c3, c4 = ctx
+        assert _rel(invariants_at(tau).t, (c4 / c3) ** 4) < 1e-12
+        for v in ((F(1, 3), F(0)), (F(1, 4), F(1, 4)), (F(1, 6), F(1, 3)), (F(2, 5), F(1, 5))):
+            v = canonicalize(v)
+            assert _rel(picard_eval(v, tau)[1], _normalized_ref(_label_ref(v, ctx[0]), ctx)) < 1e-12
+            alpha = (1, 2, 3, 4)
+            assert _rel(reduction_residual(alpha, v, tau), _residual_ref(alpha, v, ctx), 1.0) < 1e-9
+        z = 0.21 - 0.13 * tau
+        assert _rel(wp(z, tau), wp_oracle_mp(z, tau), 1.0) < 1e-9
+        assert _rel(wp_prime(z, tau), _wp_prime_ref(z, ctx), 1.0) < 1e-9
+
+    def test_lattice_distance_is_exact(self):
+        # against every lattice point of a wide window, skewed lattices near the floor included
+        rng = random.Random(24)
+        for _ in range(60):
+            tau = complex(rng.uniform(-1, 1), 0.1 * 10 ** rng.random())
+            z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+            brute = min(abs(z - m - n * tau) for m in range(-40, 41) for n in range(-40, 41))
+            assert abs(lattice_distance(z, tau) - brute) < 1e-12
+
+    def test_degenerate_t_is_refused(self):
+        # at tau' = 9.75i, 1 - t is about 8e-13: below the 1e-12 floor on t and
+        # 1 - t, above the collision test; 1j/9.75 reduces to it by one inversion
+        for tau in (9.75j, 1j / 9.75):
+            with pytest.raises(PrecisionError, match="degenerates"):
+                invariants_at(tau)
+            with pytest.raises(PrecisionError, match="degenerates"):
+                picard_eval((F(1, 3), F(0)), tau)
+
+    def test_colliding_half_period_values_are_refused(self):
+        # next to the cusp 1, t ~ 1e12: e2 - e1 is the vanishing difference
+        for tau in (1 + 0.1j, -1 + 0.101j):
+            with pytest.raises(PrecisionError, match="collide"):
+                invariants_at(tau)
+
+    def test_label_points_near_the_lattice(self):
+        # p + omega_k on the lattice, exactly or within the threshold, for a
+        # nonzero alpha_k; a zero alpha_k skips that term
+        tau = 0.37 + 0.13j
+        with pytest.raises(PoleProximityError):
+            reduction_residual((0, 1, 0, 0), (F(1, 2), F(0)), tau)
+        with pytest.raises(PoleProximityError):
+            reduction_residual((0, 0, 0, 1), (F(1, 2), F(1, 2)), tau)
+        assert reduction_residual((1, 0, 1, 1), (F(1, 2), F(0)), tau) != 0
+        with pytest.raises(PoleProximityError):
+            picard_eval((F(1, 10 ** 7), F(0)), tau)
+        with pytest.raises(PoleProximityError):
+            reduction_residual((1, 1, 1, 1), (F(1, 2), F(1, 2 * 10 ** 7 + 1)), tau)
+        picard_eval((F(1, 10 ** 5), F(0)), tau)
+
+    def test_pole_threshold_in_the_callers_lattice(self):
+        # tau = 1/2 + 0.1i has lam = 2*tau - 1 = 0.2i, so 1e-6 in the caller's
+        # lattice is 5e-6 in the reduced one
+        tau = 0.5 + 0.1j
+        with pytest.raises(PoleProximityError):
+            wp(1 + 0.9e-6j, tau)
+        assert abs(wp(1 + 1.1e-6j, tau) - 1 / (1.1e-6j) ** 2) < 1e-6 * 1e12
+
+    def test_large_im_tau_reaches_the_trigonometric_limit(self):
+        # q' underflows; wp and wp' tend to their q = 0 forms without overflowing
+        for tau in (300j, 1000j, 0.3 + 1e5j):
+            for z in (0.3, 0.3 + 0.45 * tau, 0.1 + 0.2 * tau, -0.2 - 0.49 * tau):
+                s = mp.sin(mp.pi * mp.mpc(z))
+                want = mp.pi ** 2 / s ** 2 - mp.pi ** 2 / 3
+                assert _rel(wp(z, tau), want, 1.0) < 1e-12
+                assert abs(wp_prime(z, tau) - complex(-2 * mp.pi ** 3 * mp.cos(mp.pi * mp.mpc(z)) / s ** 3)) < 1e-9
