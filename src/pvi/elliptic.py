@@ -44,7 +44,6 @@ from .orbits import RationalPair, canonicalize, level_numerators
 _PI = math.pi
 _PI2 = _PI * _PI
 _TWO_PI3 = 2 * _PI2 * _PI
-_TWO_SQRT2 = 2 * math.sqrt(2)
 
 IM_TAU_FLOOR = 0.1
 POLE_THRESHOLD = 1e-6
@@ -371,20 +370,13 @@ def _label_point(pair: RationalPair, red: _Reduction):
 
 
 def _require_label_clear(numerators, k: int, red: _Reduction, pair: RationalPair) -> None:
-    """Pole check of p1 + omega_k at tau1, with cell coordinates (u, w)/2N taken on the integers.
-
-    For a reduced tau1, |x + y*tau1|^2 >= (x^2 + y^2)/2, so the point lies at least
-    max(|u|, |w|)/(2*sqrt(2)*N) from the lattice; the distance itself is needed
-    only when that bound falls below the threshold.
-    """
+    """Pole check of p1 + omega_k at tau1, with cell coordinates (u, w)/2N taken
+    on the integers."""
     N, A, B = numerators
     u = (2 * A + N * (k & 1)) % (2 * N)
     w = (2 * B + N * (k >> 1)) % (2 * N)
     u, w = (u - 2 * N if u >= N else u), (w - 2 * N if w >= N else w)
-    lam = abs(red.lam)
-    if lam * max(abs(u), abs(w)) >= _TWO_SQRT2 * N * POLE_THRESHOLD:
-        return
-    if lam * _cell_distance(u / (2 * N), w / (2 * N), red.tau1) < POLE_THRESHOLD:
+    if abs(red.lam) * _cell_distance(u / (2 * N), w / (2 * N), red.tau1) < POLE_THRESHOLD:
         z = float(pair.mu) + float(pair.nu) * (red.n + red.tau0)
         raise PoleProximityError(
             f"z = {z} within {POLE_THRESHOLD:g} of the period lattice"

@@ -34,7 +34,7 @@ REJECT_TOL = 1e-3
 PY_FLOOR = 1e-8  # |dP/dy| below this is a branch point
 EXCLUSION_TOL = 1e-8  # t within this of {0, 1}, or y of {0, 1, t}, is skipped
 NEWTON_TOL = 1e-12  # |P| at which Newton accepts a root
-MAX_SAMPLES = 10_000  # t samples per curve; a pass holds O(count * deg_y^2) numbers
+MAX_SAMPLES = 10_000  # t samples per curve; a pass holds O(count * (deg_y + deg_t)) numbers
 
 
 class SingularPointError(ValueError):
@@ -110,17 +110,14 @@ def coerce_alpha(alpha: Union[AlphaTuple, PviParams, Sequence]) -> AlphaTuple:
 
 _PARTIALS = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))  # P, P_y, P_t, P_yy, P_yt, P_tt
 
-# _dense keeps a curve's arrays only if (deg_y + 1)(deg_t + 1) is at most
-# _DENSE_CACHE_CELLS: 6 complex arrays of that many cells, 96 KB, so at most
-# 3 MB for the 32 entries.  Larger curves are converted on every call.
-_DENSE_CACHE_CELLS = 1024
 
+def _in_y(poly: MultiPoly, points: Sequence[complex]):
+    """The y-coefficients of P and its partials at every t: (6, deg_y + 1, len(points)).
 
-@functools.lru_cache(maxsize=32)
-def _dense(poly: MultiPoly, order: tuple):
-    """Terms (i, j, c) of c*y^i*t^j in the given order, and the dense coefficients
-    of P, P_y, P_t, P_yy, P_yt, P_tt: a read-only (6, deg_y + 1, deg_t + 1) array
-    whose partials come from those of P by index shifts and integer multiplies.
+    The dense coefficients of the partials come from those of P by index shifts
+    and integer multiplies and reach every t in one matrix product.  P's own
+    coefficients are summed term by term in term order with Python's powers of
+    t, so its roots are those ``np.roots`` finds, to the bit.
     """
     import numpy as np
 
@@ -128,30 +125,13 @@ def _dense(poly: MultiPoly, order: tuple):
     if not set(names) <= {"y", "t"}:
         raise ValueError(f"curve polynomial must involve only (y, t), got {names}")
     iy, it = (names.index(v) if v in names else None for v in ("y", "t"))
-    terms = tuple((e[iy] if iy is not None else 0, e[it] if it is not None else 0,
-                   complex(poly.terms[e])) for e in order)
-    d = np.zeros((6, max((i for i, _, _ in terms), default=0) + 1,
-                  max((j for _, j, _ in terms), default=0) + 1), dtype=complex)
+    terms = [(e[iy] if iy is not None else 0, e[it] if it is not None else 0, complex(c))
+             for e, c in poly.terms.items()]
+    d = np.zeros((6, poly.degree_in("y") + 1, poly.degree_in("t") + 1), dtype=complex)
     for i, j, c in terms:
         for k, (a, b) in enumerate(_PARTIALS):
             if i >= a and j >= b:
                 d[k, i - a, j - b] = math.perm(i, a) * math.perm(j, b) * c
-    d.flags.writeable = False
-    return terms, d
-
-
-def _in_y(poly: MultiPoly, points: Sequence[complex]):
-    """The y-coefficients of P and its partials at every t: (6, deg_y + 1, len(points)).
-
-    The partials reach every t in one matrix product.  P's own coefficients are
-    summed term by term in term order with Python's powers of t, so its roots
-    are those ``np.roots`` finds, to the bit.
-    """
-    import numpy as np
-
-    cells = (poly.degree_in("y") + 1) * (poly.degree_in("t") + 1)
-    dense = _dense if cells <= _DENSE_CACHE_CELLS else _dense.__wrapped__
-    terms, d = dense(poly, tuple(poly.terms))
     tpow = np.array([[tv ** j for tv in points] for j in range(d.shape[2])],
                     dtype=complex).reshape(d.shape[2], len(points))
     out = (d.reshape(-1, d.shape[2]) @ tpow).reshape(d.shape[:2] + (len(points),))
@@ -347,7 +327,8 @@ class _Branches(NamedTuple):
 
 
 def _find_branches(poly: MultiPoly, spec: SampleSpec) -> _Branches:
-    """Every root at every t of the spec, in one array pass.
+    """Every root at every t of the spec: ``np.roots`` at each t, then Newton,
+    the skip tests and the jets on all roots at once.
 
     Samples and skips run in t order and, within one t, in the root order of
     ``np.roots`` (zero roots last); a degenerate t is skipped once.
@@ -356,26 +337,13 @@ def _find_branches(poly: MultiPoly, spec: SampleSpec) -> _Branches:
 
     points = spec.points()
     c = _in_y(poly, points)
-    deg = c.shape[1] - 1
-    # np.roots at every t: strip leading and trailing zeros, then companion
-    # eigenvalues, one eigvals call per (top, low) shape, and the zero roots
-    nonzero = c[0] != 0
-    top = deg - np.argmax(nonzero[::-1], axis=0)
-    low = np.argmax(nonzero, axis=0)
-    degenerate = ~nonzero.any(axis=0) | (top == 0)
-    slots = np.arange(max(deg, 1)) < np.where(degenerate, 1, top)[:, None]
-    roots = np.zeros(slots.shape, dtype=complex)
-    for hi, lo in set(zip(top[~degenerate].tolist(), low[~degenerate].tolist())):
-        m = hi - lo
-        if m:
-            cols = np.flatnonzero(~degenerate & (top == hi) & (low == lo))
-            p = c[0][hi:lo - 1 if lo else None:-1, cols].T
-            comp = np.zeros((cols.size, m, m), dtype=complex)
-            comp[:, 0, :] = -p[:, 1:] / p[:, :1]
-            comp.reshape(cols.size, m * m)[:, m::m + 1] = 1
-            roots[cols, :m] = np.linalg.eigvals(comp)
-    tix = np.nonzero(slots)[0]
-    y, t, c = roots[slots], np.array(points, dtype=complex)[tix], c[..., tix]
+    # one slot per root, and one degenerate slot for a t with fewer than two
+    # coefficients left after its leading zeros, where np.roots finds none
+    found = [np.roots(column) for column in c[0, ::-1].T]
+    degenerate = np.array([not r.size for r in found])
+    tix = np.repeat(np.arange(len(points)), [r.size or 1 for r in found])
+    y = np.concatenate([r if r.size else [0] for r in found]).astype(complex)
+    t, c = np.array(points, dtype=complex)[tix], c[..., tix]
     code = np.where(degenerate[tix], _DEGENERATE, 0)
 
     with np.errstate(all="ignore"):
@@ -454,12 +422,12 @@ def verify_curve(
 ) -> ResidualReport:
     """Residual report for every branch of the curve over the sample circle.
 
-    For each sample t the roots y of P(., t) come from companion-matrix
-    eigenvalues polished by Newton; roots colliding with {0, 1, t}, branch
-    points (|dP/dy| below the floor), unpolishable roots and roots at t near
-    0 or 1 are skipped with a reason rather than polluting the aggregate.
-    The roots, skips and jets of a (curve, circle) are found in one array
-    pass and cached; a call at other parameters computes only the residuals.
+    For each sample t the roots y of P(., t) come from ``np.roots`` and are
+    polished by Newton; roots colliding with {0, 1, t}, branch points
+    (|dP/dy| below the floor), unpolishable roots and roots at t near 0 or 1
+    are skipped with a reason rather than polluting the aggregate.  The
+    roots, skips and jets of a (curve, circle) are found once and cached; a
+    call at other parameters computes only the residuals.
     """
     label, poly = _resolve_curve(curve)
     samples, skipped = _sample(poly, params, spec)

@@ -325,7 +325,9 @@ class TestOrbitListing:
 class TestVerifierBytes:
     # sha256 of the verifier's output, taken before the branches of a curve
     # were cached: every curve at its canonical alpha and at (1, 2, 3, 4), one
-    # CSV report, one custom polynomial and a verified classification.  The
+    # CSV report, one custom polynomial and a verified classification; the
+    # last three rows, taken before the roots came from np.roots at each t,
+    # are custom polynomials whose roots depend on the last bits.  The
     # residuals are floating point, so the digests hold for one numpy and
     # LAPACK build.
     @pytest.mark.parametrize("argv,code,digest", [
@@ -363,6 +365,18 @@ class TestVerifierBytes:
          "9ef6eee989ae449a870c9d9aeed8477ff03de325efe2671f4f7d232a9ad160a1"),
         (["classify", "--alpha=1,1,1,1", "--verify"], 0,
          "e3f89f39416d05e27cf3d6e68ea3be4ffcd8522d408489b71aa2e7fd1dc14d2c"),
+        # zero roots from a trailing zero coefficient
+        (["verify", "--poly", "y^3 - t*y", "--alpha=1,1,2,2", "--samples", "7"], 0,
+         "fa5bdb5d0ec400b693f44f0540a8d1ae816b9a902d29bb361aabb06d328c32b1"),
+        # Fraction coefficients
+        (["verify", "--poly", "1/3*y^3 + 5/7*t^2*y - 2/9*t + 3*t^2", "--alpha=1,1,2,2",
+          "--samples", "7"], 1,
+         "5b34ad164bdeffd9e58b0d1061bd4d418a9f43dfa5d0f9b3d2e69738d14036c9"),
+        # 10^12 (y - 2)^2 (y - t): which roots fail polishing depends on the last bits
+        (["verify", "--poly", "1000000000000*y^3 - 1000000000000*y^2*t - 4000000000000*y^2"
+          " + 4000000000000*y*t + 4000000000000*y - 4000000000000*t", "--alpha=1,1,2,2",
+          "--samples", "7"], 1,
+         "85c8a3f5a5247515c3186c0c8642b66fb7900a7734b7c1a5c3eea29f1052bb82"),
     ])
     def test_bytes_are_pinned(self, capsys, argv, code, digest):
         # twice: the second run is served the branches the first one found

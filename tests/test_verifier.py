@@ -115,6 +115,17 @@ class TestImplicitDerivs:
         assert abs(scaled[0] - base[0]) < 1e-12 * abs(base[0])
         assert abs(scaled[1] - base[1]) < 1e-12 * abs(base[1])
 
+    @pytest.mark.parametrize("poly", [
+        Y ** 32 * T ** 31 + Y - 1,          # 33 * 32 dense cells
+        Y ** 255 + T ** 255 + Y * T - 1,    # 256 * 256 dense cells
+    ])
+    def test_high_degree_curves(self, poly):
+        t, y = 0.5 + 0.1j, 0.7
+        first = implicit_derivs(poly, t, y)
+        assert implicit_derivs(poly, t, y) == first
+        for got, want in zip(first, _jet(_Compiled(poly), t, y, PY_FLOOR)):
+            assert abs(got - want) <= 1e-12 * abs(want)
+
 
 class TestPviResidual:
     def test_matched_jet(self):
@@ -567,45 +578,6 @@ class TestBranchCache:
         for count in range(1, verifier._BRANCH_CACHE_SIZE + 10):
             _sample(CURVES[CurveId.A], params, SampleSpec(count=count))
         assert cold_cache.cache_info().currsize == verifier._BRANCH_CACHE_SIZE
-
-
-@pytest.fixture
-def cold_dense():
-    verifier._dense.cache_clear()
-    yield verifier._dense
-    verifier._dense.cache_clear()
-
-
-class TestDenseCache:
-    """Dense coefficient arrays are kept only for curves of bounded size."""
-
-    def test_a_curve_above_the_bound_is_not_kept(self, cold_dense):
-        bound = verifier._DENSE_CACHE_CELLS
-        at_bound = Y ** 31 * T ** 31 + Y - 1          # 32 * 32 cells
-        above = Y ** 32 * T ** 31 + Y - 1             # 33 * 32 cells
-        big = Y ** 255 + T ** 255 + Y * T - 1         # 256 * 256 cells, 6.3 MB
-        assert 32 * 32 == bound
-        for poly in CURVES.values():
-            verifier._in_y(poly, [0.3 + 0.1j])
-        implicit_derivs(at_bound, 0.5, 0.5)
-        assert cold_dense.cache_info().currsize == len(CURVES) + 1
-        for poly in (above, big, above):
-            first = implicit_derivs(poly, 0.5 + 0.1j, 0.7)
-            assert implicit_derivs(poly, 0.5 + 0.1j, 0.7) == first
-            assert cold_dense.cache_info().currsize == len(CURVES) + 1
-
-    def test_canonical_curves_stay_cached_with_the_same_bits(self, cold_dense):
-        points = [0.3 + 0.1j, -1.5 + 2j, 0.9]
-        cold = {cid: verifier._in_y(poly, points) for cid, poly in CURVES.items()}
-        verifier._in_y(Y ** 255 + T ** 255 + Y * T - 1, points)
-        hits = cold_dense.cache_info().hits
-        for cid, poly in CURVES.items():
-            order = tuple(poly.terms)
-            terms, d = verifier._dense(poly, order)
-            fresh_terms, fresh = verifier._dense.__wrapped__(poly, order)
-            assert terms == fresh_terms and d.tobytes() == fresh.tobytes()
-            assert verifier._in_y(poly, points).tobytes() == cold[cid].tobytes()
-        assert cold_dense.cache_info().hits == hits + 2 * len(CURVES)
 
 
 class TestClassify:
