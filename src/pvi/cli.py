@@ -94,13 +94,12 @@ def _cmd_classify(args) -> int:
     except (vf.VerificationError, vf.NoValidSamplesError) as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
-    body = result.to_json_dict()
-    body["alpha"] = [ob.format_rational(a) for a in alpha]
-    body["pvi"] = [ob.format_rational(p) for p in vf.params_convert(alpha)]
+    alpha_text = [ob.format_rational(a) for a in alpha]
+    pvi_text = [ob.format_rational(p) for p in vf.params_convert(alpha)]
     if args.format == "json":
-        _emit_json(_payload("classify", **body))
+        _emit_json(_payload("classify", **result.to_json_dict(), alpha=alpha_text, pvi=pvi_text))
     else:
-        print(f"alpha = ({', '.join(body['alpha'])})   pvi = ({', '.join(body['pvi'])})")
+        print(f"alpha = ({', '.join(alpha_text)})   pvi = ({', '.join(pvi_text)})")
         if result.kind == "picard_family":
             print(f"picard_family: {result.picard_note}")
         elif result.kind == "empty":

@@ -111,6 +111,16 @@ def coerce_alpha(alpha: Union[AlphaTuple, PviParams, Sequence]) -> AlphaTuple:
 _PARTIALS = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))  # P, P_y, P_t, P_yy, P_yt, P_tt
 
 
+def _yt_terms(poly: MultiPoly) -> list[tuple[int, int, complex]]:
+    """(i, j, c) for each term c y^i t^j of P, in term order."""
+    names = poly.vars
+    if not set(names) <= {"y", "t"}:
+        raise ValueError(f"curve polynomial must involve only (y, t), got {names}")
+    iy, it = (names.index(v) if v in names else None for v in ("y", "t"))
+    return [(e[iy] if iy is not None else 0, e[it] if it is not None else 0, complex(c))
+            for e, c in poly.terms.items()]
+
+
 def _in_y(poly: MultiPoly, points: Sequence[complex]):
     """The y-coefficients of P and its partials at every t: (6, deg_y + 1, len(points)).
 
@@ -121,12 +131,7 @@ def _in_y(poly: MultiPoly, points: Sequence[complex]):
     """
     import numpy as np
 
-    names = poly.vars
-    if not set(names) <= {"y", "t"}:
-        raise ValueError(f"curve polynomial must involve only (y, t), got {names}")
-    iy, it = (names.index(v) if v in names else None for v in ("y", "t"))
-    terms = [(e[iy] if iy is not None else 0, e[it] if it is not None else 0, complex(c))
-             for e, c in poly.terms.items()]
+    terms = _yt_terms(poly)
     d = np.zeros((6, poly.degree_in("y") + 1, poly.degree_in("t") + 1), dtype=complex)
     for i, j, c in terms:
         for k, (a, b) in enumerate(_PARTIALS):
@@ -184,7 +189,12 @@ def implicit_derivs(poly: MultiPoly, t: complex, y: complex) -> tuple[complex, c
     :class:`SingularPointError` when |P_y| < :data:`PY_FLOOR`.
     """
     tv, yv = complex(t), complex(y)
-    py, pt, pyy, pyt, ptt = _horner(_in_y(poly, [tv])[1:], yv)[:, 0].tolist()
+    partials = [0j] * 5  # P_y, P_t, P_yy, P_yt, P_tt, summed term by term at (t, y)
+    for i, j, c in _yt_terms(poly):
+        for k, (a, b) in enumerate(_PARTIALS[1:]):
+            if i >= a and j >= b:
+                partials[k] += math.perm(i, a) * math.perm(j, b) * c * yv ** (i - a) * tv ** (j - b)
+    py, pt, pyy, pyt, ptt = partials
     if abs(py) < PY_FLOOR:
         raise SingularPointError(f"|dP/dy| = {abs(py):.2e} at (t, y) = ({tv}, {yv})")
     return _jet(py, pt, pyy, pyt, ptt)
@@ -248,7 +258,13 @@ class SkippedSample:
 
 @dataclass(frozen=True)
 class ResidualReport:
-    """Aggregate of per-branch ODE residuals of a curve at fixed parameters."""
+    """Aggregate of per-branch ODE residuals of a curve at fixed parameters.
+
+    The samples are also held as three columns: the t, the y and the
+    residual of each sample.  The JSON and CSV forms read the columns, and a
+    report from :func:`verify_curve` builds its ``samples`` from them only
+    when they are first read, then keeps them.
+    """
 
     curve: Optional[str]
     params: PviParams
@@ -256,6 +272,32 @@ class ResidualReport:
     skipped: tuple[SkippedSample, ...]
     max_residual: float
     median_residual: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "_columns", (tuple(s.t for s in self.samples),
+                                              tuple(s.y for s in self.samples),
+                                              tuple(s.residual for s in self.samples)))
+
+    @classmethod
+    def _from_columns(cls, curve: Optional[str], params: PviParams, ts: tuple, ys: tuple,
+                      residuals: tuple, skipped: tuple) -> "ResidualReport":
+        """A report whose ``samples`` are built on first read; the aggregates
+        are ``max`` and ``statistics.median`` of the residuals."""
+        report = object.__new__(cls)
+        report.__dict__.update(curve=curve, params=params, skipped=skipped,
+                               max_residual=max(residuals),
+                               median_residual=statistics.median(residuals),
+                               _columns=(ts, ys, residuals))
+        return report
+
+    def __getattr__(self, name):
+        # called only for a missing attribute: the samples of a report from
+        # _from_columns before their first read
+        if name != "samples" or "_columns" not in self.__dict__:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        samples = tuple(map(ResidualSample, *self._columns))
+        object.__setattr__(self, "samples", samples)
+        return samples
 
     def verdict(self) -> str:
         if self.max_residual < ACCEPT_TOL:
@@ -269,8 +311,7 @@ class ResidualReport:
             "curve": self.curve,
             "params": _params_json(self.params),
             "samples": [
-                {"t": _cplx(s.t), "y": _cplx(s.y), "residual": s.residual}
-                for s in self.samples
+                {"t": _cplx(t), "y": _cplx(y), "residual": r} for t, y, r in zip(*self._columns)
             ],
             "skipped": [{"t": _cplx(s.t), "reason": s.reason} for s in self.skipped],
             "max_residual": self.max_residual,
@@ -279,9 +320,7 @@ class ResidualReport:
         }
 
     def csv_rows(self) -> list[list]:
-        return [
-            [s.t.real, s.t.imag, s.y.real, s.y.imag, s.residual] for s in self.samples
-        ]
+        return [[t.real, t.imag, y.real, y.imag, r] for t, y, r in zip(*self._columns)]
 
 
 CSV_HEADER = ["t_re", "t_im", "y_re", "y_im", "residual"]
@@ -403,16 +442,16 @@ def _branches(poly: MultiPoly, spec: SampleSpec) -> _Branches:
     return _cached_branches(poly, tuple(poly.terms), spec, (NEWTON_TOL, PY_FLOOR, EXCLUSION_TOL))
 
 
-def _sample(poly: MultiPoly, params: PviParams, spec: SampleSpec):
-    """(samples, skips) of every root at every t of the spec: the branches of
-    the curve come from :func:`_branches`, only the residual is computed here."""
+def _residuals(poly: MultiPoly, params: PviParams, spec: SampleSpec):
+    """The branches of the curve over the spec, from :func:`_branches`, and
+    the residual at each of their samples: only the residuals are computed
+    here."""
     import numpy as np
 
     b = _branches(poly, spec)
     with np.errstate(all="ignore"):
         residual = np.abs(b.y2 - _rhs(params, b.rhs))
-    return (list(map(ResidualSample, b.ts, b.ys, residual[b.keep].tolist())),
-            list(b.skipped))
+    return b, tuple(residual[b.keep].tolist())
 
 
 def verify_curve(
@@ -427,21 +466,15 @@ def verify_curve(
     (|dP/dy| below the floor), unpolishable roots and roots at t near 0 or 1
     are skipped with a reason rather than polluting the aggregate.  The
     roots, skips and jets of a (curve, circle) are found once and cached; a
-    call at other parameters computes only the residuals.
+    call at other parameters computes only the residuals.  The report keeps
+    the samples as columns and builds its :class:`ResidualSample` objects
+    only when ``samples`` is read.
     """
     label, poly = _resolve_curve(curve)
-    samples, skipped = _sample(poly, params, spec)
-    if not samples:
+    b, residuals = _residuals(poly, params, spec)
+    if not residuals:
         raise NoValidSamplesError("every sample was skipped; nothing to report")
-    residuals = [s.residual for s in samples]
-    return ResidualReport(
-        curve=label,
-        params=params,
-        samples=tuple(samples),
-        skipped=tuple(skipped),
-        max_residual=max(residuals),
-        median_residual=statistics.median(residuals),
-    )
+    return ResidualReport._from_columns(label, params, b.ts, b.ys, residuals, b.skipped)
 
 
 # ----------------------------------------------------------------------

@@ -72,6 +72,16 @@ class TestClassify:
         assert code == 0
         assert "D" in out
 
+    def test_text_format_emits_no_report_json(self, capsys, monkeypatch):
+        def no_json(self):
+            raise AssertionError("the text form reads only the aggregates")
+
+        monkeypatch.setattr(vf.ResidualReport, "to_json_dict", no_json)
+        code, out, _ = run(capsys, "classify", "--alpha", "9,1,1,1", "--verify",
+                           "--format", "text")
+        assert code == 0
+        assert "residual[D]" in out
+
     @pytest.mark.parametrize("samples", ["0", "-3"])
     def test_samples_below_one_exit_2(self, capsys, samples):
         with pytest.raises(SystemExit) as exc:
@@ -377,6 +387,11 @@ class TestVerifierBytes:
           " + 4000000000000*y*t + 4000000000000*y - 4000000000000*t", "--alpha=1,1,2,2",
           "--samples", "7"], 1,
          "85c8a3f5a5247515c3186c0c8642b66fb7900a7734b7c1a5c3eea29f1052bb82"),
+        # the text forms, which read only the aggregates
+        (["verify", "--curve", "E", "--alpha=1,2,3,4", "--format", "text"], 1,
+         "f6b1c706abbf107a331391e98569bf4c97f5678a03b7fee8b2acd566885760f2"),
+        (["classify", "--alpha=9,1,1,1", "--verify", "--format", "text"], 0,
+         "15cfa3d2d0d6a51c952dfdaffdc37d9f2e469b3167386d19058de22f06b9a455"),
     ])
     def test_bytes_are_pinned(self, capsys, argv, code, digest):
         # twice: the second run is served the branches the first one found

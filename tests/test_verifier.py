@@ -1,7 +1,12 @@
 """ODE residual certification and the parameter classification."""
 
+import copy
+import dataclasses
 import itertools
+import json
+import pickle
 import random
+import statistics
 from fractions import Fraction
 from typing import Optional
 
@@ -24,6 +29,7 @@ from pvi.verifier import (
     ExcludedPointError,
     NoValidSamplesError,
     PviParams,
+    ResidualReport,
     ResidualSample,
     SampleSpec,
     SingularPointError,
@@ -37,11 +43,16 @@ from pvi.verifier import (
     pvi_residual,
     verify_curve,
 )
-from pvi.verifier import _sample
 
 F = Fraction
 Y = MultiPoly.variable("y")
 T = MultiPoly.variable("t")
+
+
+def _sample(poly, params, spec):
+    """(samples, skips) of the batch pass of ``verify_curve``, as lists."""
+    b, residuals = verifier._residuals(poly, params, spec)
+    return list(map(ResidualSample, b.ts, b.ys, residuals)), list(b.skipped)
 
 
 def alpha_of(*vals):
@@ -578,6 +589,97 @@ class TestBranchCache:
         for count in range(1, verifier._BRANCH_CACHE_SIZE + 10):
             _sample(CURVES[CurveId.A], params, SampleSpec(count=count))
         assert cold_cache.cache_info().currsize == verifier._BRANCH_CACHE_SIZE
+
+
+def _eager_report(cid, params, spec):
+    """The report of verify_curve, built through the public constructor."""
+    samples, skipped = _sample(CURVES[cid], params, spec)
+    residuals = [s.residual for s in samples]
+    return ResidualReport(curve=cid.value, params=params, samples=tuple(samples),
+                          skipped=tuple(skipped), max_residual=max(residuals),
+                          median_residual=statistics.median(residuals))
+
+
+@pytest.fixture
+def sample_builds(monkeypatch):
+    """The number of ResidualSample constructions so far, wherever made."""
+    count = [0]
+    init = ResidualSample.__init__
+
+    def counting_init(self, *args, **kwargs):
+        count[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ResidualSample, "__init__", counting_init)
+    return lambda: count[0]
+
+
+class TestLazySamples:
+    """A report from verify_curve keeps its samples as columns and builds the
+    ResidualSamples on first read; it equals the report built eagerly."""
+
+    @pytest.mark.parametrize("matched", [True, False])
+    @pytest.mark.parametrize("cid", list(CurveId))
+    def test_equals_the_eager_report(self, cid, matched, sample_builds):
+        params = params_convert(CANONICAL_ALPHA[cid] if matched else alpha_of(1, 2, 3, 4))
+        spec = SampleSpec(count=9)
+        eager = _eager_report(cid, params, spec)
+        lazy = verify_curve(cid, params, spec)
+        built = sample_builds()
+        # the emitters read the columns, to the bit
+        assert json.dumps(lazy.to_json_dict()) == json.dumps(eager.to_json_dict())
+        assert repr(lazy.csv_rows()) == repr(eager.csv_rows())
+        assert (lazy.max_residual, lazy.median_residual) == (eager.max_residual,
+                                                              eager.median_residual)
+        assert sample_builds() == built
+        # reading the samples builds them once and keeps them
+        assert lazy.samples == eager.samples
+        assert sample_builds() == built + len(eager.samples)
+        assert lazy.samples is lazy.samples
+        assert lazy == eager and hash(lazy) == hash(eager) and repr(lazy) == repr(eager)
+
+    @pytest.mark.parametrize("matched", [True, False])
+    @pytest.mark.parametrize("cid", list(CurveId))
+    def test_copies_and_frozenness(self, cid, matched):
+        params = params_convert(CANONICAL_ALPHA[cid] if matched else alpha_of(1, 2, 3, 4))
+        spec = SampleSpec(count=9)
+        eager = _eager_report(cid, params, spec)
+        # each copy is made before the samples of its original were read
+        copies = [pickle.loads(pickle.dumps(verify_curve(cid, params, spec), protocol))
+                  for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        copies += [copy.copy(verify_curve(cid, params, spec)),
+                   copy.deepcopy(verify_curve(cid, params, spec)),
+                   dataclasses.replace(verify_curve(cid, params, spec))]
+        for other in copies:
+            assert json.dumps(other.to_json_dict()) == json.dumps(eager.to_json_dict())
+            assert repr(other.csv_rows()) == repr(eager.csv_rows())
+            assert other == eager and hash(other) == hash(eager) and repr(other) == repr(eager)
+        lazy = verify_curve(cid, params, spec)
+        renamed = dataclasses.replace(lazy, curve="X")
+        assert renamed.curve == "X" and renamed.samples == eager.samples
+        assert renamed.to_json_dict()["samples"] == eager.to_json_dict()["samples"]
+        for name in [f.name for f in dataclasses.fields(ResidualReport)] + ["_columns"]:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(lazy, name, None)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(lazy, name)
+        assert lazy == eager
+
+    def test_only_samples_is_built(self):
+        rep = verify_curve(CurveId.A, params_convert(alpha_of(1, 1, 2, 2)))
+        with pytest.raises(AttributeError, match="'ResidualReport' object has no attribute"):
+            rep.residuals
+
+    def test_classify_builds_no_sample(self, sample_builds):
+        result = classify((9, 1, 1, 1), verify=True)
+        result.to_json_dict()
+        for rep in result.reports.values():
+            rep.csv_rows()
+        assert sample_builds() == 0
+        with pytest.raises(NoValidSamplesError):
+            verify_curve(Y - T, params_convert(alpha_of(1, 1, 2, 2)))
+        assert sample_builds() == 0
+        assert len(result.reports[CurveId.D].samples) == sample_builds() == 100
 
 
 class TestClassify:
