@@ -76,14 +76,31 @@ class RationalPair:
     nu.numerator, nu.denominator).  Fractions are kept in lowest terms, so it
     agrees with equality, and it skips Fraction.__hash__, a modular inverse
     per component that would dominate building large orbit sets.
+
+    A pair has slots and no ``__dict__``: ``mu``, ``nu`` and ``_hash``, the
+    hash computed once.  The public constructor ``RationalPair(mu, nu)`` is
+    unchanged and fills ``_hash`` on the first hash; every pair this module
+    builds itself comes from :func:`_pair` with its hash already kept.
     """
+
+    __slots__ = ("mu", "nu", "_hash")
 
     mu: Fraction
     nu: Fraction
 
     def __hash__(self) -> int:
-        mu, nu = self.mu, self.nu
-        return hash((mu.numerator, mu.denominator, nu.numerator, nu.denominator))
+        try:
+            return self._hash
+        except AttributeError:  # built by the public constructor, not hashed yet
+            mu, nu = self.mu, self.nu
+            h = hash((mu.numerator, mu.denominator, nu.numerator, nu.denominator))
+            _set_hash(self, h)
+            return h
+
+    def __reduce__(self):
+        # the default reduction of a slotted object restores the slots through
+        # setattr, which a frozen dataclass refuses
+        return (RationalPair, (self.mu, self.nu))
 
     def __iter__(self):
         return iter((self.mu, self.nu))
@@ -107,6 +124,23 @@ class RationalPair:
         return [format_rational(self.mu), format_rational(self.nu)]
 
 
+_new = object.__new__
+_set_mu = RationalPair.__dict__["mu"].__set__
+_set_nu = RationalPair.__dict__["nu"].__set__
+_set_hash = RationalPair.__dict__["_hash"].__set__
+
+
+def _pair(mu: Fraction, nu: Fraction, h: int) -> RationalPair:
+    """The pair (mu, nu) with its hash h kept, without the frozen constructor's
+    setattr calls; h must be the hash of (mu.numerator, mu.denominator,
+    nu.numerator, nu.denominator), which each caller has from integers it holds."""
+    p = _new(RationalPair)
+    _set_mu(p, mu)
+    _set_nu(p, nu)
+    _set_hash(p, h)
+    return p
+
+
 def canonicalize(v: Iterable[RationalLike]) -> RationalPair:
     """Canonical representative of the class of v modulo Z^2 and sign.
 
@@ -114,10 +148,13 @@ def canonicalize(v: Iterable[RationalLike]) -> RationalPair:
     integer vector k.
     """
     mu, nu = map(_as_fraction, v)
-    N = lcm(mu.denominator, nu.denominator)
-    a, b = mu.numerator * (N // mu.denominator), nu.numerator * (N // nu.denominator)
-    if 0 <= a < N and 0 <= b < N and (a, b) <= (-a % N, -b % N):
-        return RationalPair(mu, nu)  # already canonical
+    p, q, r, s = mu.numerator, mu.denominator, nu.numerator, nu.denominator
+    N = lcm(q, s)
+    a, b = p * (N // q), r * (N // s)
+    if 0 <= a < N and 0 <= b < N and (a, b) <= (-a % N, -b % N):  # already canonical
+        if type(v) is RationalPair and v.mu is mu and v.nu is nu:
+            return v
+        return _pair(mu, nu, hash((p, q, r, s)))
     return _canonical_at(N, a, b)
 
 
@@ -134,7 +171,8 @@ def _canonical_at(N: int, a: int, b: int) -> RationalPair:
     na, nb = -a % N, -b % N
     if (na, nb) < (a, b):
         a, b = na, nb
-    return RationalPair(Fraction(a, N), Fraction(b, N))
+    ga, gb = gcd(a, N), gcd(b, N)
+    return _pair(Fraction(a, N), Fraction(b, N), hash((a // ga, N // ga, b // gb, N // gb)))
 
 
 @dataclass(frozen=True)
@@ -227,8 +265,10 @@ def merging_matrix(N: int) -> Gamma2Matrix:
 
 def level_numerators(v: RationalPair) -> tuple[int, int, int]:
     """(N, a, b) with v = (a/N, b/N) and N its level, the lcm of the denominators."""
-    N = v.denominator
-    return N, v.mu.numerator * (N // v.mu.denominator), v.nu.numerator * (N // v.nu.denominator)
+    mu, nu = v.mu, v.nu
+    q, s = mu.denominator, nu.denominator
+    N = lcm(q, s)
+    return N, mu.numerator * (N // q), nu.numerator * (N // s)
 
 
 def _level_classes(N: int, parity: Optional[tuple[int, int]] = None) -> Iterator[tuple[int, int]]:
@@ -247,6 +287,13 @@ def _level_classes(N: int, parity: Optional[tuple[int, int]] = None) -> Iterator
                 yield a, b
 
 
+def _level_table(N: int) -> tuple[list[Fraction], list[tuple[int, int]]]:
+    """fr[k] = k/N and nd[k] = (numerator, denominator) of k/N for 0 <= k < N, so
+    the pair (fr[a], fr[b]) hashes as hash(nd[a] + nd[b])."""
+    fr = [Fraction(k, N) for k in range(N)]
+    return fr, [(f.numerator, f.denominator) for f in fr]
+
+
 def orbit_numerators(v: RationalPair) -> tuple[int, list[tuple[int, int]]]:
     """Level N of v and the numerators (a, b) of its orbit's members (a/N, b/N), ascending:
     every canonical class of level N, or at even N those with v's numerator parity."""
@@ -262,8 +309,8 @@ def orbit_numerators(v: RationalPair) -> tuple[int, list[tuple[int, int]]]:
 def enumerate_orbit(v: RationalPair) -> frozenset[RationalPair]:
     """Full orbit of the class of v as canonical representatives."""
     N, members = orbit_numerators(v)
-    fractions = [Fraction(k, N) for k in range(N)]
-    return frozenset(RationalPair(fractions[a], fractions[b]) for a, b in members)
+    fr, nd = _level_table(N)
+    return frozenset(_pair(fr[a], fr[b], hash(nd[a] + nd[b])) for a, b in members)
 
 
 def orbit_key(v: RationalPair) -> tuple[int, ...]:
@@ -283,8 +330,8 @@ def same_orbit(v1: RationalPair, v2: RationalPair) -> bool:
 
 def eligible_classes(N: int) -> list[RationalPair]:
     """All classes (m/N, n/N) whose numerator gcd is coprime to N, canonicalized, ascending."""
-    fractions = [Fraction(k, N) for k in range(N)]
-    return [RationalPair(fractions[a], fractions[b]) for a, b in _level_classes(N)]
+    fr, nd = _level_table(N)
+    return [_pair(fr[a], fr[b], hash(nd[a] + nd[b])) for a, b in _level_classes(N)]
 
 
 def _jordan_totient2(N: int) -> int:

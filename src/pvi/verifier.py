@@ -76,7 +76,14 @@ class PviParams:
         return cls(*(Fraction(p) for p in parts))
 
     def as_complex(self) -> tuple[complex, complex, complex, complex]:
-        return tuple(complex(x) for x in self)
+        # converted on first use and kept in the instance dict (the frozen
+        # dataclass refuses setattr), so the seven verify_curve calls of one
+        # classify share one conversion; functools.cached_property would also
+        # take a lock on every first use
+        values = self.__dict__.get("_complex")
+        if values is None:
+            values = self.__dict__["_complex"] = tuple(complex(x) for x in self)
+        return values
 
 
 def params_convert(x: Union[PviParams, AlphaTuple]) -> Union[AlphaTuple, PviParams]:

@@ -82,6 +82,21 @@ class TestClassify:
         assert code == 0
         assert "residual[D]" in out
 
+    def test_verify_text_builds_no_samples(self, capsys, monkeypatch):
+        built = []
+        sample_init = vf.ResidualSample.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(args)
+            sample_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(vf.ResidualSample, "__init__", counting)
+        code, out, _ = run(capsys, "verify", "--curve", "D", "--alpha=9,1,1,1",
+                           "--format", "text")
+        assert code == 0
+        assert "samples: 100  skipped: 0" in out
+        assert built == []
+
     @pytest.mark.parametrize("samples", ["0", "-3"])
     def test_samples_below_one_exit_2(self, capsys, samples):
         with pytest.raises(SystemExit) as exc:
@@ -194,6 +209,21 @@ class TestVerify:
         assert code == 0
         assert data["curve"] is None
         assert data["verdict"] == "pass"
+
+    def test_verify_text_builds_no_samples(self, capsys, monkeypatch):
+        built = []
+        sample_init = vf.ResidualSample.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(args)
+            sample_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(vf.ResidualSample, "__init__", counting)
+        code, out, _ = run(capsys, "verify", "--curve", "D", "--alpha=9,1,1,1",
+                           "--format", "text")
+        assert code == 0
+        assert "samples: 100  skipped: 0" in out
+        assert built == []
 
     @pytest.mark.parametrize("samples", ["0", "-3"])
     def test_samples_below_one_exit_2(self, capsys, samples):
@@ -392,6 +422,8 @@ class TestVerifierBytes:
          "f6b1c706abbf107a331391e98569bf4c97f5678a03b7fee8b2acd566885760f2"),
         (["classify", "--alpha=9,1,1,1", "--verify", "--format", "text"], 0,
          "15cfa3d2d0d6a51c952dfdaffdc37d9f2e469b3167386d19058de22f06b9a455"),
+        (["verify", "--curve", "D", "--alpha=9,1,1,1", "--format", "text"], 0,
+         "c616cc35602badf897a5441d584c6d67e85f788f82fefc0aaec9bd6d05ff3892"),
     ])
     def test_bytes_are_pinned(self, capsys, argv, code, digest):
         # twice: the second run is served the branches the first one found

@@ -1,5 +1,8 @@
 """Orbit lattice: canonical forms, standard-form reduction, group action, counts."""
 
+import copy
+import dataclasses
+import pickle
 import random
 from fractions import Fraction
 from math import gcd
@@ -347,6 +350,10 @@ def outcome(f, *args):
         return ValueError, str(exc)
 
 
+def tuple_key(v):
+    return (v.mu.numerator, v.mu.denominator, v.nu.numerator, v.nu.denominator)
+
+
 def shifted(v, rng):
     """A non-canonical pair of v's class: -v or v, moved by an integer vector."""
     s = rng.choice((1, -1))
@@ -419,6 +426,13 @@ class TestLevelNumerators:
         orbit = enumerate_orbit(v)
         assert v in orbit and len(orbit) == orbit_partition(160)[0]
         assert len(set(eligible_classes(24))) == sum(orbit_partition(24))
+        # the kept hash: built in, or filled on the first hash of a public pair
+        built = [canonicalize(("-1/160", "3")), act(GENERATORS[1], v), standard_form(v).standard]
+        public = [RationalPair(w.mu, w.nu) for w in built]
+        assert not any(hasattr(w, "_hash") for w in public)
+        assert {*built, *public, *orbit} == set(orbit)
+        for w in built + public:
+            assert w._hash == hash(w) == hash(tuple_key(w))
 
     def test_hash_separates_classes(self):
         # tuple hashes of small ints do not depend on the hash seed; distinct
@@ -488,3 +502,126 @@ class TestLevelNumerators:
                 orbit_to_curve(arg)
         assert canonicalize(zero) == canonicalize(v) == pair(0, 0)
         assert hash(canonicalize(zero)) == hash(pair(0, 0))
+
+
+def public_twin(v):
+    """The pair of v's values through the public constructor, on fresh Fractions."""
+    return RationalPair(F(v.mu.numerator, v.mu.denominator), F(v.nu.numerator, v.nu.denominator))
+
+
+def internal_routes():
+    """(route, pair) for pairs built inside the module by every route."""
+    out = []
+    for N in (2, 3, 4, 7, 12, 20):
+        for v in eligible_classes(N):
+            out.append(("eligible_classes", v))
+            u = RationalPair(-v.mu + 2, v.nu - 1)
+            out += [("canonicalize", canonicalize((v.mu, v.nu))),
+                    ("canonicalize", canonicalize((str(u.mu), str(u.nu)))),
+                    ("act", act(Gamma2Matrix.identity(), v))]
+            if not v.is_zero():
+                out.append(("standard_form", standard_form(v).standard))
+        out += [("enumerate_orbit", w) for w in enumerate_orbit(eligible_classes(N)[-1])]
+    return out
+
+
+class TestPairSemantics:
+    """A pair built inside the module (slots, kept hash, no public constructor)
+    is the same value as the one the public constructor builds."""
+
+    def test_compare_hash_and_text(self):
+        routes = internal_routes()
+        assert {route for route, _ in routes} == {
+            "canonicalize", "act", "standard_form", "enumerate_orbit", "eligible_classes"}
+        rng = random.Random(3)
+        for route, w in routes:
+            p = public_twin(w)
+            assert type(w) is RationalPair
+            assert w._hash == hash(tuple_key(w)), route  # kept from the start
+            assert w == p and p == w and not (w != p)
+            assert not (w < p) and not (p < w) and w <= p and w >= p
+            assert hash(w) == hash(p) == hash(tuple_key(w)), route
+            assert repr(w) == repr(p) and str(w) == str(p)
+            x = rng.choice(routes)[1]
+            assert (w < x) == (p < public_twin(x)) == (p < x) == (tuple(w) < tuple(x))
+
+    def test_dataclass_protocol(self):
+        for route, w in internal_routes()[::7]:
+            p = public_twin(w)
+            assert [f.name for f in dataclasses.fields(w)] == ["mu", "nu"]
+            assert dataclasses.asdict(w) == dataclasses.asdict(p) == {"mu": w.mu, "nu": w.nu}
+            assert dataclasses.astuple(w) == (w.mu, w.nu)
+            assert dataclasses.replace(w) == p
+            moved = dataclasses.replace(w, nu=w.nu + 1)
+            assert moved == RationalPair(w.mu, w.nu + 1)
+            assert hash(moved) == hash(tuple_key(moved))
+
+    def test_pickle_and_copy(self):
+        for route, w in internal_routes()[::5]:
+            p = public_twin(w)
+            copies = [pickle.loads(pickle.dumps(x, protocol))
+                      for x in (w, p) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+            copies += [copy.copy(w), copy.deepcopy(w), copy.copy(p), copy.deepcopy(p)]
+            for c in copies:
+                assert type(c) is RationalPair
+                assert c == w == p and hash(c) == hash(tuple_key(w)), route
+                assert repr(c) == repr(p)
+            assert pickle.loads(pickle.dumps({w: route}))[p] == route
+
+    @pytest.mark.parametrize("name", ["mu", "nu", "_hash"])
+    def test_frozen(self, name):
+        v = canonicalize((F(1, 5), F(2, 5)))
+        for w in (v, public_twin(v)):
+            hash(w)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(w, name, F(1, 7))
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(w, name)
+            assert w == v and hash(w) == hash(tuple_key(v))
+
+    def test_slots_and_no_instance_dict(self):
+        v = canonicalize((F(1, 5), F(2, 5)))
+        assert RationalPair.__slots__ == ("mu", "nu", "_hash")
+        for w in (v, public_twin(v)):
+            assert not hasattr(w, "__dict__")
+            with pytest.raises(TypeError):
+                vars(w)
+
+    def test_canonicalize_returns_a_canonical_pair_itself(self):
+        v = canonicalize((F(1, 5), F(2, 5)))
+        assert canonicalize(v) is v
+        p = public_twin(v)
+        assert canonicalize(p) is p
+        # components that are not Fractions are rebuilt as Fractions
+        w = canonicalize(RationalPair(F(1, 3), 0))
+        assert w == pair(F(1, 3), 0) and type(w.nu) is F
+
+
+class TestFastConstructor:
+    """Pairs the module builds for itself skip the public constructor."""
+
+    def test_internal_routes_make_no_constructor_call(self, monkeypatch):
+        calls = []
+        public_init = RationalPair.__init__
+
+        def counting(self, *args, **kwargs):
+            calls.append(args)
+            public_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(RationalPair, "__init__", counting)
+        RationalPair(F(1, 2), F(0))
+        assert len(calls) == 1
+        calls.clear()
+        v = canonicalize(("1/160", "0"))
+        assert len(enumerate_orbit(v)) == orbit_partition(160)[0]
+        assert len(eligible_classes(24)) == sum(orbit_partition(24))
+        for g in GENERATORS:
+            act(g, v)
+            act(g.inverse(), v)
+        canonicalize(("-1/160", "7/2"))
+        canonicalize((F(-3, 8), F(5, 8)))
+        canonicalize(v)
+        standard_form(v)
+        same_orbit(v, canonicalize(("3/160", "1/2")))
+        _fraction_bfs(canonicalize((F(1, 5), 0)))
+        assert calls == []

@@ -84,6 +84,25 @@ class TestParamsConvert:
         with pytest.raises(TypeError):
             params_convert((1, 2, 3, 4))
 
+    def test_complex_values_converted_once(self, monkeypatch):
+        # the parameters are read (iterated) only to convert them: once for
+        # the seven verify_curve calls of a verified classification
+        reads = []
+        params_iter = PviParams.__iter__
+
+        def counting(self):
+            reads.append(self)
+            return params_iter(self)
+
+        monkeypatch.setattr(PviParams, "__iter__", counting)
+        assert classify((9, 1, 1, 1), verify=True).curves == (CurveId.D,)
+        assert len(reads) == 1
+        params = PviParams(F(9, 8), F(-1, 8), F(1, 8), F(3, 8))
+        assert params.as_complex() == (9 / 8, -1 / 8, 1 / 8, 3 / 8)
+        assert params.as_complex() is params.as_complex()
+        assert pickle.loads(pickle.dumps(params)) == params
+        assert dataclasses.replace(params, alpha=F(1)).as_complex()[0] == 1
+
 
 class TestImplicitDerivs:
     def test_square_root_branch(self):
