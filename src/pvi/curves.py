@@ -26,7 +26,7 @@ from itertools import product
 from math import gcd, lcm
 from typing import Iterable, NamedTuple, Sequence, Union
 
-from .multipoly import MultiPoly, Scalar
+from .multipoly import MultiPoly, Scalar, linear_combination
 
 Y = MultiPoly.variable("y")
 T = MultiPoly.variable("t")
@@ -82,28 +82,41 @@ CURVES: dict[CurveId, MultiPoly] = {cid: row.poly for cid, row in CURVE_TABLE.it
 QUARTIC_CURVES = tuple(cid for cid, row in CURVE_TABLE.items() if row.line is None)
 
 
+_Y2, _YM1, _YMT = Y ** 2, (Y - 1) ** 2, (Y - T) ** 2
+# The sextic's four basis sextics, one per parameter.  Each is built as a
+# product in the order the full formula multiplies it out, so a combination
+# of them keeps that formula's term order.
+_MASTER_BASIS = (
+    _Y2 * _YM1 * _YMT,
+    -(T * _YM1 * _YMT),
+    -((1 - T) * _Y2 * _YMT),
+    -(T * (T - 1) * _Y2 * _YM1),
+)
+# The quartic's basis quartics for a0, a2 and a1, in the order
+# a0*(y-1)^2*y^2 - a2*y^2 - t*(a1*(y-1)^2 - a2*y^2) first meets their terms.
+_P0_BASIS = ((Y - 1) ** 2 * Y ** 2, -(Y ** 2) + T * Y ** 2, -(T * (Y - 1) ** 2))
+
+
 def master_poly(alpha: AlphaLike) -> MultiPoly:
     """Parameter-weighted sextic in (y, t); linear in the four parameters.
 
     a0*y^2*(y-1)^2*(y-t)^2 - a1*t*(y-1)^2*(y-t)^2
     - a2*(1-t)*y^2*(y-t)^2 - a3*t*(t-1)*y^2*(y-1)^2
+
+    Being linear in alpha, it is built as the combination sum a_i * B_i of
+    four constant basis sextics, with the term order of the product formula.
     """
-    a0, a1, a2, a3 = (Fraction(a) for a in alpha)
-    y2 = Y ** 2
-    ym1 = (Y - 1) ** 2
-    ymt = (Y - T) ** 2
-    return (
-        a0 * y2 * ym1 * ymt
-        - a1 * T * ym1 * ymt
-        - a2 * (1 - T) * y2 * ymt
-        - a3 * T * (T - 1) * y2 * ym1
-    )
+    return linear_combination([Fraction(a) for a in alpha], _MASTER_BASIS)
 
 
 def p0_poly(alpha: AlphaLike) -> MultiPoly:
-    """Quartic cofactor of (y - t)^2 in the sextic when the fourth parameter vanishes."""
+    """Quartic cofactor of (y - t)^2 in the sextic when the fourth parameter vanishes.
+
+    a0*(y-1)^2*y^2 - a2*y^2 - t*(a1*(y-1)^2 - a2*y^2), built like
+    :func:`master_poly` from three constant basis quartics.
+    """
     a0, a1, a2 = (Fraction(a) for a in alpha[:3])
-    return a0 * (Y - 1) ** 2 * Y ** 2 - a2 * Y ** 2 - T * (a1 * (Y - 1) ** 2 - a2 * Y ** 2)
+    return linear_combination((a0, a2, a1), _P0_BASIS)
 
 
 # ----------------------------------------------------------------------
@@ -120,8 +133,14 @@ def _kummer_expression(a):
 
 
 def kummer_defect(alpha: AlphaLike) -> Fraction:
-    """LHS - RHS of the quartic surface relation, exactly."""
-    return _kummer_expression([Fraction(x) for x in alpha])
+    """LHS - RHS of the quartic surface relation, exactly.
+
+    The relation is homogeneous of degree 4, so it is evaluated on the
+    integers D*a_i, D the lcm of the denominators, and divided by D^4.
+    """
+    a = [Fraction(x) for x in alpha]
+    den = lcm(*(x.denominator for x in a))
+    return Fraction(_kummer_expression([x.numerator * (den // x.denominator) for x in a]), den ** 4)
 
 
 def kummer_condition(alpha: AlphaLike) -> tuple[bool, Fraction]:

@@ -12,7 +12,10 @@ starts, so no field overflows.
 All arithmetic is exact over Q.  Coefficients are stored as ints where
 integral and as Fractions otherwise; public accessors return Fractions.
 Terms keep the order each operation produces them in, and evaluation sums
-them in that order.
+them in that order.  Evaluation at int and Fraction points runs in integers
+over one common denominator; the parser, the gcd behind ``content_in`` and
+products over a common denominator likewise work on ints.  A polynomial is
+immutable, so each instance memoizes its powers: ``p ** n`` is built once.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
@@ -70,6 +73,11 @@ def _norm(c: Scalar) -> Scalar:
     return c.numerator if type(c) is Fraction and c.denominator == 1 else c
 
 
+def _den(t: Terms) -> int:
+    """The lcm of the coefficient denominators."""
+    return lcm(*[c.denominator for c in t.values() if type(c) is not int])
+
+
 def _mul(a: Terms, b: Terms) -> Terms:
     """Product in nested-loop order: each key sits where it first arises.
 
@@ -85,8 +93,7 @@ def _mul(a: Terms, b: Terms) -> Terms:
         # times a single term, keys stay distinct and in the other operand's order
         ((k0, c0),), many = (a.items(), b) if len(a) == 1 else (b.items(), a)
         return {k + k0: _norm(c * c0) for k, c in many.items()}
-    da = lcm(*(c.denominator for c in a.values() if type(c) is not int))
-    db = lcm(*(c.denominator for c in b.values() if type(c) is not int))
+    da, db = _den(a), _den(b)
     a_items = a.items() if da == 1 else [(k, int(c * da)) for k, c in a.items()]
     b_items = b.items() if db == 1 else [(k, int(c * db)) for k, c in b.items()]
     out: dict[int, int] = {}
@@ -112,6 +119,20 @@ def _accumulate(acc: Terms, items: Iterable[tuple[int, Scalar]]) -> Terms:
     return acc
 
 
+def linear_combination(scalars: Sequence[Scalar], polys: Sequence["MultiPoly"]) -> "MultiPoly":
+    """sum scalars[i] * polys[i], accumulated in order; a zero scalar is skipped.
+
+    The terms come out as in ((c0*p0 + c1*p1) + c2*p2) + ..., with c_i*p_i
+    keeping the key order of p_i.
+    """
+    acc: Terms = {}
+    for c, p in zip(scalars, polys):
+        c = _norm(c)
+        if c:
+            _accumulate(acc, [(k, c * v) for k, v in p._t.items()])
+    return MultiPoly._of(acc)
+
+
 def _raw(x) -> "Terms | None":
     """The terms of a polynomial or of an exact scalar; None for anything else."""
     if isinstance(x, MultiPoly):
@@ -125,7 +146,7 @@ def _raw(x) -> "Terms | None":
 class MultiPoly:
     """Immutable sparse polynomial: map from packed monomials to nonzero rationals."""
 
-    __slots__ = ("_t", "_vars", "_terms")
+    __slots__ = ("_t", "_vars", "_terms", "_powers")
 
     def __init__(self, terms: Mapping[Exponents, Scalar] = (), variables: Sequence[str] = ()):
         names = _check_vars(variables)
@@ -270,14 +291,21 @@ class MultiPoly:
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a nonnegative integer")
         _check_degree(n * self.total_degree())
-        result, base = None, self._t
-        while n:
-            if n & 1:
+        powers = getattr(self, "_powers", None)
+        if powers is None:
+            powers = {}
+            _set(self, "_powers", powers)
+        elif n in powers:
+            return powers[n]
+        result, base, e = None, self._t, n
+        while e:
+            if e & 1:
                 result = base if result is None else _mul(result, base)
-            n >>= 1
-            if n:
+            e >>= 1
+            if e:
                 base = _mul(base, base)
-        return MultiPoly._of({0: 1} if result is None else result)
+        p = powers[n] = MultiPoly._of({0: 1} if result is None else result)
+        return p
 
     def derivative(self, name: str) -> "MultiPoly":
         if name not in _VAR_INDEX:
@@ -294,18 +322,24 @@ class MultiPoly:
     def __call__(self, **values):
         """Numeric evaluation; every variable of the polynomial must be bound.
 
-        Returns a Fraction when all inputs are exact rationals, otherwise
-        a complex/float following Python numeric promotion.  Each term
-        multiplies its factors in universe order, and the terms are summed
-        in term order.
+        When every bound value is an int or a Fraction the sum is taken in
+        integers (see :func:`_exact_value`) and returned as a Fraction.  Any
+        other input gives a complex/float following Python numeric
+        promotion: each term multiplies its factors in universe order, and
+        the terms are summed in term order.
         """
         names = self.vars
-        missing = [v for v in names if v not in values]
-        if missing:
-            raise ValueError(f"unbound variables {missing}")
+        try:
+            fields = [(_SHIFTS[_VAR_INDEX[v]], values[v], {}) for v in names]  # powers cached per variable
+        except KeyError:
+            raise ValueError(f"unbound variables {[v for v in names if v not in values]}") from None
         if not self._t:
             return Fraction(0)
-        fields = [(_SHIFTS[_VAR_INDEX[v]], values[v], {}) for v in names]  # powers cached per variable
+        for _, x, _ in fields:
+            if type(x) is not int and type(x) is not Fraction:
+                break
+        else:
+            return _exact_value(self._t, fields)
         total = None
         for key, coef in self._t.items():
             term = coef
@@ -404,9 +438,10 @@ class MultiPoly:
     def content_in(self, name: str) -> "MultiPoly":
         """Gcd of the coefficient polynomials of powers of ``name``.
 
-        Exact when the coefficients involve at most one other variable
-        (univariate Euclid over Q, made monic); a unit content is reported
-        as the constant 1.
+        Exact when the coefficients involve at most one other variable: the
+        gcd of two or more coefficients is taken over Z by a primitive
+        remainder sequence and made monic once, at the end, with its terms
+        in ascending degree.  A unit content is reported as the constant 1.
         """
         coeffs = list(self.coefficients_in(name).values())
         if not coeffs:
@@ -418,12 +453,17 @@ class MultiPoly:
             raise ValueError("content computation supports at most one coefficient variable")
         if not others:
             return MultiPoly.constant(1)
-        g = coeffs[0]
+        if len(coeffs) == 1:
+            return coeffs[0]
+        (other,) = others
+        s, unit = _SHIFTS[_VAR_INDEX[other]], _VAR_KEY[_VAR_INDEX[other]]
+        g = _dense(coeffs[0], s)
         for c in coeffs[1:]:
-            g = _univariate_gcd(g, c)
-            if g.is_constant():
+            g = _primitive_gcd(g, _dense(c, s))
+            if len(g) == 1:
                 return MultiPoly.constant(1)
-        return g
+        lc = g[-1]
+        return MultiPoly._of({e * unit: _norm(Fraction(c, lc)) for e, c in enumerate(g) if c})
 
     def square_root(self) -> "MultiPoly":
         """Exact Q with Q*Q == self, sign-normalized to a positive leading coefficient.
@@ -528,21 +568,75 @@ def _fraction_sqrt(x: Fraction) -> Fraction:
     return Fraction(pn, pd)
 
 
-def _univariate_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
-    """Monic gcd over Q of two polynomials in one and the same variable."""
-    a, b = p._t, q._t
-    while b:
-        # remainder of a mod b; key order is degree order in one variable
-        lead, r = max(b), dict(a)
-        while r and max(r) >= lead:
-            k = max(r)
-            c = Fraction(r[k]) / b[lead]
-            _accumulate(r, ((k - lead + dk, -c * dc) for dk, dc in b.items()))
-        a, b = b, r
-    if not a:
-        return MultiPoly.zero()
-    lc = a[max(a)]
-    return MultiPoly._of({k: _norm(Fraction(a[k]) / lc) for k in sorted(a)})
+def _exact_value(t: Terms, fields: list) -> Fraction:
+    """The value of the terms t at exact points, summed in integers.
+
+    Over the lcm L of the coefficient denominators, and with each variable
+    x = n/d of degree E in t contributing n^e * d^(E-e) for its exponent e,
+    every term is an integer; the value is their sum over L * prod d^E.
+    Each power is built once per call, in the field's cache.
+    """
+    scale = den = _den(t)
+    columns = []
+    for s, x, cache in fields:
+        if type(x) is int:
+            columns.append((s, x, 1, 0, cache))
+        elif x.denominator == 1:
+            columns.append((s, x.numerator, 1, 0, cache))
+        else:
+            top = max([k >> s & _MASK for k in t])
+            scale *= x.denominator ** top
+            columns.append((s, x.numerator, x.denominator, top, cache))
+    total = 0
+    for k, c in t.items():
+        term = c * den if type(c) is int else c.numerator * (den // c.denominator)
+        for s, n, d, top, cache in columns:
+            e = k >> s & _MASK
+            f = cache.get(e)
+            if f is None:
+                f = cache[e] = n ** e if d == 1 else n ** e * d ** (top - e)
+            term *= f
+        total += term
+    return Fraction(total) if scale == 1 else Fraction(total, scale)
+
+
+def _dense(p: MultiPoly, s: int) -> list[int]:
+    """Ascending coefficients of p in the variable at shift s, scaled to a
+    primitive integer list; p must involve no other variable."""
+    t = p._t
+    den = _den(t)
+    out = [0] * ((max(t) >> s & _MASK) + 1)
+    for k, c in t.items():
+        out[k >> s & _MASK] = c * den if type(c) is int else c.numerator * (den // c.denominator)
+    g = gcd(*out)
+    return [c // g for c in out]
+
+
+def _primitive_gcd(a: list[int], b: list[int]) -> list[int]:
+    """A gcd of two nonzero primitive integer polynomials (ascending, no zero
+    leading coefficient) by the primitive remainder sequence: each
+    pseudo-remainder is divided by its content, so the integers stay small.
+    The result is determined up to a nonzero integer factor."""
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        r, lb, top = a[:], b[-1], len(b) - 1
+        while len(r) > top:
+            c, shift = r[-1], len(r) - len(b)
+            g = gcd(c, lb)
+            # (lb/g) * r - (c/g) * x^shift * b cancels the leading term
+            f, c = lb // g, c // g
+            r = [f * x for x in r]
+            for i, y in enumerate(b):
+                r[shift + i] -= c * y
+            r.pop()
+            while r and not r[-1]:
+                r.pop()
+        if not r:
+            return b
+        g = gcd(*r)
+        a, b = b, [x // g for x in r]
+    return b
 
 
 _TERM_RE = re.compile(r"\s*(?P<sign>[+-])?\s*(?P<body>[^+-]+)")
@@ -561,21 +655,28 @@ def _parse_poly(text: str) -> MultiPoly:
             raise ValueError(f"cannot parse polynomial near {s[pos:]!r}")
         if pos and m.group("sign") is None:
             raise ValueError(f"missing +/- separator near {s[pos:]!r}")
-        coef: Scalar = -1 if m.group("sign") == "-" else 1
+        num, den = (-1 if m.group("sign") == "-" else 1), 1
         key = degree = 0
         for factor in m.group("body").split("*"):
             factor = factor.strip()
             fm = _FACTOR_RE.match(factor)
             if not fm:
                 raise ValueError(f"bad factor {factor!r}")
-            if fm.group("num") is not None:
-                coef *= Fraction(fm.group("num"))
+            number, name, exp = fm.groups()
+            if number is not None:
+                n, _, d = number.partition("/")
+                n, d = int(n), int(d or 1)
+                if not d:
+                    raise ZeroDivisionError(f"Fraction({n}, 0)")
+                num, den = num * n, den * d
             else:
-                name = _check_vars((fm.group("var"),))[0]
-                e = int(fm.group("exp") or 1)
+                index = _VAR_INDEX.get(name)
+                if index is None:
+                    _check_vars((name,))  # raises
+                e = int(exp or 1)
                 degree += e
                 _check_degree(degree)
-                key += e * _VAR_KEY[_VAR_INDEX[name]]
-        _accumulate(acc, [(key, _norm(coef))])
+                key += e * _VAR_KEY[index]
+        _accumulate(acc, [(key, num if den == 1 else Fraction(num, den))])
         pos = m.end()
     return MultiPoly._of(acc)

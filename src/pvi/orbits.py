@@ -230,13 +230,38 @@ class StandardForm:
     is the representative (0, M/N), (M/N, 0) or (M/N, M/N) selected by the
     parity of (m, n): (even, odd), (odd, even), (odd, odd) respectively.
     Every orbit contains its standard representative.
+
+    Like :class:`RationalPair` it has slots and no ``__dict__``; the public
+    constructor is unchanged, and :func:`standard_form` builds through
+    :func:`_standard` without the frozen constructor's setattr calls.
     """
+
+    __slots__ = ("M", "N", "m", "n", "standard")
 
     M: int
     N: int
     m: int
     n: int
     standard: RationalPair
+
+    def __reduce__(self):
+        # see RationalPair.__reduce__
+        return (StandardForm, (self.M, self.N, self.m, self.n, self.standard))
+
+
+_set_M, _set_N, _set_m, _set_n, _set_standard = (
+    StandardForm.__dict__[name].__set__ for name in StandardForm.__slots__)
+
+
+def _standard(M: int, N: int, m: int, n: int, standard: RationalPair) -> StandardForm:
+    """StandardForm(M, N, m, n, standard), with the slots set directly."""
+    sf = _new(StandardForm)
+    _set_M(sf, M)
+    _set_N(sf, N)
+    _set_m(sf, m)
+    _set_n(sf, n)
+    _set_standard(sf, standard)
+    return sf
 
 
 def standard_form(v: RationalPair) -> StandardForm:
@@ -247,7 +272,7 @@ def standard_form(v: RationalPair) -> StandardForm:
     M = gcd(a, b)
     m, n = a // M, b // M
     standard = _canonical_at(N, *((0, M) if m % 2 == 0 else (M, 0) if n % 2 == 0 else (M, M)))
-    return StandardForm(M=M, N=N, m=m, n=n, standard=standard)
+    return _standard(M, N, m, n, standard)
 
 
 def merging_matrix(N: int) -> Gamma2Matrix:

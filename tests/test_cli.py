@@ -433,6 +433,33 @@ class TestVerifierBytes:
             assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+class TestPicardBytes:
+    # sha256 of eval-picard at each curve's Picard class and a fixed tau,
+    # taken before the sextic was built from basis sextics: master_residual
+    # sums the sextic's terms in dict order, so its last bits pin the term
+    # order.  Floating point, so one numpy and LAPACK build.
+    @pytest.mark.parametrize("curve,tau,digest", [
+        ("A", ("0.1", "1.3"), "67229c8d473af6181893e7fb882698368e4d1062eb13d57ac9eccc3d5d31883f"),
+        ("B", ("-0.3", "1.1"), "5b9dea3879108be2f8a507f13d507bc90142f71cc651aeddeb3f7384e0a62607"),
+        ("C", ("0.25", "0.8"), "d6b2035644cead2e4364fb069fde2fa1aa3a9470a0239659dac2e84f956bfde9"),
+        ("D", ("0.4", "1.2"), "40defdf85ab6e3a08ce0872e143b05c9daaf4cd8129bc50000d15891bb44d107"),
+        ("E", ("-0.2", "0.9"), "dab1159d268683bdc098003f175a4a12a9c4d4e3aca13cc96877edf3bd255912"),
+        ("F", ("0.2", "0.9"), "d949f84eec20cf0df1bf9f6abafb0fef59e4cf90464cb6efb7a32097163477b2"),
+        ("G", ("-0.45", "0.7"), "41bff27998d328b3cb32c37d9a8fb4d6b073219a0351ea13ad38478c0ad8495d"),
+    ])
+    def test_bytes_are_pinned(self, capsys, curve, tau, digest):
+        from pvi.curves import CURVE_TABLE
+        from pvi.orbits import format_rational
+
+        mu, nu = (format_rational(x) for x in CURVE_TABLE[CurveId(curve)].picard_class)
+        code, out, _ = run(capsys, "eval-picard", "--mu", mu, "--nu", nu,
+                           "--tau-re", tau[0], "--tau-im", tau[1])
+        assert code == 0
+        body = json.loads(out)
+        assert body["curve"] == curve and 0 < body["master_residual"] < 1e-10
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 class TestSignedValues:
     @pytest.mark.parametrize("argv", [
         ["classify", "--alpha", "-3,1,2,4"],

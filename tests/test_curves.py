@@ -74,7 +74,77 @@ class TestMasterPoly:
             assert master_poly(list(alpha)).try_divide(CURVES[cid]) is not None
 
 
+def product_master(alpha):
+    """The sextic multiplied out term by term, as it was built before the basis."""
+    a0, a1, a2, a3 = (F(a) for a in alpha)
+    y2, ym1, ymt = Y ** 2, (Y - 1) ** 2, (Y - T) ** 2
+    return (a0 * y2 * ym1 * ymt - a1 * T * ym1 * ymt
+            - a2 * (1 - T) * y2 * ymt - a3 * T * (T - 1) * y2 * ym1)
+
+
+def product_p0(alpha):
+    a0, a1, a2 = (F(a) for a in alpha[:3])
+    return a0 * (Y - 1) ** 2 * Y ** 2 - a2 * Y ** 2 - T * (a1 * (Y - 1) ** 2 - a2 * Y ** 2)
+
+
+def same_terms(p, q):
+    """Same keys in the same order, with the same coefficients and coefficient types."""
+    return (list(p._t.items()) == list(q._t.items())
+            and [type(c) for c in p._t.values()] == [type(c) for c in q._t.values()])
+
+
+class TestLinearBasis:
+    """master_poly and p0_poly are combinations of constant basis polynomials;
+    eval-picard sums the sextic's terms in dict order, so the combination must
+    keep the product formula's term order, not only its value."""
+
+    GRID = (0, 1, F(-3, 2), 2, -1, F(1, 3))
+
+    def test_master_matches_product_formula(self):
+        for alpha in product(self.GRID, repeat=4):
+            assert same_terms(master_poly(alpha), product_master(alpha)), alpha
+
+    def test_p0_matches_product_formula(self):
+        for alpha in product(self.GRID, repeat=3):
+            assert same_terms(p0_poly(alpha), product_p0(alpha)), alpha
+            assert same_terms(p0_poly((*alpha, 5)), product_p0(alpha))
+
+    def test_random_parameters(self):
+        rng = random.Random(44)
+        for _ in range(100):
+            alpha = [rng.choice([0, rand_frac(rng), rng.randint(-9, 9)]) for _ in range(4)]
+            assert same_terms(master_poly(alpha), product_master(alpha)), alpha
+            assert same_terms(p0_poly(alpha), product_p0(alpha)), alpha
+
+    def test_parameters_as_text_and_floats(self):
+        for alpha in (("1/2", "3", "-2/7", "0"), (0.5, 1.25, -2.0, 3.0)):
+            assert same_terms(master_poly(alpha), product_master(alpha))
+            assert same_terms(p0_poly(alpha), product_p0(alpha))
+
+    def test_constant_basis_is_not_changed_by_use(self):
+        before = [str(master_poly(a)) for a in product((0, 1), repeat=4)]
+        for alpha in product(self.GRID, repeat=2):
+            master_poly((*alpha, *alpha))
+        assert [str(master_poly(a)) for a in product((0, 1), repeat=4)] == before
+
+
+def fraction_kummer_defect(alpha):
+    a = [F(x) for x in alpha]
+    sym2 = sum(a[i] * a[j] for i in range(4) for j in range(i + 1, 4))
+    return (sum(x * x for x in a) - 2 * sym2) ** 2 - 64 * a[0] * a[1] * a[2] * a[3]
+
+
 class TestKummer:
+    def test_defect_matches_fraction_formula(self):
+        rng = random.Random(45)
+        for _ in range(300):
+            alpha = [rng.choice([0, rand_frac(rng, 30), rng.randint(-99, 99), F(rng.randint(1, 9), 10 ** 9)])
+                     for _ in range(4)]
+            holds, defect = kummer_condition(alpha)
+            assert type(defect) is F and defect == fraction_kummer_defect(alpha)
+            assert holds == (defect == 0)
+        assert kummer_condition(("1/2", 0.25, 1, F(3, 4)))[1] == fraction_kummer_defect(("1/2", 0.25, 1, F(3, 4)))
+
     @pytest.mark.parametrize(
         "alpha,holds,defect",
         [

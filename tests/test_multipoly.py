@@ -585,3 +585,253 @@ class TestTryDivideIntPath:
             b = wide_poly(rng, ("y", "t", "z"), nterms=3, max_degree=3) + rng.choice([1, 2, F(1, 3)])
             for num in (a * b, a * b + rng.choice([1, Y, F(1, 2) * T])):
                 self.check(num, b)
+
+
+# ----------------------------------------------------------------------
+# exact evaluation in integers, the int parser, the power memo
+# ----------------------------------------------------------------------
+
+
+def ref_exact_eval(p: MultiPoly, point: dict) -> Fraction:
+    """Term by term in Fractions."""
+    total = F(0)
+    for exps, coef in p.terms.items():
+        term = F(coef)
+        for var, e in zip(p.vars, exps):
+            term *= F(point[var]) ** e
+        total += term
+    return total
+
+
+def ref_float_eval(p: MultiPoly, point: dict):
+    """The evaluation loop for inexact inputs: factors in universe order, terms in term order."""
+    total = None
+    for key, coef in p._t.items():
+        term = coef
+        for var, e in zip(p.vars, p._decoder()(key)):
+            if e:
+                term = term * point[var] ** e
+        total = term if total is None else total + term
+    return F(total) if type(total) is int else total
+
+
+class TestExactEvaluation:
+    NAMES = ("y", "t", "z", "a0", "u1")
+
+    def polys(self, rng):
+        for _ in range(40):
+            yield wide_poly(rng, self.NAMES, nterms=rng.randint(1, 7), max_degree=9)
+        yield MultiPoly.parse("3*y^2 - 2*t + 5")  # integer coefficients
+        yield Y ** 4 - F(1, 3) * Y * T ** 2
+
+    def test_int_and_fraction_points(self):
+        rng = random.Random(1515)
+        for p in self.polys(rng):
+            points = [
+                {v: rng.randint(-9, 9) for v in self.NAMES},
+                {v: F(rng.randint(-9, 9), rng.randint(1, 7)) for v in self.NAMES},
+                {v: rng.choice([rng.randint(-4, 4), F(rng.randint(-9, 9), rng.randint(2, 7))])
+                 for v in self.NAMES},
+                {v: F(rng.randint(-9, 9)) for v in self.NAMES},  # Fractions with denominator 1
+            ]
+            for point in points:
+                got = p(**point)
+                assert type(got) is Fraction
+                assert got == ref_exact_eval(p, point)
+
+    def test_bool_points_take_the_float_loop(self):
+        rng = random.Random(1616)
+        for p in self.polys(rng):
+            point = {v: rng.choice([True, False, 2, F(1, 3)]) for v in self.NAMES}
+            got = p(**point)
+            assert type(got) is Fraction
+            assert got == ref_exact_eval(p, {v: F(int(x)) if type(x) is bool else x
+                                             for v, x in point.items()})
+
+    def test_mixed_float_point_is_bit_for_bit(self):
+        rng = random.Random(1717)
+        for p in self.polys(rng):
+            point = {v: rng.choice([rng.uniform(-2, 2), F(rng.randint(-9, 9), rng.randint(1, 7)),
+                                    complex(rng.uniform(-1, 1), rng.uniform(-1, 1))])
+                     for v in self.NAMES}
+            point["y"] = rng.uniform(-2, 2)
+            got, want = p(**point), ref_float_eval(p, point)
+            assert type(got) is type(want) and repr(got) == repr(want)
+
+    def test_zero_and_constant_polynomials(self):
+        for point in ({}, {"y": F(1, 2)}, {"y": 2.5}, {"t": 1j}):
+            assert type(MultiPoly.zero()(**point)) is Fraction
+            assert MultiPoly.zero()(**point) == 0
+            for c in (7, F(-2, 3)):
+                got = MultiPoly.constant(c)(**point)
+                assert type(got) is Fraction and got == c
+
+    def test_unbound_variables_named_in_order(self):
+        p = Y * T + Z
+        for point in ({"t": 1}, {"t": 1.0}, {"t": F(1, 2)}):
+            with pytest.raises(ValueError, match=r"unbound variables \['y', 'z'\]"):
+                p(**point)
+
+
+def reference_parse(text: str) -> MultiPoly:
+    """The parser as it was, multiplying number factors as Fraction(str)."""
+    from pvi.multipoly import _FACTOR_RE, _TERM_RE, _VAR_INDEX, _VAR_KEY, _accumulate, _check_degree
+    from pvi.multipoly import _check_vars, _norm
+
+    s = text.strip()
+    if not s:
+        raise ValueError("empty polynomial string")
+    acc = {}
+    pos = 0
+    while pos < len(s):
+        m = _TERM_RE.match(s, pos)
+        if not m or not m.group("body").strip():
+            raise ValueError(f"cannot parse polynomial near {s[pos:]!r}")
+        if pos and m.group("sign") is None:
+            raise ValueError(f"missing +/- separator near {s[pos:]!r}")
+        coef = -1 if m.group("sign") == "-" else 1
+        key = degree = 0
+        for factor in m.group("body").split("*"):
+            factor = factor.strip()
+            fm = _FACTOR_RE.match(factor)
+            if not fm:
+                raise ValueError(f"bad factor {factor!r}")
+            if fm.group("num") is not None:
+                coef *= Fraction(fm.group("num"))
+            else:
+                name = _check_vars((fm.group("var"),))[0]
+                e = int(fm.group("exp") or 1)
+                degree += e
+                _check_degree(degree)
+                key += e * _VAR_KEY[_VAR_INDEX[name]]
+        _accumulate(acc, [(key, _norm(coef))])
+        pos = m.end()
+    return MultiPoly._of(acc)
+
+
+def random_text(rng) -> str:
+    parts = []
+    for _ in range(rng.randint(1, 7)):
+        factors = []
+        for _ in range(rng.randint(0, 3)):
+            num = str(rng.randint(0, 40))
+            factors.append(num if rng.random() < 0.5 else f"{num}/{rng.randint(1, 12)}")
+        for _ in range(rng.randint(0, 3)):
+            v = rng.choice(("y", "t", "z", "a0", "u3"))
+            factors.append(v if rng.random() < 0.4 else f"{v}^{rng.randint(0, 6)}")
+        rng.shuffle(factors)
+        body = " * ".join(factors) or "1"
+        parts.append(f"{rng.choice('+-')} {body}")
+    text = " ".join(parts)
+    return text[2:] if text.startswith("+ ") and rng.random() < 0.5 else text
+
+
+class TestParserAgainstReference:
+    def test_random_texts_keep_order_and_types(self):
+        rng = random.Random(1818)
+        for _ in range(400):
+            text = random_text(rng)
+            got, want = MultiPoly.parse(text), reference_parse(text)
+            assert list(got._t.items()) == list(want._t.items()), text
+            assert [type(c) for c in got._t.values()] == [type(c) for c in want._t.values()]
+
+    @pytest.mark.parametrize("text", [
+        "", "   ", "y +", "y t", "2*x", "y^", "y^-1", "3/", "/3", "1/0", "2*y*0/0", "y*007/00",
+        "y**2", "y^200*t^56", "y^256", "y^99999999999", "1/0*y^300", "y^300*1/0", "w*1/0",
+        "y - - t", "+", "2 3", "a9", "1.5*y", "y*", "*y",
+    ])
+    def test_bad_input_raises_the_same(self, text):
+        def outcome(parse):
+            try:
+                return "ok", list(parse(text)._t.items())
+            except Exception as exc:  # noqa: BLE001 - the type and message are compared
+                return type(exc), str(exc)
+
+        got = outcome(MultiPoly.parse)
+        assert got[0] != "ok"
+        assert got == outcome(reference_parse)
+
+
+def ref_pow(p: MultiPoly, n: int) -> MultiPoly:
+    """Square-and-multiply through public products, from a fresh copy of p."""
+    result, base = None, MultiPoly._of(dict(p._t))
+    while n:
+        if n & 1:
+            result = base if result is None else result * base
+        n >>= 1
+        if n:
+            base = base * base
+    return MultiPoly.constant(1) if result is None else result
+
+
+class TestPowerMemo:
+    def test_repeated_power_is_the_same_object(self):
+        rng = random.Random(1919)
+        for _ in range(30):
+            p = wide_poly(rng, ("y", "t", "z"), nterms=4, max_degree=4)
+            for n in (0, 1, 2, 3, 5, 2):
+                q = p ** n
+                assert p ** n is q
+                assert _full(q) == _full(ref_pow(p, n))
+                assert all((type(c) is int) == (F(c).denominator == 1) for c in q._t.values())
+
+    def test_errors_come_before_the_memo(self):
+        p = Y ** 100 + T
+        for bad, error in ((-1, "nonnegative"), (1.5, "nonnegative"), (F(2), "nonnegative"),
+                           (3, "exceeds the limit")):
+            with pytest.raises(ValueError, match=error):
+                p ** bad
+            assert getattr(p, "_powers", None) is None
+        q = p ** 2
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            p ** 3
+        assert p._powers == {2: q}
+
+    def test_memo_is_not_shared_between_equal_polynomials(self):
+        p, q = Y + T, Y + T
+        assert p ** 2 == q ** 2 and p ** 2 is not q ** 2
+
+
+class TestContentOverZ:
+    """content_in takes the gcd over Z; it must be sympy's monic gcd over Q."""
+
+    @staticmethod
+    def univariate(rng, name, max_degree, fractions=True):
+        """A random polynomial in one variable, of degree 1 to max_degree when
+        max_degree >= 1 and a nonzero constant otherwise."""
+        var = MultiPoly.variable(name)
+        while True:
+            p = sum((F(rng.randint(-6, 6), rng.randint(1, 4) if fractions else 1) * var ** e
+                     for e in range(max_degree + 1)), MultiPoly.zero())
+            if p.degree_in(name) >= min(1, max_degree) and p:
+                return p
+
+    @pytest.mark.parametrize("main,other", [("y", "t"), ("t", "y")])
+    def test_against_sympy_gcd(self, main, other):
+        rng = random.Random(2121)
+        x, var = _SYMS[other], MultiPoly.variable(main)
+        units = 0
+        for trial in range(120):
+            if trial % 4 == 0:
+                content = MultiPoly.constant(1)
+            else:
+                content = self.univariate(rng, other, rng.randint(1, 3), fractions=trial % 2 == 1)
+            p = MultiPoly.zero()
+            for e in range(rng.randint(2, 4)):
+                p = p + content * self.univariate(rng, other, rng.randint(0, 4)) * var ** e
+            coeffs = [to_sympy(c) for c in p.coefficients_in(main).values()]
+            if len(coeffs) < 2:
+                continue
+            expected = sp.Poly(sp.gcd_list(coeffs), x, domain="QQ").monic()
+            got = p.content_in(main)
+            assert sp.Poly(to_sympy(got), x, domain="QQ") == expected
+            assert list(got._t) == sorted(got._t)
+            assert all((type(c) is int) == (F(c).denominator == 1) for c in got._t.values())
+            units += got == 1
+        assert 20 < units < 100
+
+    def test_unit_and_shared_contents(self):
+        p0 = (Y - 1) ** 2 * Y ** 2 - Y ** 2 - T * ((Y - 1) ** 2 - Y ** 2)
+        assert p0.content_in("t") == 1
+        assert ((2 * T - 1) * Y ** 2 + (4 * T - 2) * Y).content_in("y") == T - F(1, 2)
+        assert ((F(1, 3) * T ** 2 - F(1, 3)) * Y + (T + 1) * Y ** 3).content_in("y") == T + 1

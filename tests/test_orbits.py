@@ -625,3 +625,72 @@ class TestFastConstructor:
         same_orbit(v, canonicalize(("3/160", "1/2")))
         _fraction_bfs(canonicalize((F(1, 5), 0)))
         assert calls == []
+
+
+def standard_routes():
+    """(standard form built by standard_form, the same values through the public constructor)."""
+    out = []
+    for N in (2, 3, 4, 7, 12, 20):
+        for v in eligible_classes(N):
+            if not v.is_zero():
+                sf = standard_form(v)
+                out.append((sf, StandardForm(M=sf.M, N=sf.N, m=sf.m, n=sf.n, standard=sf.standard)))
+    return out
+
+
+class TestStandardFormSemantics:
+    """A standard form built by standard_form (slots set directly) is the same
+    value as the one the public constructor builds."""
+
+    def test_compare_hash_and_text(self):
+        for sf, pub in standard_routes():
+            assert type(sf) is StandardForm
+            assert sf == pub and pub == sf and not (sf != pub)
+            assert hash(sf) == hash(pub)
+            assert repr(sf) == repr(pub) and str(sf) == str(pub)
+
+    def test_dataclass_protocol(self):
+        for sf, pub in standard_routes()[::5]:
+            names = ["M", "N", "m", "n", "standard"]
+            assert [f.name for f in dataclasses.fields(sf)] == names
+            assert dataclasses.fields(sf) == dataclasses.fields(pub)
+            assert dataclasses.asdict(sf) == dataclasses.asdict(pub)
+            assert dataclasses.replace(sf) == pub
+            assert dataclasses.replace(sf, M=sf.M + 2) == dataclasses.replace(pub, M=sf.M + 2)
+
+    def test_pickle(self):
+        for sf, pub in standard_routes()[::5]:
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+                data = pickle.dumps(sf, protocol)
+                assert data == pickle.dumps(pub, protocol)
+                back = pickle.loads(data)
+                assert type(back) is StandardForm and back == sf and hash(back) == hash(sf)
+            assert copy.copy(sf) == copy.deepcopy(sf) == pub
+
+    @pytest.mark.parametrize("name", ["M", "N", "m", "n", "standard"])
+    def test_frozen(self, name):
+        sf, pub = standard_routes()[3]
+        for x in (sf, pub):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(x, name, 5)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(x, name)
+        assert sf == pub
+
+    def test_slots_and_no_instance_dict(self):
+        assert StandardForm.__slots__ == ("M", "N", "m", "n", "standard")
+        for x in standard_routes()[0]:
+            assert not hasattr(x, "__dict__")
+
+    def test_standard_form_makes_no_constructor_call(self, monkeypatch):
+        calls = []
+        public_init = StandardForm.__init__
+
+        def counting(self, *args, **kwargs):
+            calls.append(args)
+            public_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(StandardForm, "__init__", counting)
+        for v in eligible_classes(12)[1:]:
+            standard_form(v)
+        assert calls == []
