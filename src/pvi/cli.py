@@ -26,7 +26,6 @@ from . import verifier as vf
 from .curves import CurveId
 from .elliptic import AlphaTuple
 from .multipoly import MultiPoly
-from .verifier import PviParams, SampleSpec
 
 SCHEMA_VERSION = "1"
 
@@ -50,10 +49,7 @@ def _rational_csv(text: str) -> list[Fraction]:
     parts = text.split(",")
     if len(parts) != 4:
         raise argparse.ArgumentTypeError(f"expected four comma-separated rationals, got {text!r}")
-    try:
-        return [ob.parse_rational(p) for p in parts]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+    return [_rational(p) for p in parts]
 
 
 def _positive_int(text: str) -> int:
@@ -66,12 +62,9 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _emit_json(payload: dict) -> None:
-    print(json.dumps(payload, sort_keys=True))
-
-
-def _payload(command: str, **body) -> dict:
-    return {"schema_version": SCHEMA_VERSION, "command": command, **body}
+def _emit_json(command: str, **body) -> None:
+    print(json.dumps({"schema_version": SCHEMA_VERSION, "command": command, **body},
+                     sort_keys=True))
 
 
 def _alpha_from_args(args) -> AlphaTuple:
@@ -79,7 +72,7 @@ def _alpha_from_args(args) -> AlphaTuple:
         raise UsageError("provide exactly one of --alpha or --pvi")
     if args.alpha is not None:
         return AlphaTuple(*args.alpha)
-    return vf.params_convert(PviParams(*args.pvi))
+    return vf.params_convert(vf.PviParams(*args.pvi))
 
 
 # ----------------------------------------------------------------------
@@ -88,16 +81,11 @@ def _alpha_from_args(args) -> AlphaTuple:
 
 def _cmd_classify(args) -> int:
     alpha = _alpha_from_args(args)
-    spec = SampleSpec(count=args.samples)
-    try:
-        result = vf.classify(alpha, verify=args.verify, spec=spec)
-    except (vf.VerificationError, vf.NoValidSamplesError) as exc:
-        print(f"verification failed: {exc}", file=sys.stderr)
-        return EXIT_VERIFICATION
+    result = vf.classify(alpha, verify=args.verify, spec=vf.SampleSpec(count=args.samples))
     alpha_text = [ob.format_rational(a) for a in alpha]
     pvi_text = [ob.format_rational(p) for p in vf.params_convert(alpha)]
     if args.format == "json":
-        _emit_json(_payload("classify", **result.to_json_dict(), alpha=alpha_text, pvi=pvi_text))
+        _emit_json("classify", **result.to_json_dict(), alpha=alpha_text, pvi=pvi_text)
     else:
         print(f"alpha = ({', '.join(alpha_text)})   pvi = ({', '.join(pvi_text)})")
         if result.kind == "picard_family":
@@ -131,7 +119,7 @@ def _cmd_orbit(args) -> int:
             "class_count": sum(partition),
         }
         if args.format == "json":
-            _emit_json(_payload("orbit", **body))
+            _emit_json("orbit", **body)
         else:
             print(f"N = {args.denominator}: orbit sizes {partition} "
                   f"({body['class_count']} classes)")
@@ -157,7 +145,7 @@ def _cmd_orbit(args) -> int:
         "curve": curve.value if curve else None,
     }
     if args.format == "json":
-        _emit_json(_payload("orbit", **body))
+        _emit_json("orbit", **body)
     else:
         print(f"class {v}: N = {data.N}, standard {data.standard}, orbit size {len(orbit)}")
         print("orbit: " + ", ".join(f"({mu}, {nu})" for mu, nu in orbit))
@@ -180,14 +168,9 @@ def _cmd_verify(args) -> int:
             target = MultiPoly.parse(args.poly)
         except ValueError as exc:
             raise UsageError(f"cannot parse polynomial: {exc}") from None
-    spec = SampleSpec(count=args.samples)
-    try:
-        report = vf.verify_curve(target, params, spec)
-    except vf.NoValidSamplesError as exc:
-        print(f"verification failed: {exc}", file=sys.stderr)
-        return EXIT_VERIFICATION
+    report = vf.verify_curve(target, params, vf.SampleSpec(count=args.samples))
     if args.format == "json":
-        _emit_json(_payload("verify", **report.to_json_dict()))
+        _emit_json("verify", **report.to_json_dict())
     elif args.format == "csv":
         out = io.StringIO()
         writer = csv.writer(out)
@@ -232,7 +215,7 @@ def _cmd_eval_picard(args) -> int:
         body["master_residual"] = abs(complex(cv.master_poly(alpha)(y=y, t=t)))
         body["master_alpha"] = [ob.format_rational(a) for a in alpha]
     if args.format == "json":
-        _emit_json(_payload("eval-picard", **body))
+        _emit_json("eval-picard", **body)
     else:
         print(f"(mu, nu) = {v}, tau = {tau}")
         print(f"t = {t}")
@@ -257,7 +240,7 @@ def _cmd_derive_quartics(args) -> int:
         ),
     }
     if args.format == "json":
-        _emit_json(_payload("derive-quartics", **body))
+        _emit_json("derive-quartics", **body)
     else:
         print(f"f(y, t) = {body['f']}")
         print(f"g(y, t) = {body['g']}")
@@ -270,25 +253,25 @@ def _cmd_derive_quartics(args) -> int:
 def _cmd_selftest(args) -> int:
     from . import selftest as st
     results = st.run_all()
-    ok = all(r.passed for r in results)
+    passed = sum(r.passed for r in results)
+    ok = passed == len(results)
     if args.json:
-        _emit_json(_payload(
+        _emit_json(
             "selftest",
             checks=[
                 {"name": r.name, "passed": r.passed, "seconds": round(r.seconds, 3),
                  "detail": r.detail}
                 for r in results
             ],
-            passed=sum(r.passed for r in results),
-            failed=sum(not r.passed for r in results),
+            passed=passed,
+            failed=len(results) - passed,
             ok=ok,
-        ))
+        )
     else:
         for r in results:
             print(r.line())
         total = sum(r.seconds for r in results)
-        print(f"{sum(r.passed for r in results)}/{len(results)} checks passed "
-              f"in {total:.2f}s")
+        print(f"{passed}/{len(results)} checks passed in {total:.2f}s")
     return EXIT_OK if ok else EXIT_VERIFICATION
 
 
@@ -320,9 +303,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=choices, default="json",
                        help="output format (default json)")
 
+    def add_params(p):
+        p.add_argument("--alpha", type=_rational_csv, metavar="a0,a1,a2,a3")
+        p.add_argument("--pvi", type=_rational_csv, metavar="alpha,beta,gamma,delta")
+
     p = sub.add_parser("classify", help="list the smooth solutions for parameters")
-    p.add_argument("--alpha", type=_rational_csv, metavar="a0,a1,a2,a3")
-    p.add_argument("--pvi", type=_rational_csv, metavar="alpha,beta,gamma,delta")
+    add_params(p)
     p.add_argument("--verify", action="store_true",
                    help="cross-check the rule-based answer by ODE residuals")
     p.add_argument("--samples", type=_positive_int, default=25, help="t samples per curve")
@@ -339,8 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="ODE residual report for one curve at parameters")
     p.add_argument("--curve", choices=[c.value for c in CurveId])
     p.add_argument("--poly", metavar="TEXT", help="custom curve polynomial in y, t")
-    p.add_argument("--alpha", type=_rational_csv, metavar="a0,a1,a2,a3")
-    p.add_argument("--pvi", type=_rational_csv, metavar="alpha,beta,gamma,delta")
+    add_params(p)
     p.add_argument("--samples", type=_positive_int, default=25)
     add_format(p, choices=("json", "csv", "text"))
     p.set_defaults(func=_cmd_verify)
@@ -387,6 +372,9 @@ def _run(argv: Optional[Sequence[str]]) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except (vf.VerificationError, vf.NoValidSamplesError) as exc:
+        print(f"verification failed: {exc}", file=sys.stderr)
+        return EXIT_VERIFICATION
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -376,11 +376,9 @@ def _require_label_clear(numerators, k: int, red: _Reduction, pair: RationalPair
     u = (2 * A + N * (k & 1)) % (2 * N)
     w = (2 * B + N * (k >> 1)) % (2 * N)
     u, w = (u - 2 * N if u >= N else u), (w - 2 * N if w >= N else w)
-    if abs(red.lam) * _cell_distance(u / (2 * N), w / (2 * N), red.tau1) < POLE_THRESHOLD:
-        z = float(pair.mu) + float(pair.nu) * (red.n + red.tau0)
-        raise PoleProximityError(
-            f"z = {z} within {POLE_THRESHOLD:g} of the period lattice"
-        )
+    distance = abs(red.lam) * _cell_distance(u / (2 * N), w / (2 * N), red.tau1)
+    if distance < POLE_THRESHOLD:  # z is built only for the message
+        _require_clear(distance, float(pair.mu) + float(pair.nu) * (red.n + red.tau0))
 
 
 def picard_eval(v: PairLike, tau: complex) -> tuple[complex, complex]:

@@ -171,6 +171,10 @@ class MultiPoly:
     def __setattr__(self, *_):
         raise AttributeError("MultiPoly is immutable")
 
+    def __reduce__(self):
+        # the default reduction restores slots through setattr, which is refused
+        return (MultiPoly._of, (dict(self._t),))
+
     @classmethod
     def constant(cls, c: Scalar) -> "MultiPoly":
         return cls._of(_raw(Fraction(c)))
@@ -451,8 +455,6 @@ class MultiPoly:
         others = {v for c in coeffs for v in c.vars}
         if len(others) > 1:
             raise ValueError("content computation supports at most one coefficient variable")
-        if not others:
-            return MultiPoly.constant(1)
         if len(coeffs) == 1:
             return coeffs[0]
         (other,) = others

@@ -322,12 +322,10 @@ def _level_table(N: int) -> tuple[list[Fraction], list[tuple[int, int]]]:
 def orbit_numerators(v: RationalPair) -> tuple[int, list[tuple[int, int]]]:
     """Level N of v and the numerators (a, b) of its orbit's members (a/N, b/N), ascending:
     every canonical class of level N, or at even N those with v's numerator parity."""
-    if v.denominator > MAX_ORBIT_DENOMINATOR:
-        raise ValueError(
-            f"denominator {v.denominator} exceeds the orbit enumeration cap "
-            f"{MAX_ORBIT_DENOMINATOR}"
-        )
     N, a, b = level_numerators(v)
+    if N > MAX_ORBIT_DENOMINATOR:
+        raise ValueError(f"denominator {N} exceeds the orbit enumeration cap "
+                         f"{MAX_ORBIT_DENOMINATOR}")
     return N, list(_level_classes(N, (a % 2, b % 2) if N % 2 == 0 else None))
 
 

@@ -34,7 +34,9 @@ REJECT_TOL = 1e-3
 PY_FLOOR = 1e-8  # |dP/dy| below this is a branch point
 EXCLUSION_TOL = 1e-8  # t within this of {0, 1}, or y of {0, 1, t}, is skipped
 NEWTON_TOL = 1e-12  # |P| at which Newton accepts a root
-MAX_SAMPLES = 10_000  # t samples per curve; a pass holds O(count * (deg_y + deg_t)) numbers
+# t samples per curve: a pass holds the (6, deg_y + 1, count) table, whose column
+# each root reads, and the powers of t and per-root arrays, O(count * (deg_y + deg_t))
+MAX_SAMPLES = 10_000
 
 
 class SingularPointError(ValueError):
@@ -115,7 +117,7 @@ def coerce_alpha(alpha: Union[AlphaTuple, PviParams, Sequence]) -> AlphaTuple:
 # jets and the ODE residual
 # ----------------------------------------------------------------------
 
-_PARTIALS = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))  # P, P_y, P_t, P_yy, P_yt, P_tt
+_PARTIALS = ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2))  # P_y, P_t, P_yy, P_yt, P_tt
 
 
 def _yt_terms(poly: MultiPoly) -> list[tuple[int, int, complex]]:
@@ -131,33 +133,33 @@ def _yt_terms(poly: MultiPoly) -> list[tuple[int, int, complex]]:
 def _in_y(poly: MultiPoly, points: Sequence[complex]):
     """The y-coefficients of P and its partials at every t: (6, deg_y + 1, len(points)).
 
-    The dense coefficients of the partials come from those of P by index shifts
-    and integer multiplies and reach every t in one matrix product.  P's own
-    coefficients are summed term by term in term order with Python's powers of
-    t, so its roots are those ``np.roots`` finds, to the bit.
+    The dense coefficients of the five partials come from those of P by index
+    shifts and integer multiplies and reach every t in one matrix product.
+    P's own coefficients are summed term by term in term order with Python's
+    powers of t, so its roots are those ``np.roots`` finds, to the bit.
     """
     import numpy as np
 
     terms = _yt_terms(poly)
-    d = np.zeros((6, poly.degree_in("y") + 1, poly.degree_in("t") + 1), dtype=complex)
+    d = np.zeros((5, poly.degree_in("y") + 1, poly.degree_in("t") + 1), dtype=complex)
     for i, j, c in terms:
         for k, (a, b) in enumerate(_PARTIALS):
             if i >= a and j >= b:
                 d[k, i - a, j - b] = math.perm(i, a) * math.perm(j, b) * c
     tpow = np.array([[tv ** j for tv in points] for j in range(d.shape[2])],
                     dtype=complex).reshape(d.shape[2], len(points))
-    out = (d.reshape(-1, d.shape[2]) @ tpow).reshape(d.shape[:2] + (len(points),))
-    out[0] = 0
+    out = np.zeros((6, d.shape[1], len(points)), dtype=complex)
+    out[1:] = (d.reshape(-1, d.shape[2]) @ tpow).reshape(d.shape[:2] + (len(points),))
     for i, j, c in terms:
         out[0, i] += c * tpow[j]
     return out
 
 
-def _horner(c, y):
-    """sum_i c[..., i, :] * y**i."""
-    out = c[..., -1, :]
+def _horner(c, cols, y):
+    """sum_i c[..., i, cols] * y**i: each root y reads its sample's column."""
+    out = c[..., -1, cols]
     for i in range(c.shape[-2] - 2, -1, -1):
-        out = out * y + c[..., i, :]
+        out = out * y + c[..., i, cols]
     return out
 
 
@@ -198,7 +200,7 @@ def implicit_derivs(poly: MultiPoly, t: complex, y: complex) -> tuple[complex, c
     tv, yv = complex(t), complex(y)
     partials = [0j] * 5  # P_y, P_t, P_yy, P_yt, P_tt, summed term by term at (t, y)
     for i, j, c in _yt_terms(poly):
-        for k, (a, b) in enumerate(_PARTIALS[1:]):
+        for k, (a, b) in enumerate(_PARTIALS):
             if i >= a and j >= b:
                 partials[k] += math.perm(i, a) * math.perm(j, b) * c * yv ** (i - a) * tv ** (j - b)
     py, pt, pyy, pyt, ptt = partials
@@ -347,13 +349,6 @@ def _params_json(params: PviParams) -> dict:
     return out
 
 
-def _resolve_curve(curve: Union[CurveId, str, MultiPoly]) -> tuple[Optional[str], MultiPoly]:
-    if isinstance(curve, MultiPoly):
-        return None, curve
-    cid = CurveId(curve)
-    return cid.value, CURVES[cid]
-
-
 _REASONS = (None, "degenerate polynomial", "root polishing failed", "y in {0, 1, t}",
             "singular point (dP/dy ~ 0)", "t in {0, 1}")
 _DEGENERATE, _POLISH_FAILED, _EXCLUDED, _SINGULAR, _FIXED_T = range(1, 6)
@@ -377,7 +372,9 @@ def _find_branches(poly: MultiPoly, spec: SampleSpec) -> _Branches:
     the skip tests and the jets on all roots at once.
 
     Samples and skips run in t order and, within one t, in the root order of
-    ``np.roots`` (zero roots last); a degenerate t is skipped once.
+    ``np.roots`` (zero roots last); a degenerate t is skipped once.  Beyond the
+    (6, deg_y + 1, count) table, whose column each root reads, the pass holds
+    O(count * deg_y) arrays, one entry per root.
     """
     import numpy as np
 
@@ -389,7 +386,7 @@ def _find_branches(poly: MultiPoly, spec: SampleSpec) -> _Branches:
     degenerate = np.array([not r.size for r in found])
     tix = np.repeat(np.arange(len(points)), [r.size or 1 for r in found])
     y = np.concatenate([r if r.size else [0] for r in found]).astype(complex)
-    t, c = np.array(points, dtype=complex)[tix], c[..., tix]
+    t = np.array(points, dtype=complex)[tix]
     code = np.where(degenerate[tix], _DEGENERATE, 0)
 
     with np.errstate(all="ignore"):
@@ -398,23 +395,23 @@ def _find_branches(poly: MultiPoly, spec: SampleSpec) -> _Branches:
         live = np.flatnonzero(code == 0)
         done = np.zeros(y.shape, dtype=bool)
         for _ in range(60):
-            pv = _horner(c[0][:, live], y[live])
+            pv = _horner(c[0], tix[live], y[live])
             hit = np.abs(pv) < NEWTON_TOL
             done[live[hit]] = True
             live, pv = live[~hit], pv[~hit]
             if not live.size:
                 break
-            dv = _horner(c[1][:, live], y[live])
+            dv = _horner(c[1], tix[live], y[live])
             keep = ~(np.abs(dv) < 1e-14)
             live, step = live[keep], pv[keep] / dv[keep]
             y[live] -= step
             live = live[~(np.abs(step) < 1e-16 * np.fmax(1.0, np.abs(y[live])))]
         check = np.flatnonzero((code == 0) & ~done)
-        code[check[~(np.abs(_horner(c[0][:, check], y[check])) < 1e-9)]] = _POLISH_FAILED
+        code[check[~(np.abs(_horner(c[0], tix[check], y[check])) < 1e-9)]] = _POLISH_FAILED
         dist = np.minimum(np.minimum(np.abs(y), np.abs(y - 1)), np.abs(y - t))
         code[(code == 0) & (dist < EXCLUSION_TOL)] = _EXCLUDED
         ok = np.flatnonzero(code == 0)
-        py, pt, pyy, pyt, ptt = _horner(c[1:, :, ok], y[ok])
+        py, pt, pyy, pyt, ptt = _horner(c[1:], tix[ok], y[ok])
         code[ok[np.abs(py) < PY_FLOOR]] = _SINGULAR
         code[(code == 0) & (np.minimum(np.abs(t), np.abs(t - 1)) < EXCLUSION_TOL)] = _FIXED_T
         y1, y2 = _jet(py, pt, pyy, pyt, ptt)
@@ -477,7 +474,10 @@ def verify_curve(
     the samples as columns and builds its :class:`ResidualSample` objects
     only when ``samples`` is read.
     """
-    label, poly = _resolve_curve(curve)
+    label, poly = None, curve
+    if not isinstance(curve, MultiPoly):
+        cid = CurveId(curve)
+        label, poly = cid.value, CURVES[cid]
     b, residuals = _residuals(poly, params, spec)
     if not residuals:
         raise NoValidSamplesError("every sample was skipped; nothing to report")
@@ -537,13 +537,13 @@ def classify(alpha: Union[AlphaTuple, PviParams, Sequence], verify: bool = False
         for cid in CurveId:
             report = verify_curve(cid, params, spec)
             reports[cid] = report
-            expected = cid in listed
-            if expected and report.max_residual >= ACCEPT_TOL:
+            verdict = report.verdict()
+            if cid in listed and verdict != "pass":
                 raise VerificationError(
                     f"curve {cid} is classified as a solution but its residual "
                     f"{report.max_residual:.3e} exceeds {ACCEPT_TOL:g}"
                 )
-            if not expected and report.max_residual <= REJECT_TOL:
+            if cid not in listed and verdict != "fail":
                 raise VerificationError(
                     f"curve {cid} is not classified as a solution but its residual "
                     f"{report.max_residual:.3e} is not above {REJECT_TOL:g}"

@@ -571,3 +571,54 @@ for argv in {argvs!r}:
     def test_verification_loads_numpy(self):
         # the control: the same probe sees numpy once a curve is verified
         assert self.run([["classify", "--alpha", "9,1,1,1", "--verify", "--samples", "2"]]) == ["True"]
+
+
+class TestPathPins:
+    # exit code and sha256 of stdout and stderr of CLI paths that no other
+    # test runs: the text forms of the Picard-family and empty classifications,
+    # of an orbit partition, of eval-picard with and without a curve and of
+    # derive-quartics; usage errors, one verification failure and argparse
+    # rejections.  COLUMNS fixes the width argparse wraps its usage line to.
+    EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+
+    @pytest.mark.parametrize("argv,code,out_digest,err_digest", [
+        (["classify", "--alpha=0,0,0,0", "--format", "text"], 0,
+         "921454916d3e0f83843ab9b6b7a4eecf5f2cf2dcfb979092479d28c42ea5a218", EMPTY),
+        (["classify", "--alpha=1,2,3,4", "--format", "text"], 0,
+         "0d801cf66aff9e44b488f66981bceb2fb26c1cd5b0b9cff1f9d03eac0aa0d62a", EMPTY),
+        (["orbit", "--denominator", "6", "--format", "text"], 0,
+         "ffc01c890a3e0ba2269200c6982ca0f512d386eb2eb1430418cabcd54e012a8e", EMPTY),
+        (["orbit", "--denominator", "1"], 2, EMPTY,
+         "1a896ab2ad4dac8963063cfe6001c5edf2599656e822ed79e21960c50ea2491c"),
+        (["verify", "--curve", "A", "--poly", "y", "--alpha=1,1,2,2"], 2, EMPTY,
+         "66590881a4235850b476db337e3f9e539e0ff74a02fc314054663593a99b97e9"),
+        (["verify", "--poly", "y - t", "--alpha=1,1,2,2"], 1, EMPTY,
+         "fd3622273fdc508834547e4c778436a16944f00f83d7e7c71285e3c1095606e1"),
+        (["eval-picard", "--mu", "1/4", "--nu", "0", "--tau-im", "1.3", "--format", "text"], 0,
+         "120971f7cb0792f04def8c353707605775b1e412c706dce864047dc55d6e5ed7", EMPTY),
+        (["eval-picard", "--mu", "1/5", "--nu", "2/5", "--tau-im", "0.9", "--format", "text"], 0,
+         "843f747de0ff7a6fa058651a9ae7da328829220e8e4416625a6e975e83f86e20", EMPTY),
+        (["derive-quartics", "--format", "text"], 0,
+         "8cce3f9c3e1ed5bd4fd6abcb1207169582a3759c8d140b21c92d113a29a52a46", EMPTY),
+        (["orbit", "--mu", "x", "--nu", "0"], 2, EMPTY,
+         "52d6037483d5bb97984e3149cc407d6ed211864c8a006acae3e12e0aa6fcbc1b"),
+        (["classify", "--alpha=1,2,3"], 2, EMPTY,
+         "287ea9e31fbff99451c3b2d335196829cc3c674f78d764815ad86e9140ce8ab5"),
+        (["classify", "--alpha=1,1,2,2", "--samples", "x"], 2, EMPTY,
+         "f077f8615765b21adc1aba49741b83e8237fad69a1e4aa3f20a57483ca7b2890"),
+    ])
+    def test_bytes_are_pinned(self, capsys, monkeypatch, argv, code, out_digest, err_digest):
+        monkeypatch.setenv("COLUMNS", "80")
+        try:
+            got = cli.main(argv)
+        except SystemExit as exc:
+            got = exc.code
+        captured = capsys.readouterr()
+        assert got == code
+        assert hashlib.sha256(captured.out.encode()).hexdigest() == out_digest
+        assert hashlib.sha256(captured.err.encode()).hexdigest() == err_digest
+
+    def test_verification_failure_message(self, capsys):
+        code, out, err = run(capsys, "verify", "--poly", "y - t", "--alpha=1,1,2,2")
+        assert (code, out) == (1, "")
+        assert err == "verification failed: every sample was skipped; nothing to report\n"

@@ -1,6 +1,8 @@
 """Identity layer: master sextic, reducibility surface, quartics, symmetries."""
 
+import copy
 import hashlib
+import pickle
 import random
 import re
 from fractions import Fraction
@@ -11,6 +13,7 @@ import pytest
 import sympy
 
 from pvi.curves import (
+    CURVE_TABLE,
     CURVES,
     QUARTIC_CURVES,
     UNIFORMIZATIONS,
@@ -339,6 +342,29 @@ class TestIrreducibility:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             is_irreducible(MultiPoly.zero())
+
+    def test_no_y_is_unknown(self):
+        res = is_irreducible(T ** 2 + 1)
+        assert res.status == "unknown"
+        assert res.witness is None and res.certificate is None
+
+    def test_foreign_variable_rejected(self):
+        with pytest.raises(ValueError, match=r"\(y, t\) only"):
+            is_irreducible(Y ** 2 - MultiPoly.variable("z"))
+
+    def test_truth_value_is_irreducible_only(self):
+        assert bool(is_irreducible(CURVES[CurveId.A])) is True
+        assert bool(is_irreducible(CURVES[CurveId.A] * CURVES[CurveId.B])) is False
+        assert bool(is_irreducible(T ** 2 + 1)) is False
+
+    def test_pickle_and_copy(self):
+        res = is_irreducible(CURVES[CurveId.A] * CURVES[CurveId.B])
+        assert res.witness is not None
+        for value in (CURVE_TABLE[CurveId.D], res):
+            copies = [pickle.loads(pickle.dumps(value, protocol))
+                      for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+            for other in copies + [copy.copy(value), copy.deepcopy(value)]:
+                assert other == value
 
     def test_high_degree_rejected(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,8 @@
 """Polynomial engine tests, cross-checked against sympy as an independent oracle."""
 
+import copy
 import json
+import pickle
 import random
 from fractions import Fraction
 
@@ -187,6 +189,10 @@ class TestOrderingAndContent:
     def test_trivial_content(self):
         assert (Y ** 2 - T).content_in("y") == 1
 
+    def test_content_over_two_variables_rejected(self):
+        with pytest.raises(ValueError, match="at most one coefficient variable"):
+            (Y ** 2 * T + Y * Z).content_in("y")
+
 
 class TestSerialization:
     def test_str_round_trip(self):
@@ -225,6 +231,24 @@ class TestImmutability:
 
     def test_hashable(self):
         assert len({Y, Y, T}) == 2
+
+    def test_pickle_and_copy(self):
+        from pvi.curves import master_poly
+
+        p = master_poly((F(3, 2), 2, -1, F(1, 3)))
+        p.vars, p.terms, p ** 2  # fill the memo slots
+        memo = [slot for slot in MultiPoly.__slots__ if slot != "_t"]
+        assert all(hasattr(p, slot) for slot in memo)
+        types = [type(c) for c in p._t.values()]
+        assert {int, Fraction} <= set(types)
+        copies = [pickle.loads(pickle.dumps(p, protocol))
+                  for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        copies += [copy.copy(p), copy.deepcopy(p)]
+        for q in copies:
+            assert q == p and hash(q) == hash(p)
+            assert list(q._t) == list(p._t)
+            assert [type(c) for c in q._t.values()] == types
+            assert not any(hasattr(q, slot) for slot in memo)
 
 
 # ----------------------------------------------------------------------

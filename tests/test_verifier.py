@@ -207,6 +207,15 @@ class TestVerifyCurve:
             assert rep.max_residual > REJECT_TOL
             assert rep.verdict() == "fail"
 
+    @pytest.mark.parametrize("residual", [ACCEPT_TOL, 1e-5, REJECT_TOL])
+    def test_inconclusive_between_thresholds(self, residual):
+        sample = ResidualSample(0.5 + 0.25j, 0.3 - 0.1j, residual)
+        rep = ResidualReport(curve=None, params=params_convert(alpha_of(1, 1, 2, 2)),
+                             samples=(sample,), skipped=(), max_residual=residual,
+                             median_residual=residual)
+        assert rep.verdict() == "inconclusive"
+        assert rep.to_json_dict()["verdict"] == "inconclusive"
+
     def test_custom_polynomial(self):
         rep = verify_curve(Y ** 2 - T, params_convert(alpha_of(1, 1, 2, 2)))
         assert rep.curve is None
@@ -631,6 +640,22 @@ def sample_builds(monkeypatch):
 
     monkeypatch.setattr(ResidualSample, "__init__", counting_init)
     return lambda: count[0]
+
+
+class TestPassMemory:
+    def test_one_coefficient_table(self, cold_cache):
+        # count * deg_y = 6400 roots; a copy of the (6, 65, 100) table per
+        # root would be 6 * 65 * 6400 complex numbers, 40 MB
+        import tracemalloc
+
+        params = params_convert(alpha_of(1, 1, 2, 2))
+        tracemalloc.start()
+        try:
+            verify_curve(Y ** 64 + T ** 3 * Y - 2 * T, params, SampleSpec(count=100))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 30 * 2 ** 20
 
 
 class TestLazySamples:
