@@ -171,7 +171,12 @@ def verify_kummer_equivalence() -> bool:
 
 def line_membership(alpha: AlphaLike) -> set[str]:
     """Which of the three distinguished lines of the surface contain alpha."""
-    a = [Fraction(x) for x in alpha]
+    return _lines_through([Fraction(x) for x in alpha])
+
+
+def _lines_through(a: Sequence) -> set[str]:
+    # a line holds two pairs of equal entries, so any nonzero multiple of a
+    # point lies on the same lines
     return {name for name, ((i, j), (k, l)) in _LINE_PAIRINGS.items()
             if a[i] == a[j] and a[k] == a[l]}
 
@@ -179,8 +184,8 @@ def line_membership(alpha: AlphaLike) -> set[str]:
 def pattern_curves(alpha: AlphaLike) -> list[CurveId]:
     """Curves of :data:`CURVE_TABLE` whose parameter pattern contains alpha, in table order."""
     a = [Fraction(x) for x in alpha]
-    lines = line_membership(a)
     point = _projective_point(a)
+    lines = _lines_through(point or a)
     return [cid for cid, row in CURVE_TABLE.items()
             if (row.line in lines if row.line else _QUARTIC_POINTS[cid] == point)]
 

@@ -10,7 +10,8 @@ the inconclusive gap.
 
 The rule-based classification (which curves solve the equation for given
 parameters) reads the patterns of :data:`pvi.curves.CURVE_TABLE` exactly;
-``classify(..., verify=True)`` cross-checks every rule decision numerically.
+``classify(..., verify=True)`` cross-checks every rule decision numerically,
+taking the residuals of the seven canonical curves in one array pass.
 """
 
 from __future__ import annotations
@@ -37,6 +38,10 @@ NEWTON_TOL = 1e-12  # |P| at which Newton accepts a root
 # t samples per curve: a pass holds the (6, deg_y + 1, count) table, whose column
 # each root reads, and the powers of t and per-root arrays, O(count * (deg_y + deg_t))
 MAX_SAMPLES = 10_000
+# count * deg_y**3 of a pass, the cost of its eigenvalue solves, is refused above
+# this before any work: at most about 2.6 s on a 2-vCPU Xeon VM (degree 17 at
+# 10 000 samples; degree 255 is refused above 3 samples, 0.6 s)
+MAX_ROOT_WORK = 50_000_000
 
 
 class SingularPointError(ValueError):
@@ -291,7 +296,10 @@ class ResidualReport:
     def _from_columns(cls, curve: Optional[str], params: PviParams, ts: tuple, ys: tuple,
                       residuals: tuple, skipped: tuple) -> "ResidualReport":
         """A report whose ``samples`` are built on first read; the aggregates
-        are ``max`` and ``statistics.median`` of the residuals."""
+        are ``max`` and ``statistics.median`` of the residuals, and
+        :class:`NoValidSamplesError` is raised when there are none."""
+        if not residuals:
+            raise NoValidSamplesError("every sample was skipped; nothing to report")
         report = object.__new__(cls)
         report.__dict__.update(curve=curve, params=params, skipped=skipped,
                                max_residual=max(residuals),
@@ -374,10 +382,15 @@ def _find_branches(poly: MultiPoly, spec: SampleSpec) -> _Branches:
     Samples and skips run in t order and, within one t, in the root order of
     ``np.roots`` (zero roots last); a degenerate t is skipped once.  Beyond the
     (6, deg_y + 1, count) table, whose column each root reads, the pass holds
-    O(count * deg_y) arrays, one entry per root.
+    O(count * deg_y) arrays, one entry per root.  A pass whose count times
+    deg_y**3 exceeds :data:`MAX_ROOT_WORK` raises ValueError before any work.
     """
     import numpy as np
 
+    degree = poly.degree_in("y")
+    if spec.count * degree ** 3 > MAX_ROOT_WORK:
+        raise ValueError(f"{spec.count} samples of a curve of degree {degree} in y exceed the "
+                         f"root-finding limit: count * degree^3 must be at most {MAX_ROOT_WORK}")
     points = spec.points()
     c = _in_y(poly, points)
     # one slot per root, and one degenerate slot for a t with fewer than two
@@ -426,18 +439,41 @@ def _find_branches(poly: MultiPoly, spec: SampleSpec) -> _Branches:
     return branches
 
 
+class _Joined(NamedTuple):
+    """The passes of several curves over one circle, with their jet-root
+    arrays joined end to end in curve order."""
+
+    passes: tuple[_Branches, ...]
+    keep: object
+    y2: object
+    rhs: tuple
+
+
+def _join(polys: tuple[MultiPoly, ...], spec: SampleSpec) -> _Joined:
+    """The joined pass of the curves, from each curve's :func:`_branches`."""
+    import numpy as np
+
+    passes = tuple(_branches(p, spec) for p in polys)
+    keep, y2, *rhs = (np.concatenate(a) for a in zip(*((b.keep, b.y2) + b.rhs for b in passes)))
+    for a in [keep, y2] + rhs:
+        a.flags.writeable = False
+    return _Joined(passes, keep, y2, tuple(rhs))
+
+
 # The parameter-free passes of the last _BRANCH_CACHE_SIZE (curve, term order,
 # circle, tolerances) keys, each kept only if count * deg_y is at most
-# _BRANCH_CACHE_ROOTS: at most 32 * 1024 roots of about 250 bytes, 8 MB.
+# _BRANCH_CACHE_ROOTS: at most 32 * 1024 roots of about 250 bytes, 8 MB.  A
+# tuple of curves keys their joined pass, kept if count * sum of deg_y is.
 _BRANCH_CACHE_SIZE = 32
 _BRANCH_CACHE_ROOTS = 1024
 
 
 @functools.lru_cache(maxsize=_BRANCH_CACHE_SIZE)
-def _cached_branches(poly: MultiPoly, order: tuple, spec: SampleSpec, tolerances: tuple):
+def _cached_branches(poly, order: tuple, spec: SampleSpec, tolerances: tuple):
     """:func:`_find_branches`, keyed also on the term order (equal polynomials
-    in another order round differently) and the tolerances it reads."""
-    return _find_branches(poly, spec)
+    in another order round differently) and the tolerances it reads; for a
+    tuple of polynomials and their term orders, :func:`_join`."""
+    return _join(poly, spec) if isinstance(poly, tuple) else _find_branches(poly, spec)
 
 
 def _branches(poly: MultiPoly, spec: SampleSpec) -> _Branches:
@@ -446,16 +482,39 @@ def _branches(poly: MultiPoly, spec: SampleSpec) -> _Branches:
     return _cached_branches(poly, tuple(poly.terms), spec, (NEWTON_TOL, PY_FLOOR, EXCLUSION_TOL))
 
 
+def _kept_residuals(b: Union[_Branches, _Joined], params: PviParams) -> list[float]:
+    """|y'' - RHS| at each jet root that is a sample, in order."""
+    import numpy as np
+
+    with np.errstate(all="ignore"):
+        residual = np.abs(b.y2 - _rhs(params, b.rhs))
+    return residual[b.keep].tolist()
+
+
 def _residuals(poly: MultiPoly, params: PviParams, spec: SampleSpec):
     """The branches of the curve over the spec, from :func:`_branches`, and
     the residual at each of their samples: only the residuals are computed
     here."""
-    import numpy as np
-
     b = _branches(poly, spec)
-    with np.errstate(all="ignore"):
-        residual = np.abs(b.y2 - _rhs(params, b.rhs))
-    return b, tuple(residual[b.keep].tolist())
+    return b, tuple(_kept_residuals(b, params))
+
+
+def _joined_residuals(polys: tuple[MultiPoly, ...], params: PviParams, spec: SampleSpec):
+    """:func:`_residuals` of each curve, from one array pass over their joined
+    jet roots.  The join is cached like a pass when it is small enough, and
+    otherwise built from the curves' own passes on each call."""
+    if spec.count * sum(max(p.degree_in("y"), 1) for p in polys) > _BRANCH_CACHE_ROOTS:
+        joined = _join(polys, spec)
+    else:
+        joined = _cached_branches(polys, tuple(tuple(p.terms) for p in polys), spec,
+                                  (NEWTON_TOL, PY_FLOOR, EXCLUSION_TOL))
+    residuals = _kept_residuals(joined, params)
+    out, start = [], 0
+    for b in joined.passes:
+        end = start + len(b.ts)
+        out.append((b, tuple(residuals[start:end])))
+        start = end
+    return out
 
 
 def verify_curve(
@@ -479,8 +538,6 @@ def verify_curve(
         cid = CurveId(curve)
         label, poly = cid.value, CURVES[cid]
     b, residuals = _residuals(poly, params, spec)
-    if not residuals:
-        raise NoValidSamplesError("every sample was skipped; nothing to report")
     return ResidualReport._from_columns(label, params, b.ts, b.ys, residuals, b.skipped)
 
 
@@ -521,10 +578,12 @@ def classify(alpha: Union[AlphaTuple, PviParams, Sequence], verify: bool = False
     """Complete list of smooth-solution curves for exact rational parameters.
 
     Parameter patterns are tested exactly.  With ``verify`` set, every one of
-    the seven canonical curves is run through :func:`verify_curve`: listed
-    curves must pass at :data:`ACCEPT_TOL`, unlisted ones must fail at
-    :data:`REJECT_TOL`, and anything in between raises
-    :class:`VerificationError` rather than guessing.
+    the seven canonical curves gets the report :func:`verify_curve` would
+    give it, the residuals of all seven taken in one array pass over their
+    joined branches: listed curves must pass at :data:`ACCEPT_TOL`, unlisted
+    ones must fail at :data:`REJECT_TOL`, and anything in between raises
+    :class:`VerificationError` rather than guessing.  The curves are checked
+    in order, so the first curve that fails decides the error.
     """
     a = coerce_alpha(alpha)
     if a.is_zero():
@@ -534,9 +593,10 @@ def classify(alpha: Union[AlphaTuple, PviParams, Sequence], verify: bool = False
     if verify:
         params = params_convert(a)
         reports = {}
-        for cid in CurveId:
-            report = verify_curve(cid, params, spec)
-            reports[cid] = report
+        passes = _joined_residuals(tuple(CURVES[cid] for cid in CurveId), params, spec)
+        for cid, (b, residuals) in zip(CurveId, passes):
+            report = reports[cid] = ResidualReport._from_columns(cid.value, params, b.ts, b.ys,
+                                                                 residuals, b.skipped)
             verdict = report.verdict()
             if cid in listed and verdict != "pass":
                 raise VerificationError(

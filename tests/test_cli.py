@@ -114,7 +114,7 @@ class TestClassify:
         def no_samples(*args, **kwargs):
             raise vf.NoValidSamplesError("every sample was skipped; nothing to report")
 
-        monkeypatch.setattr(vf, "verify_curve", no_samples)
+        monkeypatch.setattr(vf, "classify", no_samples)
         code, out, err = run(capsys, "classify", "--alpha", "9,1,1,1", "--verify")
         assert code == 1
         assert out == ""
@@ -501,6 +501,16 @@ class TestDegreeLimitExit:
         assert code == 2
         assert out == ""
         assert len(err.strip().splitlines()) == 1 and "255" in err
+
+    def test_too_much_root_finding_exits_2(self, capsys):
+        # degree 255 at the default 25 samples: about 25 * 0.25 s of eigenvalue
+        # solves, refused before the first
+        code, out, err = run(capsys, "verify", "--alpha=1,1,2,2",
+                             "--poly", "y^255 + t^255 + y*t - 1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+        assert "root-finding limit" in err and str(vf.MAX_ROOT_WORK) in err
 
 
 class TestClosedStdout:

@@ -27,6 +27,7 @@ from pvi.curves import (
     line_membership,
     master_poly,
     p0_poly,
+    pattern_curves,
     signed_sum_product,
     substitute_rational,
     verify_kummer_equivalence,
@@ -193,6 +194,29 @@ class TestKummer:
         assert line_membership((1, 2, 3, 4)) == set()
         assert line_membership((1, 2, 1, 2)) == {"L2"}
         assert line_membership((1, 2, 2, 1)) == {"L3"}
+
+    def test_pattern_curves_reads_lines_off_the_projective_point(self):
+        # pattern_curves takes line membership from the primitive integer
+        # point; it agrees with line_membership on the Fractions themselves
+        from pvi import curves
+
+        def by_fractions(alpha):
+            a = [Fraction(x) for x in alpha]
+            lines, point = line_membership(a), curves._projective_point(a)
+            return [cid for cid, row in CURVE_TABLE.items()
+                    if (row.line in lines if row.line else curves._QUARTIC_POINTS[cid] == point)]
+
+        rng = random.Random(18)
+        scales = (F(-7, 3), F(-1), F(1, 2), F(5), F(10 ** 20, 3))
+        grid = [(0, 0, 0, 0), (0, 0, 2, 2), (0, 1, 0, 1), (1, 0, 0, 1), (F(1, 2), F(1, 2), 0, 0)]
+        grid += [tuple(k * a for a in row.alpha) for row in CURVE_TABLE.values() for k in scales]
+        grid += [tuple(F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(4))
+                 for _ in range(300)]
+        grid += [tuple(rng.choice((c, d)) for _ in range(4))
+                 for c, d in [(F(rng.randint(-4, 4), rng.randint(1, 5)),
+                               F(rng.randint(-4, 4), rng.randint(1, 5))) for _ in range(300)]]
+        for alpha in grid:
+            assert pattern_curves(alpha) == by_fractions(alpha), alpha
 
 
 class TestQuarticDerivation:

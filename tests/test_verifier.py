@@ -13,7 +13,7 @@ from typing import Optional
 import numpy as np
 import pytest
 
-from pvi.curves import CURVES, CurveId, master_poly
+from pvi.curves import CURVES, CurveId, master_poly, pattern_curves
 from pvi.elliptic import AlphaTuple, picard_eval, reduction_residual
 from pvi.multipoly import MultiPoly
 from pvi.orbits import canonicalize
@@ -26,6 +26,7 @@ from pvi.verifier import (
     NEWTON_TOL,
     PY_FLOOR,
     REJECT_TOL,
+    ClassificationResult,
     ExcludedPointError,
     NoValidSamplesError,
     PviParams,
@@ -617,6 +618,168 @@ class TestBranchCache:
         for count in range(1, verifier._BRANCH_CACHE_SIZE + 10):
             _sample(CURVES[CurveId.A], params, SampleSpec(count=count))
         assert cold_cache.cache_info().currsize == verifier._BRANCH_CACHE_SIZE
+
+
+def _per_curve_classify(alpha, spec):
+    """classify(alpha, verify=True, spec=spec) made of one verify_curve call
+    per canonical curve, as it was before the joined pass: the reference the
+    joined pass must reproduce, exceptions and messages included."""
+    a = coerce_alpha(alpha)
+    listed, params = pattern_curves(a), params_convert(a)
+    reports = {}
+    for cid in CurveId:
+        report = reports[cid] = verify_curve(cid, params, spec)
+        verdict = report.verdict()
+        if cid in listed and verdict != "pass":
+            raise VerificationError(
+                f"curve {cid} is classified as a solution but its residual "
+                f"{report.max_residual:.3e} exceeds {verifier.ACCEPT_TOL:g}")
+        if cid not in listed and verdict != "fail":
+            raise VerificationError(
+                f"curve {cid} is not classified as a solution but its residual "
+                f"{report.max_residual:.3e} is not above {verifier.REJECT_TOL:g}")
+    return ClassificationResult(kind="finite_list" if listed else "empty",
+                                curves=tuple(listed), reports=reports)
+
+
+def _outcome(run):
+    try:
+        return json.dumps(run().to_json_dict())
+    except (VerificationError, NoValidSamplesError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _roots(entry):
+    """Root slots of a cached pass, or of every pass of a joined one."""
+    if isinstance(entry, verifier._Joined):
+        return sum(map(_roots, entry.passes))
+    return len(entry.ts) + len(entry.skipped)
+
+
+class TestJoinedPass:
+    """classify takes the residuals of the seven curves in one array pass over
+    their joined branches; every report is the one verify_curve gives, to the bit."""
+
+    ALPHAS = [alpha_of(*a) for a in (
+        (1, 1, 1, 1), (1, 1, 2, 2), (3, 5, 3, 5), ("1/2", 7, 7, "1/2"), (9, 1, 1, 1),
+        (-2, -18, -2, -2), ("1/8", "1/8", "9/8", "1/8"), (1, 1, 1, 9),
+        (1, 2, 3, 4), ("-5/3", 2, "1/7", 0), (0, 0, 2, 2), (2, 2, 2, 3),
+    )]
+    TOLERANCES = [None, ("NEWTON_TOL", 0.0), ("EXCLUSION_TOL", 0.3), ("EXCLUSION_TOL", 0.1), ("PY_FLOOR", 0.5)]
+    COUNTS = [1, 7, 25, 60]  # 60 * 22 roots is above the cache bound
+
+    @pytest.mark.parametrize("tolerance", TOLERANCES)
+    @pytest.mark.parametrize("count", COUNTS)
+    def test_joined_residuals_equal_single_passes(self, cold_cache, monkeypatch, tolerance, count):
+        if tolerance:
+            monkeypatch.setattr(verifier, *tolerance)
+        polys, spec = tuple(CURVES[cid] for cid in CurveId), SampleSpec(count=count)
+        for alpha in self.ALPHAS:
+            params = params_convert(alpha)
+            joined = verifier._joined_residuals(polys, params, spec)
+            for poly, (b, residuals) in zip(polys, joined):
+                single, want = verifier._residuals(poly, params, spec)
+                assert (b.ts, b.ys, b.skipped) == (single.ts, single.ys, single.skipped)
+                assert [r.hex() for r in residuals] == [r.hex() for r in want]
+
+    @pytest.mark.parametrize("tolerance", TOLERANCES + [("ACCEPT_TOL", 1e-30),
+                                                        ("REJECT_TOL", 1e12)])
+    @pytest.mark.parametrize("count", COUNTS)
+    def test_classify_equals_verify_curve(self, cold_cache, monkeypatch, tolerance, count):
+        if tolerance:
+            monkeypatch.setattr(verifier, *tolerance)
+        spec = SampleSpec(count=count)
+        for alpha in self.ALPHAS:
+            assert _outcome(lambda: classify(alpha, verify=True, spec=spec)) == \
+                _outcome(lambda: _per_curve_classify(alpha, spec))
+            try:
+                result = classify(alpha, verify=True, spec=spec)
+            except (VerificationError, NoValidSamplesError):
+                continue
+            params = params_convert(alpha)
+            for cid, report in result.reports.items():
+                single = verify_curve(cid, params, spec)
+                assert json.dumps(report.to_json_dict()) == json.dumps(single.to_json_dict())
+                assert report.skipped == single.skipped
+                assert report.verdict() == single.verdict()
+
+    def test_a_real_empty_pass_still_raises(self):
+        # every root of A at t within 1e-9 of 0 is skipped: the pass of A is
+        # empty and classify raises before any verdict
+        with pytest.raises(NoValidSamplesError, match="every sample was skipped"):
+            classify((9, 1, 1, 1), verify=True, spec=SampleSpec(count=3, center=0j, radius=1e-9))
+
+    def test_the_join_is_one_more_entry(self, cold_cache):
+        spec = SampleSpec(count=25)
+        params = params_convert(alpha_of(9, 1, 1, 1))
+        for cid in CurveId:
+            verify_curve(cid, params, spec)
+        info = cold_cache.cache_info()
+        classify((9, 1, 1, 1), verify=True, spec=spec)
+        # built from the seven cached passes: one miss, the join itself
+        assert cold_cache.cache_info().misses == info.misses + 1
+        assert cold_cache.cache_info().currsize == 8
+        info = cold_cache.cache_info()
+        classify((1, 2, 3, 4), verify=True, spec=spec)
+        assert cold_cache.cache_info()[:2] == (info.hits + 1, info.misses)
+
+    @pytest.mark.parametrize("count,entries", [(25, 8), (46, 8), (47, 7), (60, 7)])
+    def test_no_entry_above_the_bound(self, cold_cache, monkeypatch, count, entries):
+        # 22 roots per sample over the seven curves: the join is kept up to
+        # 46 samples, and above that built from the kept passes on each call
+        returned = []
+
+        def recording(*key):
+            returned.append(cold_cache(*key))
+            return returned[-1]
+
+        monkeypatch.setattr(verifier, "_cached_branches", recording)
+        spec = SampleSpec(count=count)
+        classify((1, 1, 2, 2), verify=True, spec=spec)
+        assert cold_cache.cache_info().currsize == entries
+        assert max(map(_roots, returned)) <= verifier._BRANCH_CACHE_ROOTS
+        info = cold_cache.cache_info()
+        classify((1, 2, 3, 4), verify=True, spec=spec)
+        # nothing that is cached is computed again
+        assert cold_cache.cache_info().misses == info.misses
+
+    def test_joined_arrays_are_read_only(self, cold_cache):
+        for count in (25, 60):
+            polys = tuple(CURVES[cid] for cid in CurveId)
+            joined = verifier._join(polys, SampleSpec(count=count))
+            for a in (joined.keep, joined.y2) + joined.rhs:
+                assert not a.flags.writeable
+
+
+class TestRootWork:
+    """A pass whose eigenvalue solves would take too long is refused first."""
+
+    DEG255 = Y ** 255 + T ** 255 + Y * T - 1
+
+    def test_the_limit_admits_every_pinned_input(self):
+        # y^64 at 100 samples is the largest pass a test or CI runs
+        assert 100 * 64 ** 3 <= verifier.MAX_ROOT_WORK < 25 * 255 ** 3
+
+    def test_refused_before_any_work(self, cold_cache, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("the coefficient table was built")
+
+        monkeypatch.setattr(verifier, "_in_y", no_work)
+        params = params_convert(alpha_of(1, 1, 2, 2))
+        for count in (25, 4):
+            with pytest.raises(ValueError, match="root-finding limit") as info:
+                verify_curve(self.DEG255, params, SampleSpec(count=count))
+            assert "\n" not in str(info.value) and str(verifier.MAX_ROOT_WORK) in str(info.value)
+        assert cold_cache.cache_info().currsize == 0
+
+    def test_the_limit_is_inclusive(self, cold_cache, monkeypatch):
+        monkeypatch.setattr(verifier, "MAX_ROOT_WORK", 7 * 4 ** 3)
+        params = params_convert(CANONICAL_ALPHA[CurveId.D])
+        assert verify_curve(CurveId.D, params, SampleSpec(count=7)).verdict() == "pass"
+        with pytest.raises(ValueError, match="root-finding limit"):
+            verify_curve(CurveId.D, params, SampleSpec(count=8))
+        with pytest.raises(ValueError, match="root-finding limit"):
+            classify(CANONICAL_ALPHA[CurveId.D], verify=True, spec=SampleSpec(count=8))
 
 
 def _eager_report(cid, params, spec):
