@@ -23,10 +23,10 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import product
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from typing import Iterable, NamedTuple, Sequence, Union
 
-from .multipoly import MultiPoly, Scalar, linear_combination
+from .multipoly import MultiPoly, Scalar, integer_grid, linear_combination
 
 Y = MultiPoly.variable("y")
 T = MultiPoly.variable("t")
@@ -328,10 +328,33 @@ class IrreducibilityResult:
         return self.status == "irreducible"
 
 
+def _zero_point(f: MultiPoly) -> tuple[Scalar, Scalar] | None:
+    """A rational point (y, t) with f(y, t) = 0 when f is linear in t or in y,
+    the other coordinate being _FILTER_PARAMETER; None otherwise, or when the
+    linear coefficient vanishes there.  Integral coordinates are ints."""
+    for var, free in (("t", "y"), ("y", "t")):
+        if f.degree_in(var) == 1:
+            parts = f.coefficients_in(var)
+            at = {free: _FILTER_PARAMETER}
+            a, b = parts[1](**at), parts.get(0, MultiPoly.zero())(**at)
+            if not a:
+                return None
+            at[var] = -b / a
+            return tuple(x.numerator if x.denominator == 1 else x for x in (at["y"], at["t"]))
+    return None
+
+
+# The free coordinate of each trial divisor's zero point.  Away from the
+# special values 0, 1 and -1, so that a polynomial with small coefficients
+# seldom vanishes there by accident (over the 2028 quartic cofactors P0 of
+# small integer parameters, 14 failing divisions are left, against 190 at 3).
+_FILTER_PARAMETER = 11
 _TRIAL_FACTORS = tuple(
-    (f, f.total_degree(), f.degree_in("y"), f.degree_in("t"))
+    (f, f.total_degree(), f.degree_in("y"), f.degree_in("t"), _zero_point(f))
     for f in (Y - 1, T - 1, Y - T, Y + 1, Y + T, *CURVES.values())
 )
+# A square p = q^2 has a rational square as its value at every point.
+_SQUARE_POINT = (7, 11)
 _SPECIALIZATION_POINTS = (2, 3, 5, 1, -1, 4, 7, 6, -2, 9)
 _PRIMES = (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71,
            73, 79, 83, 89, 97, 3, 2)
@@ -351,6 +374,17 @@ def is_irreducible(p: MultiPoly) -> IrreducibilityResult:
     prime p at which the image keeps its y-degree and is irreducible over
     the p-element field, decided by the distinct-degree test); 'unknown'
     otherwise.
+
+    The search reads p's integer grid (the coefficients of y^i t^j over
+    their common denominator L), built once.  Before a trial division by a
+    divisor linear in t or in y, p is evaluated at one rational point of the
+    divisor's zero set, and before the square root at one integer point; a
+    nonzero value, or one that is not a rational square, proves that the
+    division or the root fails, so it is not tried and the first witness
+    found stays the same.  The specialization at each t0 is one Horner pass
+    per y-coefficient on integers; t0 is skipped when the leading value is
+    zero, and a prime when it divides the values' reduced common
+    denominator or the leading value.
     """
     if p.is_zero():
         raise ValueError("irreducibility of the zero polynomial is undefined")
@@ -360,27 +394,33 @@ def is_irreducible(p: MultiPoly) -> IrreducibilityResult:
     if degy > 6:
         raise ValueError(f"y-degree {degy} exceeds the supported bound 6")
 
-    mono = p.monomial_content()
-    if any(mono):
-        name = p.vars[next(i for i, e in enumerate(mono) if e)]
+    den, rows = integer_grid(p, "y", "t")
+    # the monomial content: y divides p when its row 0 is zero, t when every
+    # row's constant term is
+    name = "y" if not any(rows[0]) else "t" if not any(row[0] for row in rows) else None
+    if name:
         witness = MultiPoly.variable(name)
         if p.exact_div(witness).total_degree() >= 1:
             return IrreducibilityResult("reducible", witness=witness)
 
-    if degy:
+    # a nonzero constant coefficient of a power of y makes the content 1
+    if degy and not any(row[0] and not any(row[1:]) for row in rows):
         content = p.content_in("y")
         if not content.is_constant():
             return IrreducibilityResult("reducible", witness=content)
 
     # a factor cannot exceed p in any degree, so those candidates cannot divide
     total, degt = p.total_degree(), p.degree_in("t")
-    for factor, f_total, f_degy, f_degt in _TRIAL_FACTORS:
+    in_t: dict = {}
+    for factor, f_total, f_degy, f_degt, point in _TRIAL_FACTORS:
         if 0 < f_total < total and f_degy <= degy and f_degt <= degt:
+            if point is not None and _nonzero_at(rows, point, in_t):
+                continue
             q = p.try_divide(factor)
             if q is not None and q.total_degree() >= 1:
                 return IrreducibilityResult("reducible", witness=factor)
 
-    if total >= 2:
+    if total >= 2 and _square_at(den, rows, _SQUARE_POINT):
         try:
             root = p.square_root()
             return IrreducibilityResult("reducible", witness=root)
@@ -390,8 +430,6 @@ def is_irreducible(p: MultiPoly) -> IrreducibilityResult:
     if degy == 0:
         return IrreducibilityResult("unknown")
 
-    coefficients = p.coefficients_in("y")
-    dense = [coefficients.get(d, MultiPoly.zero()) for d in range(degy + 1)]
     primes = [q for q in _PRIMES if q ** (degy // 2) <= _FP_ENUMERATION_CAP]
     for i, t0 in enumerate(_SPECIALIZATION_POINTS):
         if i == 1:
@@ -400,26 +438,62 @@ def is_irreducible(p: MultiPoly) -> IrreducibilityResult:
             content = p.content_in("t")
             if 0 < content.total_degree() < total:
                 return IrreducibilityResult("reducible", witness=content)
-        values = [c(t=t0) for c in dense]
-        if values[degy] == 0:
+        values = [_homogeneous(row, t0) for row in rows]
+        lead = values[degy]
+        if not lead:
             continue
+        # the values are values[i] / den; over their reduced common
+        # denominator they are values[i] / g, a unit multiple mod any prime
+        # not dividing it
+        g = gcd(den, *values)
+        if g > 1:
+            values = [v // g for v in values]
+            lead //= g
+        common = den // g
         for prime in primes:
-            coeffs = _reduce_mod(values, prime)
-            if coeffs is None or len(coeffs) - 1 != degy:
+            if not common % prime or not lead % prime:
                 continue
-            if _fp_is_irreducible(coeffs, prime):
+            if _fp_is_irreducible([v % prime for v in values], prime):
                 return IrreducibilityResult("irreducible", certificate=(t0, prime))
     return IrreducibilityResult("unknown")
 
 
-def _reduce_mod(values: list[Fraction], prime: int) -> list[int] | None:
-    """Dense coefficients (ascending) of exact values mod prime, or None when unusable."""
-    if any(v.denominator % prime == 0 for v in values):
-        return None
-    coeffs = [(v.numerator * pow(v.denominator, -1, prime)) % prime for v in values]
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs or None
+def _nonzero_at(rows: list[list[int]], point: tuple[Scalar, Scalar], in_t: dict) -> bool:
+    """Whether the polynomial with integer grid rows is nonzero at the point
+    (y, t).  At a point where a trial divisor vanishes, nonzero proves that
+    it does not divide.  in_t keeps the polynomial at each y seen, as
+    coefficients in t, for the next point with that y."""
+    y, t = point
+    column = in_t.get(y)
+    if column is None:
+        column = in_t[y] = _in_t(rows, y)
+    return _homogeneous(column, t) != 0
+
+
+def _square_at(den: int, rows: list[list[int]], point: tuple[int, int]) -> bool:
+    """Whether the polynomial rows / den has a rational square as its value
+    at the integer point, as a square polynomial does at every point: the
+    value v / den is one exactly when v * den is an integer square."""
+    v = den * _homogeneous(_in_t(rows, point[0]), point[1])
+    return v >= 0 and isqrt(v) ** 2 == v
+
+
+def _in_t(rows: list[list[int]], y: Scalar) -> list[int]:
+    """The polynomial with integer grid rows at y = n/d, as integer
+    coefficients in t: d^D times its value, D the number of rows less one."""
+    return [_homogeneous(column, y) for column in zip(*rows)]
+
+
+def _homogeneous(coeffs: Sequence[int], x: Scalar) -> int:
+    """d^D times the value at x = n/d of the polynomial with ascending integer
+    coefficients and degree D: an integer, zero exactly when the value is
+    and of its sign."""
+    n, d = x.numerator, x.denominator
+    v, scale = 0, 1
+    for c in reversed(coeffs):
+        v = v * n + c * scale
+        scale *= d
+    return v
 
 
 # Univariate polynomials over F_p are int lists, ascending, with no zero
@@ -440,16 +514,39 @@ def _fp_mod(num: list[int], den: list[int], prime: int) -> list[int]:
     return num
 
 
-def _fp_mulmod(a: list[int], b: list[int], f: list[int], prime: int) -> list[int]:
-    """a * b mod f over F_p."""
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
+def _fp_reduction_table(f: list[int], prime: int) -> list[list[int]]:
+    """y^d, ..., y^(2d-2) mod the monic f of degree d over F_p, each as its
+    d coefficients: the table that folds a product of two residues back."""
+    table = [[-c % prime for c in f[:-1]]]
+    for _ in range(len(f) - 3):
+        table.append(_fp_times_y(table[-1], table[0], prime))
+    return table
+
+
+def _fp_times_y(a: list[int], first: list[int], prime: int) -> list[int]:
+    """y * a mod f over F_p, for a residue of d coefficients and first the
+    d coefficients of y^d mod f."""
+    top, a = a[-1], [0, *a[:-1]]
+    return [(x + top * r) % prime for x, r in zip(a, first)] if top else a
+
+
+def _fp_mulmod(a: list[int], b: list[int], table: list[list[int]], prime: int) -> list[int]:
+    """a * b mod f over F_p, for residues of d coefficients each and f's
+    reduction table: the coefficient of y^(d+i) in the product adds that
+    multiple of y^(d+i) mod f."""
+    d = len(a)
+    out = [0] * (2 * d - 1)
     for i, x in enumerate(a):
-        for j, z in enumerate(b):
-            out[i + j] += x * z
-    # the leading coefficient is a product of two units of F_p
-    return _fp_mod([c % prime for c in out], f, prime)
+        if x:
+            for j, z in enumerate(b, i):
+                out[j] += x * z
+    low = out[:d]
+    for c, row in zip(out[d:], table):
+        c %= prime
+        if c:
+            for j, r in enumerate(row):
+                low[j] += c * r
+    return [c % prime for c in low]
 
 
 def _fp_is_irreducible(coeffs: list[int], prime: int) -> bool:
@@ -458,28 +555,51 @@ def _fp_is_irreducible(coeffs: list[int], prime: int) -> bool:
     f is irreducible exactly when gcd(f, y^(p^k) - y) = 1 for k = 1..d/2:
     a reducible f has an irreducible factor of some degree k <= d/2, which
     divides y^(p^k) - y, while an irreducible f of degree d > k shares no
-    factor with it. y^(p^k) mod f is the p-th power of y^(p^(k-1)) mod f,
-    taken by square-and-multiply.
+    factor with it.  The case k = 1 asks whether f has a root in F_p, so it
+    is a Horner sweep over the p points, and a cubic or a conic without a
+    root is irreducible.  From d = 4 on, g = y^p mod f is taken by squaring
+    and shifting, and y^(p^k) mod f = sum_i c_i g^i where y^(p^(k-1)) mod f
+    = sum_i c_i y^i, since the p-th power is linear over F_p.  Each product
+    of two residues is folded back through the table of y^d..y^(2d-2) mod f.
     """
     deg = len(coeffs) - 1
     if deg <= 0:
         return False
     if deg == 1:
         return True
-    frobenius = [0, 1]
-    for _ in range(deg // 2):
-        power, base, e = [1], frobenius, prime
-        while e:
-            if e & 1:
-                power = _fp_mulmod(power, base, coeffs, prime)
-            e >>= 1
-            if e:
-                base = _fp_mulmod(base, base, coeffs, prime)
-        frobenius = power
-        a, b = coeffs, power + [0] * (2 - len(power))
+    backward = coeffs[::-1]
+    for x in range(prime):
+        v = 0
+        for c in backward:
+            v = v * x + c
+        if not v % prime:
+            return False
+    if deg <= 3:
+        return True
+    inv = pow(coeffs[-1], -1, prime)
+    f = [c * inv % prime for c in coeffs]
+    table = _fp_reduction_table(f, prime)
+    g = [0] * deg
+    g[1] = 1
+    for bit in bin(prime)[3:]:
+        g = _fp_mulmod(g, g, table, prime)
+        if bit == "1":
+            g = _fp_times_y(g, table[0], prime)
+    powers = [g]  # g^1 .. g^(d-1) mod f
+    for _ in range(deg - 2):
+        powers.append(_fp_mulmod(powers[-1], g, table, prime))
+    frobenius = g
+    for _ in range(deg // 2 - 1):
+        image = [frobenius[0], *[0] * (deg - 1)]
+        for c, power in zip(frobenius[1:], powers):
+            if c:
+                image = [x + c * r for x, r in zip(image, power)]
+        frobenius = [x % prime for x in image]
+        b = frobenius[:]
         b[1] = (b[1] - 1) % prime
         while b and b[-1] == 0:
             b.pop()
+        a = f
         while b:
             a, b = b, _fp_mod(a, b, prime)
         if len(a) > 1:

@@ -15,7 +15,8 @@ Terms keep the order each operation produces them in, and evaluation sums
 them in that order.  Evaluation at int and Fraction points runs in integers
 over one common denominator; the parser, the gcd behind ``content_in`` and
 products over a common denominator likewise work on ints.  A polynomial is
-immutable, so each instance memoizes its powers: ``p ** n`` is built once.
+immutable, so each instance memoizes its powers (``p ** n`` is built once),
+its hash and its degree in each variable.
 """
 
 from __future__ import annotations
@@ -123,13 +124,20 @@ def linear_combination(scalars: Sequence[Scalar], polys: Sequence["MultiPoly"]) 
     """sum scalars[i] * polys[i], accumulated in order; a zero scalar is skipped.
 
     The terms come out as in ((c0*p0 + c1*p1) + c2*p2) + ..., with c_i*p_i
-    keeping the key order of p_i.
+    keeping the key order of p_i.  The scalars are scaled to integers by the
+    lcm D of their denominators, and the sum is divided by D once at the end;
+    scaling keeps which partial sums cancel, so it keeps the term order.
     """
+    scalars = [_norm(c) for c in scalars]
+    den = lcm(*[c.denominator for c in scalars if type(c) is not int])
     acc: Terms = {}
     for c, p in zip(scalars, polys):
-        c = _norm(c)
         if c:
+            c = c * den if type(c) is int else c.numerator * (den // c.denominator)
             _accumulate(acc, [(k, c * v) for k, v in p._t.items()])
+    if den != 1:
+        acc = {k: v // den if type(v) is int and not v % den else _norm(Fraction(v, den))
+               for k, v in acc.items()}
     return MultiPoly._of(acc)
 
 
@@ -146,7 +154,7 @@ def _raw(x) -> "Terms | None":
 class MultiPoly:
     """Immutable sparse polynomial: map from packed monomials to nonzero rationals."""
 
-    __slots__ = ("_t", "_vars", "_terms", "_powers")
+    __slots__ = ("_t", "_vars", "_terms", "_powers", "_hash", "_degrees")
 
     def __init__(self, terms: Mapping[Exponents, Scalar] = (), variables: Sequence[str] = ()):
         names = _check_vars(variables)
@@ -240,10 +248,17 @@ class MultiPoly:
         return max(self._t) >> _DEGREE_SHIFT if self._t else 0
 
     def degree_in(self, name: str) -> int:
+        degrees = getattr(self, "_degrees", None)
+        if degrees is None:
+            degrees = {}
+            _set(self, "_degrees", degrees)
+        elif name in degrees:
+            return degrees[name]
         if name not in _VAR_INDEX or not self._t:
             return 0
         s = _SHIFTS[_VAR_INDEX[name]]
-        return max((k >> s) & _MASK for k in self._t)
+        d = degrees[name] = max((k >> s) & _MASK for k in self._t)
+        return d
 
     def leading_term(self) -> tuple[Exponents, Fraction]:
         """Graded-lex leading (exponents, coefficient); exponents over self.vars."""
@@ -263,7 +278,11 @@ class MultiPoly:
         return NotImplemented if t is None else self._t == t
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._t.items()))
+        h = getattr(self, "_hash", None)
+        if h is None:
+            h = hash(frozenset(self._t.items()))
+            _set(self, "_hash", h)
+        return h
 
     # ------------------------------------------------------------------
     # arithmetic
@@ -600,6 +619,22 @@ def _exact_value(t: Terms, fields: list) -> Fraction:
             term *= f
         total += term
     return Fraction(total) if scale == 1 else Fraction(total, scale)
+
+
+def integer_grid(p: MultiPoly, outer: str, inner: str) -> tuple[int, list[list[int]]]:
+    """(L, rows) with L the lcm of p's coefficient denominators and rows[i][j]
+    the integer L times p's coefficient of outer^i * inner^j, for i up to the
+    degree in outer and j up to the degree in inner; p must involve no other
+    variable."""
+    t = p._t
+    so, si = _SHIFTS[_VAR_INDEX[outer]], _SHIFTS[_VAR_INDEX[inner]]
+    den = _den(t)
+    width = p.degree_in(inner) + 1
+    rows = [[0] * width for _ in range(p.degree_in(outer) + 1)]
+    for k, c in t.items():
+        c = c * den if type(c) is int else c.numerator * (den // c.denominator)
+        rows[k >> so & _MASK][k >> si & _MASK] = c
+    return den, rows
 
 
 def _dense(p: MultiPoly, s: int) -> list[int]:

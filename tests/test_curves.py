@@ -33,8 +33,8 @@ from pvi.curves import (
     verify_kummer_equivalence,
     verify_uniformization,
 )
-from pvi.curves import _fp_is_irreducible, _fp_mod
-from pvi.multipoly import MultiPoly
+from pvi.curves import _SQUARE_POINT, _TRIAL_FACTORS, _fp_is_irreducible, _fp_mod, _nonzero_at, _square_at
+from pvi.multipoly import MultiPoly, integer_grid
 
 F = Fraction
 Y = MultiPoly.variable("y")
@@ -394,6 +394,12 @@ class TestIrreducibility:
         with pytest.raises(ValueError):
             is_irreducible(Y ** 7)
 
+    def test_prime_in_a_denominator_is_skipped(self):
+        # at t0 = 2 every value has 5 in its denominator, so p = 5 is skipped
+        # although y^2 + y + 2 is irreducible mod 5; it splits mod 7 and 11
+        res = is_irreducible(MultiPoly.parse("1/5*y^2 + 1/5*y + 1/5*t"))
+        assert res.certificate == (2, 13)
+
     @pytest.mark.parametrize("text,factor", [
         ("-y^4 + 2*y^3 + 3*y^2*t - 8*y*t + 4*t", "y - 2"),
         ("4*y^4 - 8*y^3 + 3*y^2 + 2*y*t - t", "y - 1/2"),
@@ -492,12 +498,85 @@ class TestFpIrreducible:
                     poly = sympy.Poly(list(reversed(coeffs)), s, modulus=prime)
                     assert _fp_is_irreducible(coeffs, prime) == poly.is_irreducible, (coeffs, prime)
 
+    @pytest.mark.parametrize("prime", [2, 3])
+    def test_every_polynomial_of_degree_five_and_six(self, prime):
+        # what the root sweep leaves is decided by the table-reduced
+        # Frobenius from degree 4 on: 1944 polynomials at p = 3
+        seen = rootless_reducible = 0
+        for deg in (5, 6):
+            for lower in product(range(prime), repeat=deg):
+                for lead in range(1, prime):
+                    coeffs = [*lower, lead]
+                    want = _trial_division_irreducible(coeffs, prime)
+                    assert _fp_is_irreducible(coeffs, prime) == want, (coeffs, prime)
+                    seen += 1
+                    rootless_reducible += not want and all(
+                        sum(c * x ** i for i, c in enumerate(coeffs)) % prime for x in range(prime))
+        assert seen == {2: 96, 3: 1944}[prime]
+        assert rootless_reducible > 0
+
     def test_degenerate_inputs(self):
         assert not _fp_is_irreducible([3], 5)
         assert _fp_is_irreducible([0, 2], 5)
         assert not _fp_is_irreducible([0, 0, 1], 5)  # y^2
         assert not _fp_is_irreducible([0, 1, 0, 1], 2)  # y (y + 1)^2 over F_2
         assert _fp_is_irreducible([1, 1, 1], 2)
+
+
+# ----------------------------------------------------------------------
+# the exact filters before trial division and the square root
+# ----------------------------------------------------------------------
+
+
+class TestExactFilters:
+    """A candidate is skipped only when its division or root cannot succeed."""
+
+    def test_zero_points(self):
+        for f, *_, point in _TRIAL_FACTORS:
+            if f.degree_in("y") == 1 or f.degree_in("t") == 1:
+                y, t = point
+                assert f(y=y, t=t) == 0, f
+            else:
+                assert point is None, f
+
+    def test_multiples_of_a_trial_divisor_are_never_skipped(self):
+        rng = random.Random(19)
+        with_point = [(f, point) for f, *_, point in _TRIAL_FACTORS if point is not None]
+        assert len(with_point) == 8
+        for f, point in with_point:
+            for _ in range(50):
+                r = _random_yt(rng, rng.randint(0, 6 - f.degree_in("y")))
+                _, rows = integer_grid(r * f, "y", "t")
+                assert not _nonzero_at(rows, point, {}), (f, r)
+
+    def test_skipped_divisions_fail_on_the_pin_corpus(self, pin_corpus):
+        skipped = 0
+        for p in pin_corpus:
+            _, rows = integer_grid(p, "y", "t")
+            in_t = {}
+            for f, *_, point in _TRIAL_FACTORS:
+                if point is not None and _nonzero_at(rows, point, in_t):
+                    assert p.try_divide(f) is None, (p, f)
+                    skipped += 1
+        assert skipped > 7 * len(pin_corpus)
+
+    def test_squares_are_never_skipped(self):
+        rng = random.Random(20)
+        for degy in (0, 1, 2, 3):
+            for _ in range(50):
+                r = _random_yt(rng, degy)
+                den, rows = integer_grid(r * r, "y", "t")
+                assert _square_at(den, rows, _SQUARE_POINT), r
+
+    def test_skipped_square_roots_fail_on_the_pin_corpus(self, pin_corpus):
+        skipped = 0
+        for p in pin_corpus:
+            den, rows = integer_grid(p, "y", "t")
+            if not _square_at(den, rows, _SQUARE_POINT):
+                with pytest.raises(ArithmeticError):
+                    p.square_root()
+                skipped += 1
+        assert skipped > 0.9 * len(pin_corpus)
 
 
 # ----------------------------------------------------------------------

@@ -232,11 +232,19 @@ class TestImmutability:
     def test_hashable(self):
         assert len({Y, Y, T}) == 2
 
+    def test_hash_and_degrees_are_kept(self):
+        p = Y ** 3 * T + T ** 2
+        for _ in range(2):  # the second pass reads the kept values
+            assert [p.degree_in(v) for v in ("y", "t", "z", "w")] == [3, 2, 0, 0]
+        q = T ** 2 + Y ** 3 * T  # the same polynomial, in another term order
+        assert hash(p) == hash(p) == hash(q) and p == q
+        assert len({p, q, p + 1}) == 2
+
     def test_pickle_and_copy(self):
         from pvi.curves import master_poly
 
         p = master_poly((F(3, 2), 2, -1, F(1, 3)))
-        p.vars, p.terms, p ** 2  # fill the memo slots
+        p.vars, p.terms, p ** 2, hash(p), p.degree_in("y")  # fill the memo slots
         memo = [slot for slot in MultiPoly.__slots__ if slot != "_t"]
         assert all(hasattr(p, slot) for slot in memo)
         types = [type(c) for c in p._t.values()]
@@ -245,10 +253,10 @@ class TestImmutability:
                   for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
         copies += [copy.copy(p), copy.deepcopy(p)]
         for q in copies:
+            assert not any(hasattr(q, slot) for slot in memo)
             assert q == p and hash(q) == hash(p)
             assert list(q._t) == list(p._t)
             assert [type(c) for c in q._t.values()] == types
-            assert not any(hasattr(q, slot) for slot in memo)
 
 
 # ----------------------------------------------------------------------
