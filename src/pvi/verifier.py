@@ -10,8 +10,9 @@ the inconclusive gap.
 
 The rule-based classification (which curves solve the equation for given
 parameters) reads the patterns of :data:`pvi.curves.CURVE_TABLE` exactly;
-``classify(..., verify=True)`` cross-checks every rule decision numerically,
-taking the residuals of the seven canonical curves in one array pass.
+``classify(..., verify=True)`` cross-checks every rule decision numerically.
+A pass runs over a tuple of curves: ``verify_curve`` takes one, ``classify``
+the seven canonical curves, and each curve's bits are those of its own pass.
 """
 
 from __future__ import annotations
@@ -35,10 +36,10 @@ REJECT_TOL = 1e-3
 PY_FLOOR = 1e-8  # |dP/dy| below this is a branch point
 EXCLUSION_TOL = 1e-8  # t within this of {0, 1}, or y of {0, 1, t}, is skipped
 NEWTON_TOL = 1e-12  # |P| at which Newton accepts a root
-# t samples per curve: a pass holds the (6, deg_y + 1, count) table, whose column
-# each root reads, and the powers of t and per-root arrays, O(count * (deg_y + deg_t))
+# t samples per curve: a pass holds the (6, max deg_y + 1, curves * count) table,
+# whose column each root reads, and the powers of t and per-root arrays
 MAX_SAMPLES = 10_000
-# count * deg_y**3 of a pass, the cost of its eigenvalue solves, is refused above
+# count * deg_y**3 of a curve, the cost of its eigenvalue solves, is refused above
 # this before any work: at most about 2.6 s on a 2-vCPU Xeon VM (degree 17 at
 # 10 000 samples; degree 255 is refused above 3 samples, 0.6 s)
 MAX_ROOT_WORK = 50_000_000
@@ -84,9 +85,9 @@ class PviParams:
 
     def as_complex(self) -> tuple[complex, complex, complex, complex]:
         # converted on first use and kept in the instance dict (the frozen
-        # dataclass refuses setattr), so the seven verify_curve calls of one
-        # classify share one conversion; functools.cached_property would also
-        # take a lock on every first use
+        # dataclass refuses setattr), so the calls at one parameter object
+        # share one conversion; functools.cached_property would also take a
+        # lock on every first use
         values = self.__dict__.get("_complex")
         if values is None:
             values = self.__dict__["_complex"] = tuple(complex(x) for x in self)
@@ -362,37 +363,44 @@ _REASONS = (None, "degenerate polynomial", "root polishing failed", "y in {0, 1,
 _DEGENERATE, _POLISH_FAILED, _EXCLUDED, _SINGULAR, _FIXED_T = range(1, 6)
 
 
-class _Branches(NamedTuple):
-    """The parameter-free part of a pass: every root, skip and jet of a curve
-    over a sample circle, with the parameter-free subexpressions of the ODE's
-    right-hand side at each root that reached the jet stage."""
+class _Pass(NamedTuple):
+    """The parameter-free part of a pass of a tuple of curves over a sample
+    circle: each curve's skips and samples, and y'' and the parameter-free
+    subexpressions of the ODE's right-hand side at every root that reached
+    the jet stage, the roots of all the curves in curve order."""
 
-    skipped: tuple[SkippedSample, ...]
-    ts: tuple[complex, ...]  # t of each sample, in sample order
-    ys: tuple[complex, ...]  # y of each sample
+    curves: tuple  # (skipped, ts, ys) of each curve: its skips and the t and y of its samples
     keep: object  # which jet roots are samples (read-only bool array)
     y2: object  # y'' at each jet root (read-only array)
     rhs: tuple  # _rhs_parts at the jet roots (read-only arrays)
 
 
-def _find_branches(poly: MultiPoly, spec: SampleSpec) -> _Branches:
-    """Every root at every t of the spec: ``np.roots`` at each t, then Newton,
-    the skip tests and the jets on all roots at once.
+def _find_branches(polys: tuple[MultiPoly, ...], spec: SampleSpec) -> _Pass:
+    """Every root of every curve at every t of the spec: ``np.roots`` at each
+    (curve, t), then Newton, the skip tests and the jets on all roots at once.
 
-    Samples and skips run in t order and, within one t, in the root order of
-    ``np.roots`` (zero roots last); a degenerate t is skipped once.  Beyond the
-    (6, deg_y + 1, count) table, whose column each root reads, the pass holds
-    O(count * deg_y) arrays, one entry per root.  A pass whose count times
-    deg_y**3 exceeds :data:`MAX_ROOT_WORK` raises ValueError before any work.
+    The curves share one (6, max deg_y + 1, curves * count) table, whose
+    column each root reads; a curve of lower degree in y has zero rows on
+    top, which ``np.roots`` strips and Horner passes as 0 * y + 0, so each
+    curve's bits are those of its pass alone.  A curve's samples and skips run
+    in t order and, within one t, in the root order of ``np.roots`` (zero
+    roots last); a degenerate t is skipped once.  If any curve's count times
+    deg_y**3 exceeds :data:`MAX_ROOT_WORK`, ValueError is raised before any
+    table is built.
     """
     import numpy as np
 
-    degree = poly.degree_in("y")
-    if spec.count * degree ** 3 > MAX_ROOT_WORK:
-        raise ValueError(f"{spec.count} samples of a curve of degree {degree} in y exceed the "
-                         f"root-finding limit: count * degree^3 must be at most {MAX_ROOT_WORK}")
+    degrees = [p.degree_in("y") for p in polys]
+    for degree in degrees:
+        if spec.count * degree ** 3 > MAX_ROOT_WORK:
+            raise ValueError(
+                f"{spec.count} samples of a curve of degree {degree} in y exceed the root-finding "
+                f"limit: count * degree^3 must be at most {MAX_ROOT_WORK}")
     points = spec.points()
-    c = _in_y(poly, points)
+    c = np.zeros((6, max(degrees) + 1, len(polys) * spec.count), dtype=complex)
+    for k, (poly, degree) in enumerate(zip(polys, degrees)):
+        c[:, :degree + 1, k * spec.count:(k + 1) * spec.count] = _in_y(poly, points)
+    points = points * len(polys)  # the t of each column
     # one slot per root, and one degenerate slot for a t with fewer than two
     # coefficients left after its leading zeros, where np.roots finds none
     found = [np.roots(column) for column in c[0, ::-1].T]
@@ -430,89 +438,56 @@ def _find_branches(poly: MultiPoly, spec: SampleSpec) -> _Branches:
         y1, y2 = _jet(py, pt, pyy, pyt, ptt)
         rhs = _rhs_parts(t[ok], y[ok], y1)
     ts, kept = [points[k] for k in tix.tolist()], code == 0
-    branches = _Branches(
-        skipped=tuple(SkippedSample(ts[k], _REASONS[code[k]]) for k in np.flatnonzero(code)),
-        ts=tuple(itertools.compress(ts, kept.tolist())), ys=tuple(y[kept].tolist()),
-        keep=kept[ok], y2=y2, rhs=rhs)
+    # a curve's columns are consecutive, so its roots are one run of slots
+    ends = np.searchsorted(tix, np.arange(len(polys) + 1) * spec.count).tolist()
+    curves = []
+    for lo, hi in zip(ends, ends[1:]):
+        skips = lo + np.flatnonzero(code[lo:hi])
+        curves.append((tuple(SkippedSample(ts[k], _REASONS[code[k]]) for k in skips),
+                       tuple(itertools.compress(ts[lo:hi], kept[lo:hi].tolist())),
+                       tuple(y[lo:hi][kept[lo:hi]].tolist())))
+    branches = _Pass(tuple(curves), kept[ok], y2, rhs)
     for a in (branches.keep, y2) + rhs:
         a.flags.writeable = False
     return branches
 
 
-class _Joined(NamedTuple):
-    """The passes of several curves over one circle, with their jet-root
-    arrays joined end to end in curve order."""
-
-    passes: tuple[_Branches, ...]
-    keep: object
-    y2: object
-    rhs: tuple
-
-
-def _join(polys: tuple[MultiPoly, ...], spec: SampleSpec) -> _Joined:
-    """The joined pass of the curves, from each curve's :func:`_branches`."""
-    import numpy as np
-
-    passes = tuple(_branches(p, spec) for p in polys)
-    keep, y2, *rhs = (np.concatenate(a) for a in zip(*((b.keep, b.y2) + b.rhs for b in passes)))
-    for a in [keep, y2] + rhs:
-        a.flags.writeable = False
-    return _Joined(passes, keep, y2, tuple(rhs))
-
-
-# The parameter-free passes of the last _BRANCH_CACHE_SIZE (curve, term order,
-# circle, tolerances) keys, each kept only if count * deg_y is at most
-# _BRANCH_CACHE_ROOTS: at most 32 * 1024 roots of about 250 bytes, 8 MB.  A
-# tuple of curves keys their joined pass, kept if count * sum of deg_y is.
+# The parameter-free passes of the last _BRANCH_CACHE_SIZE (curves, term orders,
+# circle, tolerances) keys, each kept only if count times the sum of the curves'
+# deg_y is at most _BRANCH_CACHE_ROOTS: at most 32 * 1024 roots of about 250
+# bytes, 8 MB.
 _BRANCH_CACHE_SIZE = 32
 _BRANCH_CACHE_ROOTS = 1024
 
 
 @functools.lru_cache(maxsize=_BRANCH_CACHE_SIZE)
-def _cached_branches(poly, order: tuple, spec: SampleSpec, tolerances: tuple):
-    """:func:`_find_branches`, keyed also on the term order (equal polynomials
-    in another order round differently) and the tolerances it reads; for a
-    tuple of polynomials and their term orders, :func:`_join`."""
-    return _join(poly, spec) if isinstance(poly, tuple) else _find_branches(poly, spec)
+def _cached_branches(polys: tuple, orders: tuple, spec: SampleSpec, tolerances: tuple) -> _Pass:
+    """:func:`_find_branches`, keyed also on the term orders (equal polynomials
+    in another order round differently) and the tolerances it reads."""
+    return _find_branches(polys, spec)
 
 
-def _branches(poly: MultiPoly, spec: SampleSpec) -> _Branches:
-    if spec.count * max(poly.degree_in("y"), 1) > _BRANCH_CACHE_ROOTS:
-        return _find_branches(poly, spec)
-    return _cached_branches(poly, tuple(poly.terms), spec, (NEWTON_TOL, PY_FLOOR, EXCLUSION_TOL))
-
-
-def _kept_residuals(b: Union[_Branches, _Joined], params: PviParams) -> list[float]:
-    """|y'' - RHS| at each jet root that is a sample, in order."""
+def _residuals(polys: tuple[MultiPoly, ...], params: PviParams, spec: SampleSpec) -> list:
+    """(skipped, ts, ys, residuals) of each curve over the spec: the pass of
+    :func:`_find_branches`, cached when small enough, and |y'' - RHS| at each
+    of its samples, from one array expression over the jet roots of all the
+    curves.  Only the residuals are computed on a cached pass."""
     import numpy as np
 
-    with np.errstate(all="ignore"):
-        residual = np.abs(b.y2 - _rhs(params, b.rhs))
-    return residual[b.keep].tolist()
-
-
-def _residuals(poly: MultiPoly, params: PviParams, spec: SampleSpec):
-    """The branches of the curve over the spec, from :func:`_branches`, and
-    the residual at each of their samples: only the residuals are computed
-    here."""
-    b = _branches(poly, spec)
-    return b, tuple(_kept_residuals(b, params))
-
-
-def _joined_residuals(polys: tuple[MultiPoly, ...], params: PviParams, spec: SampleSpec):
-    """:func:`_residuals` of each curve, from one array pass over their joined
-    jet roots.  The join is cached like a pass when it is small enough, and
-    otherwise built from the curves' own passes on each call."""
-    if spec.count * sum(max(p.degree_in("y"), 1) for p in polys) > _BRANCH_CACHE_ROOTS:
-        joined = _join(polys, spec)
+    roots, orders = 0, []
+    for p in polys:
+        roots += max(p.degree_in("y"), 1)
+        orders.append(tuple(p.terms))
+    if spec.count * roots > _BRANCH_CACHE_ROOTS:
+        found = _find_branches(polys, spec)
     else:
-        joined = _cached_branches(polys, tuple(tuple(p.terms) for p in polys), spec,
-                                  (NEWTON_TOL, PY_FLOOR, EXCLUSION_TOL))
-    residuals = _kept_residuals(joined, params)
-    out, start = [], 0
-    for b in joined.passes:
-        end = start + len(b.ts)
-        out.append((b, tuple(residuals[start:end])))
+        found = _cached_branches(polys, tuple(orders), spec, (NEWTON_TOL, PY_FLOOR, EXCLUSION_TOL))
+    with np.errstate(all="ignore"):
+        residual = np.abs(found.y2 - _rhs(params, found.rhs))
+    residuals, out, start = residual[found.keep].tolist(), [], 0
+    for skipped, ts, ys in found.curves:  # the curves' samples are in curve order
+        end = start + len(ts)
+        out.append((skipped, ts, ys, tuple(residuals[start:end])))
         start = end
     return out
 
@@ -528,17 +503,17 @@ def verify_curve(
     polished by Newton; roots colliding with {0, 1, t}, branch points
     (|dP/dy| below the floor), unpolishable roots and roots at t near 0 or 1
     are skipped with a reason rather than polluting the aggregate.  The
-    roots, skips and jets of a (curve, circle) are found once and cached; a
-    call at other parameters computes only the residuals.  The report keeps
-    the samples as columns and builds its :class:`ResidualSample` objects
-    only when ``samples`` is read.
+    curve is a pass of one: its roots, skips and jets over a circle are found
+    once and cached, and a call at other parameters computes only the
+    residuals.  The report keeps the samples as columns and builds its
+    :class:`ResidualSample` objects only when ``samples`` is read.
     """
     label, poly = None, curve
     if not isinstance(curve, MultiPoly):
         cid = CurveId(curve)
         label, poly = cid.value, CURVES[cid]
-    b, residuals = _residuals(poly, params, spec)
-    return ResidualReport._from_columns(label, params, b.ts, b.ys, residuals, b.skipped)
+    (skipped, ts, ys, residuals), = _residuals((poly,), params, spec)
+    return ResidualReport._from_columns(label, params, ts, ys, residuals, skipped)
 
 
 # ----------------------------------------------------------------------
@@ -579,10 +554,10 @@ def classify(alpha: Union[AlphaTuple, PviParams, Sequence], verify: bool = False
 
     Parameter patterns are tested exactly.  With ``verify`` set, every one of
     the seven canonical curves gets the report :func:`verify_curve` would
-    give it, the residuals of all seven taken in one array pass over their
-    joined branches: listed curves must pass at :data:`ACCEPT_TOL`, unlisted
-    ones must fail at :data:`REJECT_TOL`, and anything in between raises
-    :class:`VerificationError` rather than guessing.  The curves are checked
+    give it, from one pass over the seven: listed curves must pass at
+    :data:`ACCEPT_TOL`, unlisted ones must fail at :data:`REJECT_TOL`, and
+    anything in between raises :class:`VerificationError` rather than
+    guessing.  The curves are checked
     in order, so the first curve that fails decides the error.
     """
     a = coerce_alpha(alpha)
@@ -593,10 +568,10 @@ def classify(alpha: Union[AlphaTuple, PviParams, Sequence], verify: bool = False
     if verify:
         params = params_convert(a)
         reports = {}
-        passes = _joined_residuals(tuple(CURVES[cid] for cid in CurveId), params, spec)
-        for cid, (b, residuals) in zip(CurveId, passes):
-            report = reports[cid] = ResidualReport._from_columns(cid.value, params, b.ts, b.ys,
-                                                                 residuals, b.skipped)
+        passes = _residuals(tuple(CURVES[cid] for cid in CurveId), params, spec)
+        for cid, (skipped, ts, ys, residuals) in zip(CurveId, passes):
+            report = reports[cid] = ResidualReport._from_columns(cid.value, params, ts, ys,
+                                                                 residuals, skipped)
             verdict = report.verdict()
             if cid in listed and verdict != "pass":
                 raise VerificationError(

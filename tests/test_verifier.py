@@ -52,8 +52,8 @@ T = MultiPoly.variable("t")
 
 def _sample(poly, params, spec):
     """(samples, skips) of the batch pass of ``verify_curve``, as lists."""
-    b, residuals = verifier._residuals(poly, params, spec)
-    return list(map(ResidualSample, b.ts, b.ys, residuals)), list(b.skipped)
+    (skipped, ts, ys, residuals), = verifier._residuals((poly,), params, spec)
+    return list(map(ResidualSample, ts, ys, residuals)), list(skipped)
 
 
 def alpha_of(*vals):
@@ -87,7 +87,7 @@ class TestParamsConvert:
 
     def test_complex_values_converted_once(self, monkeypatch):
         # the parameters are read (iterated) only to convert them: once for
-        # the seven verify_curve calls of a verified classification
+        # the one residual pass of a verified classification
         reads = []
         params_iter = PviParams.__iter__
 
@@ -378,6 +378,12 @@ def _newton(c: _Compiled, yv: complex, tv: complex, tol: float) -> Optional[comp
     return yv if abs(c.value(yv, tv)) < 1e-9 else None
 
 
+def _same_bits(got, want):
+    """One curve's (skipped, ts, ys, residuals) equal another's, every float to the bit."""
+    assert got[:3] == want[:3] and repr(got[:3]) == repr(want[:3])
+    assert [r.hex() for r in got[3]] == [r.hex() for r in want[3]]
+
+
 def _same_within_tolerance(loop, batch):
     """The batch pass against the loop: exact t, order and reasons; residuals
     below ACCEPT_TOL within 1e-10 absolute, any other within 1e-9 relative."""
@@ -597,12 +603,17 @@ class TestBranchCache:
         assert warm == _dump(poly, params, spec) != before
 
     def test_cached_arrays_are_read_only(self, cold_cache):
-        b = verifier._branches(CURVES[CurveId.D], SampleSpec())
-        for a in (b.keep, b.y2) + b.rhs:
-            assert not a.flags.writeable
-        with pytest.raises(ValueError):
-            b.y2[0] = 0
-        assert all(type(x) is tuple for x in (b.skipped, b.ts, b.ys, b.rhs))
+        # a one-curve pass, and the seven-curve pass below and above the bound
+        seven = tuple(CURVES[cid] for cid in CurveId)
+        for polys, count in (((CURVES[CurveId.D],), 25), (seven, 25), (seven, 60)):
+            found = verifier._find_branches(polys, SampleSpec(count=count))
+            for a in (found.keep, found.y2) + found.rhs:
+                assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                found.y2[0] = 0
+            assert type(found.curves) is tuple and type(found.rhs) is tuple
+            assert len(found.curves) == len(polys)
+            assert all(type(x) is tuple for curve in found.curves for x in curve)
 
     def test_a_pass_above_the_bound_is_not_kept(self, cold_cache):
         params = params_convert(alpha_of(1, 1, 2, 2))
@@ -622,8 +633,8 @@ class TestBranchCache:
 
 def _per_curve_classify(alpha, spec):
     """classify(alpha, verify=True, spec=spec) made of one verify_curve call
-    per canonical curve, as it was before the joined pass: the reference the
-    joined pass must reproduce, exceptions and messages included."""
+    per canonical curve, as it was before the seven-curve pass: the reference
+    that pass must reproduce, exceptions and messages included."""
     a = coerce_alpha(alpha)
     listed, params = pattern_curves(a), params_convert(a)
     reports = {}
@@ -650,15 +661,14 @@ def _outcome(run):
 
 
 def _roots(entry):
-    """Root slots of a cached pass, or of every pass of a joined one."""
-    if isinstance(entry, verifier._Joined):
-        return sum(map(_roots, entry.passes))
-    return len(entry.ts) + len(entry.skipped)
+    """Root slots of a cached pass, over all of its curves."""
+    return sum(len(ts) + len(skipped) for skipped, ts, _ in entry.curves)
 
 
 class TestJoinedPass:
-    """classify takes the residuals of the seven curves in one array pass over
-    their joined branches; every report is the one verify_curve gives, to the bit."""
+    """classify takes the seven curves in one pass, and each curve of a pass
+    over several is its pass alone; every report is the one verify_curve
+    gives, to the bit."""
 
     ALPHAS = [alpha_of(*a) for a in (
         (1, 1, 1, 1), (1, 1, 2, 2), (3, 5, 3, 5), ("1/2", 7, 7, "1/2"), (9, 1, 1, 1),
@@ -676,11 +686,35 @@ class TestJoinedPass:
         polys, spec = tuple(CURVES[cid] for cid in CurveId), SampleSpec(count=count)
         for alpha in self.ALPHAS:
             params = params_convert(alpha)
-            joined = verifier._joined_residuals(polys, params, spec)
-            for poly, (b, residuals) in zip(polys, joined):
-                single, want = verifier._residuals(poly, params, spec)
-                assert (b.ts, b.ys, b.skipped) == (single.ts, single.ys, single.skipped)
-                assert [r.hex() for r in residuals] == [r.hex() for r in want]
+            for poly, got in zip(polys, verifier._residuals(polys, params, spec)):
+                _same_bits(got, *verifier._residuals((poly,), params, spec))
+
+    # y-degrees 0 to 6, a constant, every skip reason and the canonical curves
+    MIXED = [
+        T, MultiPoly.constant(3), Y - 2, Y ** 2 - T, Y ** 3 - T * Y, (Y - 2) ** 3 * (Y - T),
+        10 ** 12 * (Y - 2) ** 2 * (Y - T), Y ** 5 - T * Y ** 2 + 3 * T, Y ** 6 - T ** 5 * Y + T,
+        F(1, 3) * Y ** 3 + F(5, 7) * T ** 2 * Y - F(2, 9) * T + 3 * T ** 2,
+    ] + [CURVES[cid] for cid in CurveId]
+
+    @pytest.mark.parametrize("spec", [
+        SampleSpec(count=7), SampleSpec(count=60),  # 60 samples: no tuple here is cached
+        SampleSpec(center=0j, radius=1e-9, count=3), SampleSpec(center=1 + 0j, radius=1e-9, count=3),
+    ], ids=["count7", "count60", "near0", "near1"])
+    def test_mixed_tuples_equal_single_passes(self, cold_cache, spec):
+        rng = random.Random(20)
+        tuples = [tuple(self.MIXED)] + [tuple(rng.sample(self.MIXED, rng.randint(2, 7)))
+                                        for _ in range(40)]
+        params = [params_convert(alpha_of(1, 1, 2, 2)), params_convert(alpha_of(1, 2, 3, 4))]
+        reasons = set()
+        for polys in tuples:
+            for p in params:
+                for poly, got in zip(polys, verifier._residuals(polys, p, spec)):
+                    _same_bits(got, *verifier._residuals((poly,), p, spec))
+                    reasons.update(s.reason for s in got[0])
+        if spec.radius > 1e-9:
+            assert reasons == set(verifier._REASONS[1:]) - {"t in {0, 1}"}
+        else:
+            assert {"degenerate polynomial", "t in {0, 1}"} <= reasons
 
     @pytest.mark.parametrize("tolerance", TOLERANCES + [("ACCEPT_TOL", 1e-30),
                                                         ("REJECT_TOL", 1e12)])
@@ -716,17 +750,18 @@ class TestJoinedPass:
             verify_curve(cid, params, spec)
         info = cold_cache.cache_info()
         classify((9, 1, 1, 1), verify=True, spec=spec)
-        # built from the seven cached passes: one miss, the join itself
+        # the seven-curve pass is its own entry beside the one-curve passes:
+        # one miss
         assert cold_cache.cache_info().misses == info.misses + 1
         assert cold_cache.cache_info().currsize == 8
         info = cold_cache.cache_info()
         classify((1, 2, 3, 4), verify=True, spec=spec)
         assert cold_cache.cache_info()[:2] == (info.hits + 1, info.misses)
 
-    @pytest.mark.parametrize("count,entries", [(25, 8), (46, 8), (47, 7), (60, 7)])
+    @pytest.mark.parametrize("count,entries", [(25, 1), (46, 1), (47, 0), (60, 0)])
     def test_no_entry_above_the_bound(self, cold_cache, monkeypatch, count, entries):
-        # 22 roots per sample over the seven curves: the join is kept up to
-        # 46 samples, and above that built from the kept passes on each call
+        # 22 roots per sample over the seven curves: their pass is kept up to
+        # 46 samples, and above that computed on each call
         returned = []
 
         def recording(*key):
@@ -736,19 +771,12 @@ class TestJoinedPass:
         monkeypatch.setattr(verifier, "_cached_branches", recording)
         spec = SampleSpec(count=count)
         classify((1, 1, 2, 2), verify=True, spec=spec)
-        assert cold_cache.cache_info().currsize == entries
-        assert max(map(_roots, returned)) <= verifier._BRANCH_CACHE_ROOTS
+        assert cold_cache.cache_info().currsize == len(returned) == entries
+        assert all(_roots(entry) <= verifier._BRANCH_CACHE_ROOTS for entry in returned)
         info = cold_cache.cache_info()
         classify((1, 2, 3, 4), verify=True, spec=spec)
         # nothing that is cached is computed again
         assert cold_cache.cache_info().misses == info.misses
-
-    def test_joined_arrays_are_read_only(self, cold_cache):
-        for count in (25, 60):
-            polys = tuple(CURVES[cid] for cid in CurveId)
-            joined = verifier._join(polys, SampleSpec(count=count))
-            for a in (joined.keep, joined.y2) + joined.rhs:
-                assert not a.flags.writeable
 
 
 class TestRootWork:
@@ -780,6 +808,18 @@ class TestRootWork:
             verify_curve(CurveId.D, params, SampleSpec(count=8))
         with pytest.raises(ValueError, match="root-finding limit"):
             classify(CANONICAL_ALPHA[CurveId.D], verify=True, spec=SampleSpec(count=8))
+
+    def test_every_curve_is_checked_before_any_table(self, cold_cache, monkeypatch):
+        # the conics are within the limit and D is not: nothing is built for them
+        def no_work(*args):
+            raise AssertionError("the coefficient table was built")
+
+        monkeypatch.setattr(verifier, "MAX_ROOT_WORK", 7 * 4 ** 3)
+        monkeypatch.setattr(verifier, "_in_y", no_work)
+        with pytest.raises(ValueError, match="root-finding limit") as info:
+            classify((9, 1, 1, 1), verify=True, spec=SampleSpec(count=8))
+        assert "\n" not in str(info.value) and "degree 4" in str(info.value)
+        assert cold_cache.cache_info().currsize == 0
 
 
 def _eager_report(cid, params, spec):
@@ -819,6 +859,19 @@ class TestPassMemory:
         finally:
             tracemalloc.stop()
         assert peak < 30 * 2 ** 20
+
+    def test_seven_curves_at_a_thousand_samples(self, cold_cache):
+        # one (6, 5, 7 * 1000) table, 3.4 MB, and one entry per root of the
+        # seven curves, 22 000 roots
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            classify((9, 1, 1, 1), verify=True, spec=SampleSpec(count=1000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2 ** 20
 
 
 class TestLazySamples:
