@@ -603,17 +603,7 @@ class TestBranchCache:
         assert warm == _dump(poly, params, spec) != before
 
     def test_cached_arrays_are_read_only(self, cold_cache):
-        # a one-curve pass, and the seven-curve pass below and above the bound
-        seven = tuple(CURVES[cid] for cid in CurveId)
-        for polys, count in (((CURVES[CurveId.D],), 25), (seven, 25), (seven, 60)):
-            found = verifier._find_branches(polys, SampleSpec(count=count))
-            for a in (found.keep, found.y2) + found.rhs:
-                assert not a.flags.writeable
-            with pytest.raises(ValueError):
-                found.y2[0] = 0
-            assert type(found.curves) is tuple and type(found.rhs) is tuple
-            assert len(found.curves) == len(polys)
-            assert all(type(x) is tuple for curve in found.curves for x in curve)
+        _assert_read_only((CURVES[CurveId.D],), SampleSpec())
 
     def test_a_pass_above_the_bound_is_not_kept(self, cold_cache):
         params = params_convert(alpha_of(1, 1, 2, 2))
@@ -629,6 +619,18 @@ class TestBranchCache:
         for count in range(1, verifier._BRANCH_CACHE_SIZE + 10):
             _sample(CURVES[CurveId.A], params, SampleSpec(count=count))
         assert cold_cache.cache_info().currsize == verifier._BRANCH_CACHE_SIZE
+
+
+def _assert_read_only(polys, spec):
+    """The arrays of the pass over ``polys`` refuse writes; its other fields are tuples."""
+    found = verifier._find_branches(polys, spec)
+    for a in (found.keep, found.y2) + found.rhs:
+        assert not a.flags.writeable
+    with pytest.raises(ValueError):
+        found.y2[0] = 0
+    assert type(found.curves) is tuple and type(found.rhs) is tuple
+    assert len(found.curves) == len(polys)
+    assert all(type(x) is tuple for curve in found.curves for x in curve)
 
 
 def _per_curve_classify(alpha, spec):
@@ -777,6 +779,11 @@ class TestJoinedPass:
         classify((1, 2, 3, 4), verify=True, spec=spec)
         # nothing that is cached is computed again
         assert cold_cache.cache_info().misses == info.misses
+
+    def test_joined_arrays_are_read_only(self, cold_cache):
+        # the seven-curve pass below and above the cache bound
+        for count in (25, 60):
+            _assert_read_only(tuple(CURVES[cid] for cid in CurveId), SampleSpec(count=count))
 
 
 class TestRootWork:
