@@ -358,10 +358,6 @@ _SQUARE_POINT = (7, 11)
 _SPECIALIZATION_POINTS = (2, 3, 5, 1, -1, 4, 7, 6, -2, 9)
 _PRIMES = (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71,
            73, 79, 83, 89, 97, 3, 2)
-# Primes with p^(d/2) above the cap are skipped for y-degree d. The
-# distinct-degree test does not need the bound; it is kept so that the
-# (t0, p) certificate found for each sextic stays the same.
-_FP_ENUMERATION_CAP = 50000
 
 
 def is_irreducible(p: MultiPoly) -> IrreducibilityResult:
@@ -430,7 +426,6 @@ def is_irreducible(p: MultiPoly) -> IrreducibilityResult:
     if degy == 0:
         return IrreducibilityResult("unknown")
 
-    primes = [q for q in _PRIMES if q ** (degy // 2) <= _FP_ENUMERATION_CAP]
     for i, t0 in enumerate(_SPECIALIZATION_POINTS):
         if i == 1:
             # A proper factor g(y) free of t divides every specialization, so
@@ -450,7 +445,7 @@ def is_irreducible(p: MultiPoly) -> IrreducibilityResult:
             values = [v // g for v in values]
             lead //= g
         common = den // g
-        for prime in primes:
+        for prime in _PRIMES:
             if not common % prime or not lead % prime:
                 continue
             if _fp_is_irreducible([v % prime for v in values], prime):

@@ -154,7 +154,7 @@ def _raw(x) -> "Terms | None":
 class MultiPoly:
     """Immutable sparse polynomial: map from packed monomials to nonzero rationals."""
 
-    __slots__ = ("_t", "_vars", "_terms", "_powers", "_hash", "_degrees")
+    __slots__ = ("_t", "_vars", "_powers", "_hash", "_degrees")
 
     def __init__(self, terms: Mapping[Exponents, Scalar] = (), variables: Sequence[str] = ()):
         names = _check_vars(variables)
@@ -217,12 +217,8 @@ class MultiPoly:
     @property
     def terms(self) -> Mapping[Exponents, Fraction]:
         """Exponent tuples over self.vars mapped to Fraction coefficients, in term order."""
-        view = getattr(self, "_terms", None)
-        if view is None:
-            decode = self._decoder()
-            view = MappingProxyType({decode(k): Fraction(c) for k, c in self._t.items()})
-            _set(self, "_terms", view)
-        return view
+        decode = self._decoder()
+        return MappingProxyType({decode(k): Fraction(c) for k, c in self._t.items()})
 
     def _decoder(self) -> Callable[[int], Exponents]:
         """Map a monomial key to its exponent tuple over self.vars."""
@@ -624,8 +620,10 @@ def _exact_value(t: Terms, fields: list) -> Fraction:
 def integer_grid(p: MultiPoly, outer: str, inner: str) -> tuple[int, list[list[int]]]:
     """(L, rows) with L the lcm of p's coefficient denominators and rows[i][j]
     the integer L times p's coefficient of outer^i * inner^j, for i up to the
-    degree in outer and j up to the degree in inner; p must involve no other
-    variable."""
+    degree in outer and j up to the degree in inner; a p that involves any
+    other variable raises ValueError."""
+    if not set(p.vars) <= {outer, inner}:
+        raise ValueError(f"integer grid in ({outer}, {inner}) of a polynomial in {p.vars}")
     t = p._t
     so, si = _SHIFTS[_VAR_INDEX[outer]], _SHIFTS[_VAR_INDEX[inner]]
     den = _den(t)

@@ -127,13 +127,13 @@ _PARTIALS = ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2))  # P_y, P_t, P_yy, P_yt, P_
 
 
 def _yt_terms(poly: MultiPoly) -> list[tuple[int, int, complex]]:
-    """(i, j, c) for each term c y^i t^j of P, in term order."""
+    """(i, j, c) for each term c y^i t^j of P, in ``str(P)`` order whatever built P."""
     names = poly.vars
     if not set(names) <= {"y", "t"}:
         raise ValueError(f"curve polynomial must involve only (y, t), got {names}")
     iy, it = (names.index(v) if v in names else None for v in ("y", "t"))
     return [(e[iy] if iy is not None else 0, e[it] if it is not None else 0, complex(c))
-            for e, c in poly.terms.items()]
+            for e, c in poly.sorted_terms()]
 
 
 def _in_y(poly: MultiPoly, points: Sequence[complex]):
@@ -141,8 +141,8 @@ def _in_y(poly: MultiPoly, points: Sequence[complex]):
 
     The dense coefficients of the five partials come from those of P by index
     shifts and integer multiplies and reach every t in one matrix product.
-    P's own coefficients are summed term by term in term order with Python's
-    powers of t, so its roots are those ``np.roots`` finds, to the bit.
+    P's own coefficients are summed term by term in ``str(P)`` order with
+    Python's powers of t, so its roots are those ``np.roots`` finds, to the bit.
     """
     import numpy as np
 
@@ -204,7 +204,7 @@ def implicit_derivs(poly: MultiPoly, t: complex, y: complex) -> tuple[complex, c
     :class:`SingularPointError` when |P_y| < :data:`PY_FLOOR`.
     """
     tv, yv = complex(t), complex(y)
-    partials = [0j] * 5  # P_y, P_t, P_yy, P_yt, P_tt, summed term by term at (t, y)
+    partials = [0j] * 5  # P_y, P_t, P_yy, P_yt, P_tt, summed in str(P) order at (t, y)
     for i, j, c in _yt_terms(poly):
         for k, (a, b) in enumerate(_PARTIALS):
             if i >= a and j >= b:
@@ -452,18 +452,18 @@ def _find_branches(polys: tuple[MultiPoly, ...], spec: SampleSpec) -> _Pass:
     return branches
 
 
-# The parameter-free passes of the last _BRANCH_CACHE_SIZE (curves, term orders,
-# circle, tolerances) keys, each kept only if count times the sum of the curves'
-# deg_y is at most _BRANCH_CACHE_ROOTS: at most 32 * 1024 roots of about 250
-# bytes, 8 MB.
+# The parameter-free passes of the last _BRANCH_CACHE_SIZE (curves, circle,
+# tolerances) keys, each kept only if count times the sum of the curves'
+# max(deg_y, 1) is at most _BRANCH_CACHE_ROOTS: at most 32 * 1024 roots of
+# about 250 bytes, 8 MB.
 _BRANCH_CACHE_SIZE = 32
 _BRANCH_CACHE_ROOTS = 1024
 
 
 @functools.lru_cache(maxsize=_BRANCH_CACHE_SIZE)
-def _cached_branches(polys: tuple, orders: tuple, spec: SampleSpec, tolerances: tuple) -> _Pass:
-    """:func:`_find_branches`, keyed also on the term orders (equal polynomials
-    in another order round differently) and the tolerances it reads."""
+def _cached_branches(polys: tuple, spec: SampleSpec, tolerances: tuple) -> _Pass:
+    """:func:`_find_branches`, keyed also on the tolerances it reads; a pass
+    depends only on the polynomials' values, so equal ones share an entry."""
     return _find_branches(polys, spec)
 
 
@@ -474,14 +474,13 @@ def _residuals(polys: tuple[MultiPoly, ...], params: PviParams, spec: SampleSpec
     curves.  Only the residuals are computed on a cached pass."""
     import numpy as np
 
-    roots, orders = 0, []
+    roots = 0
     for p in polys:
         roots += max(p.degree_in("y"), 1)
-        orders.append(tuple(p.terms))
     if spec.count * roots > _BRANCH_CACHE_ROOTS:
         found = _find_branches(polys, spec)
     else:
-        found = _cached_branches(polys, tuple(orders), spec, (NEWTON_TOL, PY_FLOOR, EXCLUSION_TOL))
+        found = _cached_branches(polys, spec, (NEWTON_TOL, PY_FLOOR, EXCLUSION_TOL))
     with np.errstate(all="ignore"):
         residual = np.abs(found.y2 - _rhs(params, found.rhs))
     residuals, out, start = residual[found.keep].tolist(), [], 0

@@ -432,6 +432,17 @@ class TestVerifierBytes:
             assert got == code
             assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    def test_term_order_does_not_reach_the_bytes(self, capsys):
+        # (1 + t + t^2)(y^2 - t) written out of str order and in it: three
+        # terms at y^2 and at y^0, summed in str order either way
+        digests = []
+        for poly in ("y^2 + t*y^2 + t^2*y^2 - t - t^2 - t^3",
+                     "t^2*y^2 + t*y^2 + y^2 - t^3 - t^2 - t"):
+            code, out, _ = run(capsys, "verify", "--poly", poly, "--alpha=1,1,2,2")
+            assert code == 0
+            digests.append(hashlib.sha256(out.encode()).hexdigest())
+        assert digests == ["f8efefe35cdc175496757f19a0aa2c716132e59617c2fa36de58d8485d7a8085"] * 2
+
 
 class TestPicardBytes:
     # sha256 of eval-picard at each curve's Picard class and a fixed tau,

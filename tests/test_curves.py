@@ -472,8 +472,8 @@ class TestFpIrreducible:
                         _trial_division_irreducible(coeffs, prime), (coeffs, prime)
 
     def test_random_to_degree_six(self):
-        # trial division is p^(d/2) work, so the reference keeps to the
-        # certifier's own bound p^(d/2) <= 50000 (sextics up to p = 31)
+        # trial division is p^(d/2) work, so the reference keeps to
+        # p^(d/2) <= 50000 (sextics up to p = 31)
         rng = random.Random(97)
         seen = {True: 0, False: 0}
         for prime in _PRIMES_TO_97:
@@ -628,8 +628,10 @@ def _result_line(i: int, res) -> str:
 
 # Results on _pin_corpus() of the trial-division certifier that preceded the
 # distinct-degree test: the sha256 of the result lines of every input it
-# decided, and the inputs it left 'unknown'.
-_PINNED_SHA256 = "6ce8590335afca60edaa07364c1797e69f38dfe57c896c69df428c89fad124bc"
+# decided, and the inputs it left 'unknown'.  The digest was taken again when
+# sextics were first certified at primes above 31: one line moved, index
+# 2178, from the certificate (3, 5) to (2, 37).
+_PINNED_SHA256 = "3b39632ad41fdb68b873a2df83f186259eda1aabb7e01a3bfa99e6cf1c5749e6"
 _PINNED_UNKNOWN = (416, 884, 1159, 1627, *range(2186, 2210))
 
 
@@ -643,6 +645,17 @@ class TestPinnedResults:
         lines = [_result_line(i, is_irreducible(p)) for i, p in enumerate(pin_corpus)
                  if i not in _PINNED_UNKNOWN]
         assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == _PINNED_SHA256
+
+    def test_a_sextic_certified_above_31(self, pin_corpus):
+        p = pin_corpus[2178]
+        assert str(p) == "y^6*t - 3*y^5*t - 2*y^4*t + 4*y*t + 1/3"
+        res = is_irreducible(p)
+        assert res.status == "irreducible" and res.certificate == (2, 37)
+        # sympy over F_37: the image at t = 2 keeps degree 6 and is irreducible
+        y, t = sympy.symbols("y t")
+        _, image = sympy.Poly(sympy.sympify(str(p).replace("^", "**")).subs(t, 2), y).clear_denoms()
+        image = sympy.Poly(image.as_expr(), y, modulus=37)
+        assert image.degree() == 6 and image.is_irreducible
 
     def test_undecided_stay_unknown_or_get_a_witness(self, pin_corpus):
         moved = 0

@@ -13,6 +13,7 @@ from pvi.multipoly import (
     ExactDivisionError,
     MultiPoly,
     NotAPerfectSquareError,
+    integer_grid,
 )
 
 F = Fraction
@@ -244,7 +245,7 @@ class TestImmutability:
         from pvi.curves import master_poly
 
         p = master_poly((F(3, 2), 2, -1, F(1, 3)))
-        p.vars, p.terms, p ** 2, hash(p), p.degree_in("y")  # fill the memo slots
+        p.vars, p ** 2, hash(p), p.degree_in("y")  # fill the memo slots
         memo = [slot for slot in MultiPoly.__slots__ if slot != "_t"]
         assert all(hasattr(p, slot) for slot in memo)
         types = [type(c) for c in p._t.values()]
@@ -460,7 +461,7 @@ class TestCoefficientStorage:
 
 
 # ----------------------------------------------------------------------
-# term order: the numeric verifier sums terms in dict order, so every
+# term order: evaluation at inexact points sums terms in dict order, so every
 # operation must keep the order of the exponent-tuple reference below
 # ----------------------------------------------------------------------
 
@@ -867,3 +868,15 @@ class TestContentOverZ:
         assert p0.content_in("t") == 1
         assert ((2 * T - 1) * Y ** 2 + (4 * T - 2) * Y).content_in("y") == T - F(1, 2)
         assert ((F(1, 3) * T ** 2 - F(1, 3)) * Y + (T + 1) * Y ** 3).content_in("y") == T + 1
+
+
+class TestIntegerGrid:
+    def test_another_variable_is_refused(self):
+        p = F(1, 2) * Y ** 2 * T - F(2, 3) * T ** 2 + 5
+        assert integer_grid(p, "y", "t") == (6, [[30, 0, -4], [0, 0, 0], [0, 3, 0]])
+        assert integer_grid(p, "t", "y") == (6, [[30, 0, 0], [0, 0, 3], [-4, 0, 0]])
+        assert integer_grid(MultiPoly.constant(F(2, 5)), "y", "t") == (5, [[2]])
+        # read as grids in (y, t), z would be dropped: y + 1, y + t, 2y - 1, 1
+        for p in (Y + Z + 1, Y * Z + T, 2 * Y - Z, Z):
+            with pytest.raises(ValueError, match=r"\(y, t\) of a polynomial in \(.*'z'"):
+                integer_grid(p, "y", "t")
