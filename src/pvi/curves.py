@@ -394,10 +394,8 @@ def is_irreducible(p: MultiPoly) -> IrreducibilityResult:
     # the monomial content: y divides p when its row 0 is zero, t when every
     # row's constant term is
     name = "y" if not any(rows[0]) else "t" if not any(row[0] for row in rows) else None
-    if name:
-        witness = MultiPoly.variable(name)
-        if p.exact_div(witness).total_degree() >= 1:
-            return IrreducibilityResult("reducible", witness=witness)
+    if name and p.total_degree() >= 2:  # p/y, or p/t, is then nonconstant
+        return IrreducibilityResult("reducible", witness=MultiPoly.variable(name))
 
     # a nonzero constant coefficient of a power of y makes the content 1
     if degy and not any(row[0] and not any(row[1:]) for row in rows):
@@ -409,11 +407,10 @@ def is_irreducible(p: MultiPoly) -> IrreducibilityResult:
     total, degt = p.total_degree(), p.degree_in("t")
     in_t: dict = {}
     for factor, f_total, f_degy, f_degt, point in _TRIAL_FACTORS:
-        if 0 < f_total < total and f_degy <= degy and f_degt <= degt:
+        if f_total < total and f_degy <= degy and f_degt <= degt:
             if point is not None and _nonzero_at(rows, point, in_t):
                 continue
-            q = p.try_divide(factor)
-            if q is not None and q.total_degree() >= 1:
+            if p.try_divide(factor) is not None:
                 return IrreducibilityResult("reducible", witness=factor)
 
     if total >= 2 and _square_at(den, rows, _SQUARE_POINT):

@@ -28,6 +28,8 @@ returning a huge value.  Im tau below :data:`IM_TAU_FLOOR` raises
 :class:`PrecisionError`: the values are still accurate there, but the
 four-term sums are scaled by lam^-3, so the sums at matching and at
 non-matching parameters no longer separate at fixed absolute tolerances.
+A complex z reaches its thetas through ``_point_thetas``, a class through
+``_class_thetas``; each path checks poles, a class on integers at each half-period shift.
 """
 
 from __future__ import annotations
@@ -299,10 +301,10 @@ def invariants_at(tau: complex) -> EllipticInvariants:
 
 
 def _point_thetas(z: complex, red: _Reduction):
-    """z's distance to the caller's lattice, and the thetas at z moved to tau1."""
-    alpha, beta = _moved_coords(z, red)
-    tau1 = red.tau1
-    return abs(red.lam) * _cell_distance(alpha, beta, tau1), _thetas(tau1, alpha + beta * tau1)
+    """The thetas at z moved to tau1, once z is clear of the caller's lattice."""
+    alpha, beta = _moved_coords(complex(z), red)
+    _require_clear(abs(red.lam) * _cell_distance(alpha, beta, red.tau1), z)
+    return _thetas(red.tau1, alpha + beta * red.tau1)
 
 
 def _require_clear(distance: float, z) -> None:
@@ -320,8 +322,7 @@ def _normalized(th, red: _Reduction, base: complex) -> complex:
 def wp(z: complex, tau: complex) -> complex:
     """Weierstrass wp(z | tau) for the lattice Z + tau*Z."""
     red = _reduce(_require_tau(tau))
-    distance, th = _point_thetas(complex(z), red)
-    _require_clear(distance, z)
+    th = _point_thetas(z, red)
     c2, c3 = th[4], th[5]
     # wp = e_2 + pi^2 (...)^2 at tau1, with e_2 = -pi^2 (theta_2^4 + theta_3^4)/3
     return _PI2 * (_wp_minus_e(2, th) - (th[7] * c2 ** 4 + c3 ** 4) / 3) / red.lam ** 2
@@ -330,18 +331,7 @@ def wp(z: complex, tau: complex) -> complex:
 def wp_prime(z: complex, tau: complex) -> complex:
     """Derivative wp'(z | tau); odd and lattice-periodic."""
     red = _reduce(_require_tau(tau))
-    distance, th = _point_thetas(complex(z), red)
-    _require_clear(distance, z)
-    return _wp_prime_shifted(0, th) / red.lam ** 3
-
-
-def normalized_w(z: complex, tau: complex) -> complex:
-    """w(z) = (wp(z) - e1)/(e2 - e1), the normalized elliptic coordinate."""
-    red = _reduce(_require_tau(tau))
-    distance, th = _point_thetas(complex(z), red)
-    base = _level2(red, th)[2]
-    _require_clear(distance, z)
-    return _normalized(th, red, base)
+    return _wp_prime_shifted(0, _point_thetas(z, red)) / red.lam ** 3
 
 
 PairLike = Union[RationalPair, Sequence]
@@ -369,16 +359,18 @@ def _label_point(pair: RationalPair, red: _Reduction):
     return (N, A, B), A / N + B / N * red.tau1
 
 
-def _require_label_clear(numerators, k: int, red: _Reduction, pair: RationalPair) -> None:
-    """Pole check of p1 + omega_k at tau1, with cell coordinates (u, w)/2N taken
-    on the integers."""
-    N, A, B = numerators
-    u = (2 * A + N * (k & 1)) % (2 * N)
-    w = (2 * B + N * (k >> 1)) % (2 * N)
-    u, w = (u - 2 * N if u >= N else u), (w - 2 * N if w >= N else w)
-    distance = abs(red.lam) * _cell_distance(u / (2 * N), w / (2 * N), red.tau1)
-    if distance < POLE_THRESHOLD:  # z is built only for the message
-        _require_clear(distance, float(pair.mu) + float(pair.nu) * (red.n + red.tau0))
+def _class_thetas(pair: RationalPair, red: _Reduction, shifts: Sequence[int]):
+    """The thetas at the class's point p1 moved to tau1, once p1 + omega_k, k in shifts,
+    is clear of the lattice, with cell coordinates (u, w)/2N taken on the integers."""
+    (N, A, B), p1 = _label_point(pair, red)
+    for k in shifts:
+        u = (2 * A + N * (k & 1)) % (2 * N)
+        w = (2 * B + N * (k >> 1)) % (2 * N)
+        u, w = (u - 2 * N if u >= N else u), (w - 2 * N if w >= N else w)
+        distance = abs(red.lam) * _cell_distance(u / (2 * N), w / (2 * N), red.tau1)
+        if distance < POLE_THRESHOLD:  # z is built only for the message
+            _require_clear(distance, float(pair.mu) + float(pair.nu) * (red.n + red.tau0))
+    return _thetas(red.tau1, p1)
 
 
 def picard_eval(v: PairLike, tau: complex) -> tuple[complex, complex]:
@@ -393,10 +385,8 @@ def picard_eval(v: PairLike, tau: complex) -> tuple[complex, complex]:
             f"{pair} lies in (Z/2)^2: the corresponding solution is trivial"
         )
     red = _reduce(_require_tau(tau))
-    numerators, p1 = _label_point(pair, red)
-    th = _thetas(red.tau1, p1)
+    th = _class_thetas(pair, red, (0,))
     _, t, base = _level2(red, th)
-    _require_label_clear(numerators, 0, red, pair)
     return t, _normalized(th, red, base)
 
 
@@ -412,13 +402,10 @@ def reduction_residual(alpha: Union[AlphaTuple, Sequence], v: PairLike, tau: com
         raise ValueError("alpha must have four components")
     pair = _as_pair(v)
     red = _reduce(_require_tau(tau))
-    numerators, p1 = _label_point(pair, red)
     terms = [(ak, k) for ak, k in zip(a, (0, *_half_period_indices(red))) if ak != 0]
-    for _, k in terms:
-        _require_label_clear(numerators, k, red, pair)
     if not terms:
         return 0j
-    th = _thetas(red.tau1, p1)
+    th = _class_thetas(pair, red, [k for _, k in terms])
     total = 0j
     for ak, k in terms:
         total += complex(ak) * _wp_prime_shifted(k, th)
@@ -433,11 +420,9 @@ def triple_check(z: complex, tau: complex) -> tuple[complex, complex]:
     """
     red = _reduce(_require_tau(tau))
     z = complex(z)
-    distance, th = _point_thetas(z, red)
-    distance3, th3 = _point_thetas(3 * z, red)
+    th = _point_thetas(z, red)
+    th3 = _point_thetas(3 * z, red)
     _, t, base = _level2(red, th)
-    _require_clear(distance, z)
-    _require_clear(distance3, 3 * z)
     y = _normalized(th, red, base)
     lhs = _normalized(th3, red, base)
     fval = complex(TRIPLING_F(y=y, t=t))

@@ -620,9 +620,10 @@ def _exact_value(t: Terms, fields: list) -> Fraction:
 def integer_grid(p: MultiPoly, outer: str, inner: str) -> tuple[int, list[list[int]]]:
     """(L, rows) with L the lcm of p's coefficient denominators and rows[i][j]
     the integer L times p's coefficient of outer^i * inner^j, for i up to the
-    degree in outer and j up to the degree in inner; a p that involves any
-    other variable raises ValueError."""
-    if not set(p.vars) <= {outer, inner}:
+    degree in outer and j up to the degree in inner; two equal or unknown
+    names, or a p that involves any other variable, raise ValueError."""
+    names = {outer, inner}
+    if len(names & _VAR_INDEX.keys()) < 2 or not set(p.vars) <= names:
         raise ValueError(f"integer grid in ({outer}, {inner}) of a polynomial in {p.vars}")
     t = p._t
     so, si = _SHIFTS[_VAR_INDEX[outer]], _SHIFTS[_VAR_INDEX[inner]]

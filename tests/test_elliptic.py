@@ -184,6 +184,14 @@ class TestWeierstrass:
             wp(1e-8, 1j)
         with pytest.raises(PoleProximityError):
             wp(1 + 1j + 1e-9, 1j)  # lattice point 1 + tau
+        with pytest.raises(PoleProximityError):
+            wp_prime(1e-8, 1j)
+        with pytest.raises(PoleProximityError):
+            triple_check(1e-8, 1j)
+        # z is clear of the lattice and 3z is not; g(y, t) ~ 0 there too, so
+        # the check on 3z runs before the tripling-denominator guard
+        with pytest.raises(PoleProximityError, match=r"z = \(1\.000000003\+0j\)"):
+            triple_check(1 / 3 + 1e-9, 1j)
 
     def test_precision_floor(self):
         with pytest.raises(PrecisionError):

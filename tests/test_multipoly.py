@@ -880,3 +880,7 @@ class TestIntegerGrid:
         for p in (Y + Z + 1, Y * Z + T, 2 * Y - Z, Z):
             with pytest.raises(ValueError, match=r"\(y, t\) of a polynomial in \(.*'z'"):
                 integer_grid(p, "y", "t")
+        # an unknown name, or one name twice
+        for p, outer, inner in ((Y, "y", "w"), (Y, "w", "y"), (Y ** 2 + 1, "y", "y")):
+            with pytest.raises(ValueError, match=rf"integer grid in \({outer}, {inner}\)"):
+                integer_grid(p, outer, inner)
