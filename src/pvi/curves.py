@@ -255,12 +255,10 @@ def substitute_rational(p: MultiPoly, mapping: RationalMap) -> MultiPoly:
     """Numerator of p after substituting var -> num/den, denominators cleared.
 
     Each substituted variable v of maximal degree d contributes den_v^d; the
-    result is the exact numerator polynomial (no content stripping).
+    result is the exact numerator polynomial (no content stripping).  It
+    delegates to :meth:`MultiPoly.substitute`, which takes the same map.
     """
-    return p.substitute({
-        v: lambda e, num=num, den=den, d=p.degree_in(v): (num ** e, den ** (d - e))
-        for v, (num, den) in mapping.items()
-    })
+    return p.substitute(mapping)
 
 
 def verify_uniformization(curve: CurveId) -> bool:

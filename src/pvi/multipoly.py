@@ -13,10 +13,10 @@ All arithmetic is exact over Q.  Coefficients are stored as ints where
 integral and as Fractions otherwise; public accessors return Fractions.
 Terms keep the order each operation produces them in, and evaluation sums
 them in that order.  Evaluation at int and Fraction points runs in integers
-over one common denominator; the parser, the gcd behind ``content_in`` and
-products over a common denominator likewise work on ints.  A polynomial is
-immutable, so each instance memoizes its powers (``p ** n`` is built once),
-its hash and its degree in each variable.
+over one common denominator; the parser, ``content_in`` (a gcd over the rows
+of :func:`integer_grid`) and products over a common denominator likewise work
+on ints.  A polynomial is immutable, so each instance memoizes its powers
+(``p ** n`` is built once), its hash and its degree in each variable.
 """
 
 from __future__ import annotations
@@ -371,26 +371,26 @@ class MultiPoly:
             total = term if total is None else total + term
         return Fraction(total) if type(total) is int else total
 
-    def substitute(self, factors: Mapping[str, Callable[[int], Sequence["MultiPoly"]]]) -> "MultiPoly":
-        """Replace each power name^e by the product of ``factors[name](e)``, exactly.
+    def substitute(self, maps: Mapping[str, tuple["MultiPoly", "MultiPoly"]]) -> "MultiPoly":
+        """The numerator of self after name -> num/den for each ``maps[name] = (num, den)``.
 
-        Every term c*m becomes c times m without the mapped variables times
-        the factors of its mapped variables, multiplied left to right in
-        universe order.  ``factors[name]`` is called once per exponent that
-        occurs (0 included), so each power is built once per call.
+        A mapped name of degree d in self contributes num^e * den^(d-e) to a
+        term with exponent e, and no content is stripped.  Every term c*m becomes
+        c times m without the mapped variables times these factors, multiplied
+        left to right in universe order; each power is built once per call.
         """
-        for name in factors:
+        for name in maps:
             _check_vars((name,))
-        fields = [(_SHIFTS[_VAR_INDEX[n]], _VAR_KEY[_VAR_INDEX[n]], factors[n], {})
-                  for n in sorted(factors, key=_VAR_INDEX.__getitem__)]
+        fields = [(_SHIFTS[_VAR_INDEX[n]], _VAR_KEY[_VAR_INDEX[n]], *maps[n], self.degree_in(n), {})
+                  for n in sorted(maps, key=_VAR_INDEX.__getitem__)]
         acc: Terms = {}
         for key, coef in self._t.items():
             rest, prod = key, None
-            for s, unit, make, cache in fields:
+            for s, unit, num, den, d, cache in fields:
                 e = (key >> s) & _MASK
                 rest -= e * unit
                 if e not in cache:
-                    cache[e] = [f._t for f in make(e) if f._t != {0: 1}]
+                    cache[e] = [f._t for f in (num ** e, den ** (d - e)) if f._t != {0: 1}]
                 for f in cache[e]:
                     prod = f if prod is None else _mul(prod, f)
             if prod is None:
@@ -401,9 +401,9 @@ class MultiPoly:
         return MultiPoly._of(acc)
 
     def subs(self, **mapping: "MultiPoly | Scalar") -> "MultiPoly":
-        """Polynomial substitution for a subset of variables (exact)."""
-        reps = {n: r if isinstance(r, MultiPoly) else MultiPoly.constant(r) for n, r in mapping.items()}
-        return self.substitute({n: (lambda e, r=r: (r ** e,)) for n, r in reps.items()})
+        """Exact substitution for some variables: the den = 1 case of :meth:`substitute`."""
+        return self.substitute({n: (r if isinstance(r, MultiPoly) else MultiPoly.constant(r), _ONE)
+                                for n, r in mapping.items()})
 
     # ------------------------------------------------------------------
     # division and square root
@@ -473,13 +473,15 @@ class MultiPoly:
         if len(coeffs) == 1:
             return coeffs[0]
         (other,) = others
-        s, unit = _SHIFTS[_VAR_INDEX[other]], _VAR_KEY[_VAR_INDEX[other]]
-        g = _dense(coeffs[0], s)
-        for c in coeffs[1:]:
-            g = _primitive_gcd(g, _dense(c, s))
-            if len(g) == 1:
-                return MultiPoly.constant(1)
-        lc = g[-1]
+        g = None
+        for row in integer_grid(self, name, other)[1]:
+            while row and not row[-1]:
+                row.pop()
+            if row:
+                g = row if g is None else _primitive_gcd(g, row)
+                if len(g) == 1:
+                    return MultiPoly.constant(1)
+        lc, unit = g[-1], _VAR_KEY[_VAR_INDEX[other]]
         return MultiPoly._of({e * unit: _norm(Fraction(c, lc)) for e, c in enumerate(g) if c})
 
     def square_root(self) -> "MultiPoly":
@@ -576,6 +578,9 @@ class MultiPoly:
         return _parse_poly(text)
 
 
+_ONE = MultiPoly._of({0: 1})
+
+
 def _fraction_sqrt(x: Fraction) -> Fraction:
     if x < 0:
         raise NotAPerfectSquareError(f"{x} is negative")
@@ -636,23 +641,11 @@ def integer_grid(p: MultiPoly, outer: str, inner: str) -> tuple[int, list[list[i
     return den, rows
 
 
-def _dense(p: MultiPoly, s: int) -> list[int]:
-    """Ascending coefficients of p in the variable at shift s, scaled to a
-    primitive integer list; p must involve no other variable."""
-    t = p._t
-    den = _den(t)
-    out = [0] * ((max(t) >> s & _MASK) + 1)
-    for k, c in t.items():
-        out[k >> s & _MASK] = c * den if type(c) is int else c.numerator * (den // c.denominator)
-    g = gcd(*out)
-    return [c // g for c in out]
-
-
 def _primitive_gcd(a: list[int], b: list[int]) -> list[int]:
-    """A gcd of two nonzero primitive integer polynomials (ascending, no zero
+    """A gcd over Q of two nonzero integer polynomials (ascending, no zero
     leading coefficient) by the primitive remainder sequence: each
     pseudo-remainder is divided by its content, so the integers stay small.
-    The result is determined up to a nonzero integer factor."""
+    The result is determined up to a nonzero rational factor."""
     if len(a) < len(b):
         a, b = b, a
     while len(b) > 1:

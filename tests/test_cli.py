@@ -1,6 +1,8 @@
 """Command-line front end: output schemas, exit codes, determinism."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import shutil
@@ -469,6 +471,34 @@ class TestPicardBytes:
         body = json.loads(out)
         assert body["curve"] == curve and 0 < body["master_residual"] < 1e-10
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+class TestCliCorpus:
+    # 191 commands over every subcommand, with their exit codes and the sha256
+    # of their stdout and stderr, as recorded in tests/cli_corpus.json.  The
+    # residuals are floating point, so the digests hold for one Python, numpy
+    # and LAPACK build.
+    CORPUS = json.loads((Path(__file__).parent / "cli_corpus.json").read_text())
+
+    def test_every_command_replays_byte_for_byte(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its help to the terminal width
+        rows, moved = [], []
+        for want in self.CORPUS["rows"]:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = cli.main(want[0])
+                except SystemExit as exc:
+                    code = exc.code
+            row = [want[0], code] + [hashlib.sha256(f.getvalue().encode()).hexdigest() for f in (out, err)]
+            rows.append(row)
+            if row != want:
+                moved.append(" ".join(want[0]))
+        assert moved == []
+        assert len(rows) == self.CORPUS["commands"]
+        digest = hashlib.sha256(json.dumps(rows, indent=0).encode()).hexdigest()
+        assert digest == self.CORPUS["sha256"] == \
+            "ed834030d1d07ea58f0d56ffe052b027da1ec79a533efb60b1205b454f1eb8fb"
 
 
 class TestSignedValues:

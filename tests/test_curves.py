@@ -16,6 +16,7 @@ from pvi.curves import (
     CURVE_TABLE,
     CURVES,
     QUARTIC_CURVES,
+    SYMMETRY_GENERATORS,
     UNIFORMIZATIONS,
     CurveId,
     apply_symmetry,
@@ -315,6 +316,54 @@ class TestSubstituteRational:
         # y -> 1/y on y^2 - t: numerator 1 - t*y^2
         out = substitute_rational(Y ** 2 - T, {"y": (MultiPoly.constant(1), Y)})
         assert out == 1 - T * Y ** 2
+
+    SYMS = {name: sympy.Symbol(name) for name in ("y", "t", "z")}
+
+    def expr(self, q):
+        return sympy.sympify(str(q).replace("^", "**"), locals=self.SYMS)
+
+    def check(self, p, mapping):
+        """substitute_rational against sympy's p at v = num/den, times den_v^d_v
+        for d_v the degree of p in v.  Each den is a fresh symbol while the
+        denominators are cleared, so sympy cancels its powers term by term."""
+        dens = {v: sympy.Symbol(f"den_{v}") for v in mapping}
+        image = self.expr(p).subs({self.SYMS[v]: self.expr(num) / dens[v] for v, (num, _) in mapping.items()},
+                                  simultaneous=True)
+        for v in mapping:
+            image *= dens[v] ** p.degree_in(v)
+        image = sympy.expand(image).subs({dens[v]: self.expr(den) for v, (_, den) in mapping.items()})
+        assert sympy.expand(self.expr(substitute_rational(p, mapping)) - image) == 0, (p, mapping)
+
+    def test_paper_maps_against_sympy(self):
+        maps = list(UNIFORMIZATIONS.values()) + list(SYMMETRY_GENERATORS.values())
+        for p in CURVES.values():
+            for mapping in maps:
+                self.check(p, mapping)
+
+    def test_random_maps_against_sympy(self):
+        rng = random.Random(2323)
+        Z = MultiPoly.variable("z")
+
+        def poly(names, terms, degree):
+            out = MultiPoly.constant(rand_frac(rng))
+            for _ in range(terms):
+                mono = MultiPoly.constant(rand_frac(rng))
+                for v in names:
+                    mono = mono * MultiPoly.variable(v) ** rng.randint(0, degree)
+                out = out + mono
+            return out
+
+        for trial in range(30):
+            # every third p leaves y out, so y is mapped at degree 0
+            p = poly(("t",) if trial % 3 == 0 else ("y", "t"), 4, 3)
+            mapping = {}
+            for v in ("y", "t"):
+                num = poly(("y", "t", "z"), 1, 2)
+                den = MultiPoly.constant(1) if (trial + len(mapping)) % 4 == 0 else poly(("t", "z"), 1, 2)
+                mapping[v] = (num, den if den else T + Z)
+            self.check(p, mapping)
+            reps = {v: num for v, (num, _) in mapping.items()}
+            assert p.subs(**reps) == p.substitute({v: (r, MultiPoly.constant(1)) for v, r in reps.items()})
 
 
 class TestIrreducibility:

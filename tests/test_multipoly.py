@@ -868,6 +868,9 @@ class TestContentOverZ:
         assert p0.content_in("t") == 1
         assert ((2 * T - 1) * Y ** 2 + (4 * T - 2) * Y).content_in("y") == T - F(1, 2)
         assert ((F(1, 3) * T ** 2 - F(1, 3)) * Y + (T + 1) * Y ** 3).content_in("y") == T + 1
+        # zero rows between nonzero ones, and rows with trailing zeros
+        assert ((T ** 2 + 1) * Y ** 4 + (T ** 2 + 1) * (T - 3)).content_in("y") == T ** 2 + 1
+        assert ((Y ** 3 - Y) * T ** 2 + (Y ** 2 - 1)).content_in("t") == Y ** 2 - 1
 
 
 class TestIntegerGrid:
