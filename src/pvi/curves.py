@@ -26,7 +26,7 @@ from itertools import product
 from math import gcd, isqrt, lcm
 from typing import Iterable, NamedTuple, Sequence, Union
 
-from .multipoly import MultiPoly, Scalar, integer_grid, linear_combination
+from .multipoly import MultiPoly, Scalar, grid_content, integer_grid, linear_combination
 
 Y = MultiPoly.variable("y")
 T = MultiPoly.variable("t")
@@ -251,21 +251,11 @@ UNIFORMIZATIONS: dict[CurveId, RationalMap] = {
 }
 
 
-def substitute_rational(p: MultiPoly, mapping: RationalMap) -> MultiPoly:
-    """Numerator of p after substituting var -> num/den, denominators cleared.
-
-    Each substituted variable v of maximal degree d contributes den_v^d; the
-    result is the exact numerator polynomial (no content stripping).  It
-    delegates to :meth:`MultiPoly.substitute`, which takes the same map.
-    """
-    return p.substitute(mapping)
-
-
 def verify_uniformization(curve: CurveId) -> bool:
     """Exact check that the rational parametrization annihilates the curve."""
     if curve not in UNIFORMIZATIONS:
         raise ValueError(f"no uniformization recorded for curve {curve}")
-    return substitute_rational(CURVES[curve], UNIFORMIZATIONS[curve]).is_zero()
+    return CURVES[curve].substitute(UNIFORMIZATIONS[curve]).is_zero()
 
 
 SYMMETRY_GENERATORS: dict[str, RationalMap] = {
@@ -291,7 +281,7 @@ def apply_symmetry(p: MultiPoly, word: Union[str, Iterable[str]]) -> MultiPoly:
     for gen in word:
         if gen not in SYMMETRY_GENERATORS:
             raise ValueError(f"unknown symmetry generator {gen!r}; use s1, s2, s3")
-        result = substitute_rational(result, SYMMETRY_GENERATORS[gen])
+        result = result.substitute(SYMMETRY_GENERATORS[gen])
         result = result.strip_monomial_content().sign_normalized()
     return result.sign_normalized()
 
@@ -370,15 +360,16 @@ def is_irreducible(p: MultiPoly) -> IrreducibilityResult:
     otherwise.
 
     The search reads p's integer grid (the coefficients of y^i t^j over
-    their common denominator L), built once.  Before a trial division by a
+    their common denominator L), built once; both contents are gcds of it,
+    in y of its rows and in t of its columns.  Before a trial division by a
     divisor linear in t or in y, p is evaluated at one rational point of the
     divisor's zero set, and before the square root at one integer point; a
     nonzero value, or one that is not a rational square, proves that the
     division or the root fails, so it is not tried and the first witness
     found stays the same.  The specialization at each t0 is one Horner pass
     per y-coefficient on integers; t0 is skipped when the leading value is
-    zero, and a prime when it divides the values' reduced common
-    denominator or the leading value.
+    zero, and a prime when it divides the values' reduced common denominator
+    or the leading value.
     """
     if p.is_zero():
         raise ValueError("irreducibility of the zero polynomial is undefined")
@@ -395,9 +386,8 @@ def is_irreducible(p: MultiPoly) -> IrreducibilityResult:
     if name and p.total_degree() >= 2:  # p/y, or p/t, is then nonconstant
         return IrreducibilityResult("reducible", witness=MultiPoly.variable(name))
 
-    # a nonzero constant coefficient of a power of y makes the content 1
-    if degy and not any(row[0] and not any(row[1:]) for row in rows):
-        content = p.content_in("y")
+    if degy:  # the content in y, a gcd of the rows as polynomials in t
+        content = grid_content(rows, "t")
         if not content.is_constant():
             return IrreducibilityResult("reducible", witness=content)
 
@@ -425,7 +415,7 @@ def is_irreducible(p: MultiPoly) -> IrreducibilityResult:
         if i == 1:
             # A proper factor g(y) free of t divides every specialization, so
             # no point can certify p; checked once the first point has failed.
-            content = p.content_in("t")
+            content = grid_content(list(zip(*rows)), "y")
             if 0 < content.total_degree() < total:
                 return IrreducibilityResult("reducible", witness=content)
         values = [_homogeneous(row, t0) for row in rows]

@@ -13,9 +13,10 @@ All arithmetic is exact over Q.  Coefficients are stored as ints where
 integral and as Fractions otherwise; public accessors return Fractions.
 Terms keep the order each operation produces them in, and evaluation sums
 them in that order.  Evaluation at int and Fraction points runs in integers
-over one common denominator; the parser, ``content_in`` (a gcd over the rows
-of :func:`integer_grid`) and products over a common denominator likewise work
-on ints.  A polynomial is immutable, so each instance memoizes its powers
+over one common denominator; the parser, products over a common denominator
+and contents (:func:`grid_content`, the one gcd over the rows of an
+:func:`integer_grid`, for ``content_in`` and the curve certifier alike) work
+on ints too.  A polynomial is immutable, so each instance memoizes its powers
 (``p ** n`` is built once), its hash and its degree in each variable.
 """
 
@@ -455,34 +456,23 @@ class MultiPoly:
         return {d: MultiPoly._of(t) for d, t in buckets.items()}
 
     def content_in(self, name: str) -> "MultiPoly":
-        """Gcd of the coefficient polynomials of powers of ``name``.
+        """Monic gcd over Q of the coefficient polynomials of powers of
+        ``name``, terms in ascending degree: 1 for a unit content, 0 for 0.
 
-        Exact when the coefficients involve at most one other variable: the
-        gcd of two or more coefficients is taken over Z by a primitive
-        remainder sequence and made monic once, at the end, with its terms
-        in ascending degree.  A unit content is reported as the constant 1.
+        Exact when the coefficients involve at most one other variable, as
+        the :func:`grid_content` of :func:`integer_grid`; an unknown name
+        raises ValueError.
         """
-        coeffs = list(self.coefficients_in(name).values())
-        if not coeffs:
+        _check_vars((name,))
+        if not self._t:
             return MultiPoly.zero()
-        if any(c.is_constant() and c for c in coeffs):
-            return MultiPoly.constant(1)
-        others = {v for c in coeffs for v in c.vars}
+        others = [v for v in self.vars if v != name]
         if len(others) > 1:
             raise ValueError("content computation supports at most one coefficient variable")
-        if len(coeffs) == 1:
-            return coeffs[0]
+        if not others:
+            return _ONE
         (other,) = others
-        g = None
-        for row in integer_grid(self, name, other)[1]:
-            while row and not row[-1]:
-                row.pop()
-            if row:
-                g = row if g is None else _primitive_gcd(g, row)
-                if len(g) == 1:
-                    return MultiPoly.constant(1)
-        lc, unit = g[-1], _VAR_KEY[_VAR_INDEX[other]]
-        return MultiPoly._of({e * unit: _norm(Fraction(c, lc)) for e, c in enumerate(g) if c})
+        return grid_content(integer_grid(self, name, other)[1], other)
 
     def square_root(self) -> "MultiPoly":
         """Exact Q with Q*Q == self, sign-normalized to a positive leading coefficient.
@@ -641,7 +631,7 @@ def integer_grid(p: MultiPoly, outer: str, inner: str) -> tuple[int, list[list[i
     return den, rows
 
 
-def _primitive_gcd(a: list[int], b: list[int]) -> list[int]:
+def _primitive_gcd(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """A gcd over Q of two nonzero integer polynomials (ascending, no zero
     leading coefficient) by the primitive remainder sequence: each
     pseudo-remainder is divided by its content, so the integers stay small.
@@ -666,6 +656,24 @@ def _primitive_gcd(a: list[int], b: list[int]) -> list[int]:
         g = gcd(*r)
         a, b = b, [x // g for x in r]
     return b
+
+
+def grid_content(rows: Sequence[Sequence[int]], name: str) -> MultiPoly:
+    """The monic gcd over Q of the polynomials in ``name`` with the rows, not
+    all zero, as ascending integer coefficients.  The rows are read from the
+    last down, so a nonzero constant one ends the work; a unit gcd is the
+    shared constant 1."""
+    g = None
+    for row in reversed(rows):
+        n = len(row)
+        while n and not row[n - 1]:
+            n -= 1
+        if n:
+            g = row[:n] if g is None else _primitive_gcd(g, row[:n])
+            if len(g) == 1:
+                return _ONE
+    lc, unit = g[-1], _VAR_KEY[_VAR_INDEX[name]]
+    return MultiPoly._of({e * unit: _norm(Fraction(c, lc)) for e, c in enumerate(g) if c})
 
 
 _TERM_RE = re.compile(r"\s*(?P<sign>[+-])?\s*(?P<body>[^+-]+)")

@@ -30,7 +30,6 @@ from pvi.curves import (
     p0_poly,
     pattern_curves,
     signed_sum_product,
-    substitute_rational,
     verify_kummer_equivalence,
     verify_uniformization,
 )
@@ -314,7 +313,7 @@ class TestSymmetries:
 class TestSubstituteRational:
     def test_simple(self):
         # y -> 1/y on y^2 - t: numerator 1 - t*y^2
-        out = substitute_rational(Y ** 2 - T, {"y": (MultiPoly.constant(1), Y)})
+        out = (Y ** 2 - T).substitute({"y": (MultiPoly.constant(1), Y)})
         assert out == 1 - T * Y ** 2
 
     SYMS = {name: sympy.Symbol(name) for name in ("y", "t", "z")}
@@ -323,7 +322,7 @@ class TestSubstituteRational:
         return sympy.sympify(str(q).replace("^", "**"), locals=self.SYMS)
 
     def check(self, p, mapping):
-        """substitute_rational against sympy's p at v = num/den, times den_v^d_v
+        """p.substitute(mapping) against sympy's p at v = num/den, times den_v^d_v
         for d_v the degree of p in v.  Each den is a fresh symbol while the
         denominators are cleared, so sympy cancels its powers term by term."""
         dens = {v: sympy.Symbol(f"den_{v}") for v in mapping}
@@ -332,7 +331,7 @@ class TestSubstituteRational:
         for v in mapping:
             image *= dens[v] ** p.degree_in(v)
         image = sympy.expand(image).subs({dens[v]: self.expr(den) for v, (_, den) in mapping.items()})
-        assert sympy.expand(self.expr(substitute_rational(p, mapping)) - image) == 0, (p, mapping)
+        assert sympy.expand(self.expr(p.substitute(mapping)) - image) == 0, (p, mapping)
 
     def test_paper_maps_against_sympy(self):
         maps = list(UNIFORMIZATIONS.values()) + list(SYMMETRY_GENERATORS.values())
@@ -461,6 +460,25 @@ class TestIrreducibility:
         assert res.status == "reducible"
         assert res.witness == MultiPoly.parse(factor)
         assert p.try_divide(res.witness).total_degree() >= 1
+
+    @pytest.mark.parametrize("p,witness", [
+        ((T ** 2 + 1) * (1 + T) * (Y ** 3 + T * Y + 1), T ** 3 + T ** 2 + T + 1),  # content in y
+        ((Y ** 2 + 1) * (Y - T ** 2 - 3), Y ** 2 + 1),  # content in t
+    ])
+    def test_one_grid_per_call(self, monkeypatch, p, witness):
+        # both contents are read from the grid the certifier builds, so no
+        # step builds p's grid, or its transpose, again
+        calls = []
+
+        def counting(*args):
+            calls.append(args[1:])
+            return integer_grid(*args)
+
+        monkeypatch.setattr("pvi.multipoly.integer_grid", counting)
+        monkeypatch.setattr("pvi.curves.integer_grid", counting)
+        res = is_irreducible(p)
+        assert res.status == "reducible" and res.witness == witness
+        assert calls == [("y", "t")]
 
 
 class TestReadmeCurveTable:

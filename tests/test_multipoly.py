@@ -853,8 +853,6 @@ class TestContentOverZ:
             for e in range(rng.randint(2, 4)):
                 p = p + content * self.univariate(rng, other, rng.randint(0, 4)) * var ** e
             coeffs = [to_sympy(c) for c in p.coefficients_in(main).values()]
-            if len(coeffs) < 2:
-                continue
             expected = sp.Poly(sp.gcd_list(coeffs), x, domain="QQ").monic()
             got = p.content_in(main)
             assert sp.Poly(to_sympy(got), x, domain="QQ") == expected
@@ -871,6 +869,14 @@ class TestContentOverZ:
         # zero rows between nonzero ones, and rows with trailing zeros
         assert ((T ** 2 + 1) * Y ** 4 + (T ** 2 + 1) * (T - 3)).content_in("y") == T ** 2 + 1
         assert ((Y ** 3 - Y) * T ** 2 + (Y ** 2 - 1)).content_in("t") == Y ** 2 - 1
+        # a single coefficient is made monic too
+        assert (3 * T * Y ** 2).content_in("y") == T
+        assert (2 * T + 4).content_in("y") == T + 2
+        assert (F(1, 3) * Y ** 2 + Y).content_in("t") == Y ** 2 + 3 * Y
+
+    def test_unknown_name_is_refused(self):
+        with pytest.raises(ValueError, match="unknown variable 'w'"):
+            (T + 1).content_in("w")
 
 
 class TestIntegerGrid:
