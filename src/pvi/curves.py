@@ -158,8 +158,8 @@ def signed_sum_product() -> MultiPoly:
     """Product of (u0 + e1*u1 + e2*u2 + e3*u3) over the 8 sign patterns."""
     u = [MultiPoly.variable(f"u{i}") for i in range(4)]
     out = ONE
-    for s1, s2, s3 in product((1, -1), repeat=3):
-        out = out * (u[0] + s1 * u[1] + s2 * u[2] + s3 * u[3])
+    for signs in product((1, -1), repeat=3):
+        out = out * linear_combination((1, *signs), u)
     return out
 
 

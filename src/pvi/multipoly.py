@@ -16,8 +16,12 @@ them in that order.  Evaluation at int and Fraction points runs in integers
 over one common denominator; the parser, products over a common denominator
 and contents (:func:`grid_content`, the one gcd over the rows of an
 :func:`integer_grid`, for ``content_in`` and the curve certifier alike) work
-on ints too.  A polynomial is immutable, so each instance memoizes its powers
-(``p ** n`` is built once), its hash and its degree in each variable.
+on ints too.  Work that only moves monomials runs on the keys: a substitution
+by single terms (the curve symmetries s2 and s3, a_i -> u_i^2, constants)
+shifts each key by integer arithmetic, and the monomial content is the
+minimum of each field.  Printing reads signs and magnitudes from the integers
+of a coefficient.  A polynomial is immutable, so each instance memoizes its
+powers (``p ** n`` is built once), its hash and its degree in each variable.
 """
 
 from __future__ import annotations
@@ -110,14 +114,25 @@ def _mul(a: Terms, b: Terms) -> Terms:
 
 
 def _accumulate(acc: Terms, items: Iterable[tuple[int, Scalar]]) -> Terms:
-    """acc += items in place; a cancelled key leaves, and re-enters at the end."""
+    """acc += items in place, each item an exact scalar.
+
+    A zero item is skipped and a key not yet present is stored as it comes
+    (an integral value as an int), so only a key already present costs an
+    addition; a cancelled key leaves, and re-enters at the end.
+    """
     get = acc.get
     for k, c in items:
-        v = get(k, 0) + c
-        if v:
-            acc[k] = v.numerator if type(v) is Fraction and v.denominator == 1 else v
-        elif k in acc:
-            del acc[k]
+        if not c:
+            continue
+        v = get(k)
+        if v is None:
+            acc[k] = c if type(c) is int or c.denominator != 1 else c.numerator
+        else:
+            v += c
+            if v:
+                acc[k] = v.numerator if type(v) is Fraction and v.denominator == 1 else v
+            else:
+                del acc[k]
     return acc
 
 
@@ -372,18 +387,34 @@ class MultiPoly:
             total = term if total is None else total + term
         return Fraction(total) if type(total) is int else total
 
-    def substitute(self, maps: Mapping[str, tuple["MultiPoly", "MultiPoly"]]) -> "MultiPoly":
+    def substitute(self, maps: Mapping[str, tuple[MultiPoly | Scalar, MultiPoly | Scalar]]) -> MultiPoly:
         """The numerator of self after name -> num/den for each ``maps[name] = (num, den)``.
 
         A mapped name of degree d in self contributes num^e * den^(d-e) to a
-        term with exponent e, and no content is stripped.  Every term c*m becomes
-        c times m without the mapped variables times these factors, multiplied
-        left to right in universe order; each power is built once per call.
+        term with exponent e, and no content is stripped.  num and den are
+        polynomials or exact scalars; a zero den raises ZeroDivisionError and
+        anything else TypeError, before any work.
+
+        When every num and den is a single term, each term c*m goes to one
+        term: its key moves by e*(k_num - unit) + (d-e)*k_den for each mapped
+        name, its coefficient is c * c_num^e * c_den^(d-e), and the terms are
+        accumulated in input order once every total degree is checked.  Any
+        other map runs the chain: every term c*m becomes c times m without the
+        mapped variables times the factors, multiplied left to right in
+        universe order, each power built once per call.  Both give the terms
+        in the same order.
         """
         for name in maps:
             _check_vars((name,))
-        fields = [(_SHIFTS[_VAR_INDEX[n]], _VAR_KEY[_VAR_INDEX[n]], *maps[n], self.degree_in(n), {})
-                  for n in sorted(maps, key=_VAR_INDEX.__getitem__)]
+        fields = []
+        for name in sorted(maps, key=_VAR_INDEX.__getitem__):
+            num, den = (_as_poly(f, name) for f in maps[name])
+            if not den._t:
+                raise ZeroDivisionError(f"zero denominator in the substitution for {name!r}")
+            fields.append((_SHIFTS[_VAR_INDEX[name]], _VAR_KEY[_VAR_INDEX[name]], num, den,
+                           self.degree_in(name), {}))
+        if all(len(num._t) == 1 == len(den._t) for _, _, num, den, _, _ in fields):
+            return MultiPoly._of(_substitute_monomials(self._t, fields))
         acc: Terms = {}
         for key, coef in self._t.items():
             rest, prod = key, None
@@ -403,8 +434,7 @@ class MultiPoly:
 
     def subs(self, **mapping: "MultiPoly | Scalar") -> "MultiPoly":
         """Exact substitution for some variables: the den = 1 case of :meth:`substitute`."""
-        return self.substitute({n: (r if isinstance(r, MultiPoly) else MultiPoly.constant(r), _ONE)
-                                for n, r in mapping.items()})
+        return self.substitute({n: (r, _ONE) for n, r in mapping.items()})
 
     # ------------------------------------------------------------------
     # division and square root
@@ -519,14 +549,15 @@ class MultiPoly:
 
     def monomial_content(self) -> Exponents:
         """Componentwise minimum exponent vector over all terms (over self.vars)."""
-        return tuple(map(min, zip(*self.terms)))
+        shifts = [_SHIFTS[_VAR_INDEX[v]] for v in self.vars]
+        return tuple([min([k >> s & _MASK for k in self._t]) for s in shifts])
 
     def strip_monomial_content(self) -> "MultiPoly":
-        """Divide out the largest monomial dividing every term."""
-        mins = self.monomial_content()
-        if not any(mins):
+        """Divide out the largest monomial dividing every term: each key less
+        the key of the field minima, read from the keys; self when that is 1."""
+        mono = sum(e * _VAR_KEY[_VAR_INDEX[v]] for v, e in zip(self.vars, self.monomial_content()))
+        if not mono:
             return self
-        mono = sum(e * _VAR_KEY[_VAR_INDEX[v]] for v, e in zip(self.vars, mins))
         return MultiPoly._of({k - mono: c for k, c in self._t.items()})
 
     # ------------------------------------------------------------------
@@ -537,14 +568,16 @@ class MultiPoly:
         if not self._t:
             return "0"
         fields = [(v, _SHIFTS[_VAR_INDEX[v]]) for v in self.vars]
+        t = self._t
         parts = []
-        for key in sorted(self._t, reverse=True):
-            coef = self._t[key]
-            mono = "*".join(v if e == 1 else f"{v}^{e}" for v, s in fields if (e := key >> s & _MASK))
-            mag = abs(coef)
-            body = str(mag) if not mono else mono if mag == 1 else f"{mag}*{mono}"
-            sign = ("+ " if coef > 0 else "- ") if parts else ("" if coef > 0 else "-")
-            parts.append(sign + body)
+        for key in sorted(t, reverse=True):
+            coef = t[key]
+            # sign and magnitude from the integers, as str(abs(coef)) prints them
+            n, d = (coef, 1) if type(coef) is int else (coef.numerator, coef.denominator)
+            sign = ("- " if n < 0 else "+ ") if parts else ("-" if n < 0 else "")
+            mag = str(abs(n)) if d == 1 else f"{abs(n)}/{d}"
+            mono = "*".join([v if e == 1 else f"{v}^{e}" for v, s in fields if (e := key >> s & _MASK)])
+            parts.append(sign + (mag if not mono else mono if mag == "1" else f"{mag}*{mono}"))
         return " ".join(parts)
 
     __repr__ = __str__
@@ -569,6 +602,47 @@ class MultiPoly:
 
 
 _ONE = MultiPoly._of({0: 1})
+
+
+def _as_poly(x, name: str) -> MultiPoly:
+    """x as a polynomial when it is one or an exact scalar; TypeError otherwise."""
+    if isinstance(x, MultiPoly):
+        return x
+    t = _raw(x)
+    if t is None:
+        raise TypeError(f"cannot substitute {type(x).__name__} into {name!r}: "
+                        "expected a MultiPoly, int or Fraction")
+    return MultiPoly._of(t)
+
+
+def _substitute_monomials(t: Terms, fields: list) -> Terms:
+    """The monomial-map case of :meth:`MultiPoly.substitute`, by key arithmetic.
+
+    With name -> c_num*k_num / (c_den*k_den) of degree d in t, a term of
+    exponent e in name moves by e*(k_num - k_den - unit) + d*k_den.  Integer
+    addition is linear in the fields and every field is nonnegative, so the
+    degree field of a moved key is its total degree whenever that total is in
+    range, and exceeds the limit whenever the total does.
+    """
+    base, columns = 0, []
+    for s, unit, num, den, d, cache in fields:
+        ((kn, cn),), ((kd, cd),) = num._t.items(), den._t.items()
+        base += d * kd
+        columns.append((s, kn - kd - unit, cn, cd, d, cache))
+    items = []
+    for key, coef in t.items():
+        k = key + base
+        for s, delta, cn, cd, d, cache in columns:
+            e = key >> s & _MASK
+            f = cache.get(e)
+            if f is None:
+                f = cache[e] = (e * delta, _norm(cn ** e * cd ** (d - e)))
+            k += f[0]
+            coef *= f[1]
+        items.append((k, coef))
+    if items:
+        _check_degree(max([k for k, _ in items]) >> _DEGREE_SHIFT)
+    return _accumulate({}, items)
 
 
 def _fraction_sqrt(x: Fraction) -> Fraction:
@@ -696,6 +770,12 @@ def _parse_poly(text: str) -> MultiPoly:
         key = degree = 0
         for factor in m.group("body").split("*"):
             factor = factor.strip()
+            index = _VAR_INDEX.get(factor)
+            if index is not None:  # a bare variable
+                degree += 1
+                _check_degree(degree)
+                key += _VAR_KEY[index]
+                continue
             fm = _FACTOR_RE.match(factor)
             if not fm:
                 raise ValueError(f"bad factor {factor!r}")

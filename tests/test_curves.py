@@ -737,3 +737,28 @@ class TestPinnedResults:
                 moved += 1
         # the four P0s with a factor free of t
         assert moved == 4
+
+
+# ----------------------------------------------------------------------
+# pinned substitution results
+# ----------------------------------------------------------------------
+
+# sha256 over repr(list(p._t.items())), one line per polynomial, of: every
+# apply_symmetry word of length <= 4 on A-G, the Kummer defect at a_i = u_i^2,
+# and master_poly at _SUBSTITUTION_ALPHAS under s1, s2 and s3.  It pins the
+# terms, their order and the type of each coefficient.
+_SUBSTITUTION_SHA256 = "f25b80372de04649d8dbdc42f893c568606081652c258c733391b1df4737240a"
+_SUBSTITUTION_ALPHAS = ((1, 1, 1, 1), (F(1, 2), -3, F(2, 7), 5), (9, 0, F(-4, 3), 1))
+
+
+class TestSubstitutionDigest:
+    def test_substitution_results_unchanged(self):
+        polys = [apply_symmetry(p, word) for p in CURVES.values() for n in range(5)
+                 for word in product(("s1", "s2", "s3"), repeat=n)]
+        polys.append(kummer_defect_poly().subs(**{f"a{i}": MultiPoly.variable(f"u{i}") ** 2 for i in range(4)}))
+        for alpha in _SUBSTITUTION_ALPHAS:
+            p = master_poly(alpha)
+            polys += [p.substitute(SYMMETRY_GENERATORS[gen]) for gen in ("s1", "s2", "s3")]
+        assert len(polys) == 7 * 121 + 1 + 9
+        text = "\n".join(repr(list(p._t.items())) for p in polys)
+        assert hashlib.sha256(text.encode()).hexdigest() == _SUBSTITUTION_SHA256

@@ -893,3 +893,213 @@ class TestIntegerGrid:
         for p, outer, inner in ((Y, "y", "w"), (Y, "w", "y"), (Y ** 2 + 1, "y", "y")):
             with pytest.raises(ValueError, match=rf"integer grid in \({outer}, {inner}\)"):
                 integer_grid(p, outer, inner)
+
+
+# ----------------------------------------------------------------------
+# monomial substitutions by key arithmetic, scalar and zero denominators
+# ----------------------------------------------------------------------
+
+
+def ref_substitute(p: MultiPoly, maps: dict) -> MultiPoly:
+    """Substitution with denominators as one chain of public products and sums
+    per term: a mapped name of degree d contributes num^e * den^(d-e)."""
+    result = MultiPoly.zero()
+    for exps, coef in p.terms.items():
+        term = MultiPoly.constant(coef)
+        for var, e in zip(p.vars, exps):
+            if var in maps:
+                num, den = maps[var]
+                term = term * num ** e * den ** (p.degree_in(var) - e)
+            elif e:
+                term = term * MultiPoly.variable(var) ** e
+        result = result + term
+    return result
+
+
+def random_monomial(rng, names=("y", "t", "z", "a0", "u3")) -> MultiPoly:
+    """c times a monomial of degree 0 to 3; c a nonzero int or Fraction."""
+    mono = MultiPoly.constant(rng.choice([rng.choice([-3, -1, 1, 2, 5]),
+                                          F(rng.choice([-5, -1, 1, 3]), rng.randint(2, 7))]))
+    for _ in range(rng.randint(0, 3)):
+        mono = mono * MultiPoly.variable(rng.choice(names))
+    return mono
+
+
+class TestMonomialMaps:
+    """A map whose every num and den is one term sends each term to one term
+    by key arithmetic; it must give the chain's result, term for term and in
+    order, stored as ints where integral."""
+
+    NAMES = ("y", "t", "z", "a0", "u3")
+
+    @staticmethod
+    def same(got: MultiPoly, want: MultiPoly):
+        assert got == want and _full(got) == _full(want)
+        assert [type(c) for c in got._t.values()] == [type(c) for c in want._t.values()]
+
+    def test_subs_against_ref_subs(self):
+        rng = random.Random(2525)
+        for _ in range(150):
+            p = wide_poly(rng, ("y", "t", "z"), nterms=rng.randint(1, 7), max_degree=5)
+            # some of the mapped names are absent from p (a0 always is)
+            mapping = {v: rng.choice([random_monomial(rng, self.NAMES), rng.randint(-4, 4),
+                                      F(rng.randint(-4, 4), rng.randint(2, 5))])
+                       for v in rng.sample(("y", "t", "z", "a0"), rng.randint(1, 3))}
+            got = p.subs(**mapping)
+            self.same(got, ref_subs(p, {v: r if isinstance(r, MultiPoly) else MultiPoly.constant(r)
+                                        for v, r in mapping.items()}))
+
+    def test_substitute_against_ref_substitute(self):
+        rng = random.Random(2626)
+        for _ in range(150):
+            p = wide_poly(rng, ("y", "t", "z"), nterms=rng.randint(1, 7), max_degree=5)
+            maps = {v: (random_monomial(rng, self.NAMES), random_monomial(rng, self.NAMES))
+                    for v in rng.sample(("y", "t", "z", "a0"), rng.randint(1, 3))}
+            self.same(p.substitute(maps), ref_substitute(p, maps))
+
+    def test_merges_cancellations_and_re_entry(self):
+        cases = [
+            # two terms sent to one key: y*t and t^2 both go to t^2
+            (Y * T + T ** 2 + Z, {"y": T}),
+            # a cancellation: y*t - t^2 -> 0
+            (Y * T - T ** 2, {"y": T}),
+            # t^2 cancels, then y^2 sends t^2 back in at the end
+            (Y * T - T ** 2 + Z + Y ** 2, {"y": T}),
+            # Fraction coefficients that meet as an integer
+            (F(1, 2) * Y * T + F(3, 2) * T ** 2 - Z, {"y": T}),
+            (F(1, 3) * Y ** 2 + F(2, 3) * T, {"y": 1}),
+            # constants, zero included, and a name absent from p
+            (Y ** 3 - 2 * Y * T + 5, {"y": F(-2, 3), "a0": 7}),
+            (Y ** 3 - 2 * Y * T + 5, {"y": 0}),
+        ]
+        for p, mapping in cases:
+            self.same(p.subs(**mapping), ref_subs(p, {v: r if isinstance(r, MultiPoly) else MultiPoly.constant(r)
+                                                      for v, r in mapping.items()}))
+        assert (Y * T - T ** 2).subs(y=T).is_zero()
+        assert _full((Y * T - T ** 2 + Z + Y ** 2).subs(y=T))[-1][0] == (0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0)
+        merged = (F(1, 2) * Y * T + F(3, 2) * T ** 2).subs(y=T)
+        assert merged == 2 * T ** 2 and [type(c) for c in merged._t.values()] == [int]
+
+    def test_paper_monomial_maps(self):
+        from pvi.curves import CURVES, SYMMETRY_GENERATORS, kummer_defect_poly
+
+        for p in CURVES.values():
+            for gen in ("s2", "s3"):
+                self.same(p.substitute(SYMMETRY_GENERATORS[gen]), ref_substitute(p, SYMMETRY_GENERATORS[gen]))
+        squares = {f"a{i}": MultiPoly.variable(f"u{i}") ** 2 for i in range(4)}
+        self.same(kummer_defect_poly().subs(**squares), ref_subs(kummer_defect_poly(), squares))
+
+    def test_degree_refusal(self):
+        for p, maps in (
+            (Y ** 200 + T, {"y": (T ** 2, 1)}),
+            (Y ** 130 + T, {"y": (Y ** 2, 1)}),  # one term over the limit
+            (Y ** 100 + T, {"y": (1, Z ** 3)}),  # den^d over the limit
+            (Y ** 100 * T, {"t": (Z ** 156, 1)}),
+        ):
+            with pytest.raises(ValueError, match="exceeds the limit"):
+                p.substitute(maps)
+        assert (Y ** 100 * T).subs(t=Z ** 155).total_degree() == MAX_DEGREE
+        assert (Y ** 85).substitute({"y": (T ** 3, 1)}) == T ** 255
+
+
+class TestSubstitutionInputs:
+    def test_zero_denominator_is_refused(self):
+        cases = [
+            (Y ** 2 + Y, {"y": (1, 0)}),
+            (Y, {"y": (0, 0)}),
+            (Y ** 2 + Y, {"y": (Y + 1, MultiPoly.zero())}),  # the chain's map
+            (T + 1, {"y": (1, F(0))}),  # y does not occur
+            (Y ** 200, {"y": (T ** 2, 1), "t": (1, 0)}),  # before the degree check
+        ]
+        for p, maps in cases:
+            with pytest.raises(ZeroDivisionError, match="'[yt]'"):
+                p.substitute(maps)
+        with pytest.raises(ZeroDivisionError, match="'t'"):
+            (Y + T).substitute({"y": (Y, 1), "t": (T + 1, 0)})
+
+    def test_exact_scalars(self):
+        assert (Y ** 2).substitute({"y": (1, 2)}) == 1
+        assert (Y ** 2 + Y).substitute({"y": (1, 2)}) == 3
+        assert (Y ** 2 - T).substitute({"y": (F(1, 3), T)}) == F(1, 9) - T ** 3
+        assert (Y ** 2 - T).substitute({"t": (F(2, 3), F(1, 2))}) == F(1, 2) * Y ** 2 - F(2, 3)
+        for p in (Y ** 3 - 2 * Y * T + F(1, 2), Y * T ** 2 - 1):
+            for num, den in ((2, 3), (F(-1, 2), 1), (0, 5), (T, F(3, 4)), (3, Y + T)):
+                wrapped = {"y": tuple(x if isinstance(x, MultiPoly) else MultiPoly.constant(x)
+                                      for x in (num, den))}
+                got, want = p.substitute({"y": (num, den)}), p.substitute(wrapped)
+                assert list(got._t.items()) == list(want._t.items())
+        assert (Y * T).subs(y=3, t=F(1, 2)) == F(3, 2)
+
+    def test_other_values_are_refused(self):
+        for bad in ((1.5, 1), (Y, "t"), (None, 1), (Y, 2.0), (1j, 1)):
+            with pytest.raises(TypeError, match="cannot substitute"):
+                (Y + T).substitute({"y": bad})
+        with pytest.raises(TypeError, match="cannot substitute"):
+            (Y + T).subs(t=0.5)
+
+
+# ----------------------------------------------------------------------
+# the printer and the monomial content, read from ints and keys
+# ----------------------------------------------------------------------
+
+
+def reference_str(p: MultiPoly) -> str:
+    """The printer as it was, comparing Fractions and printing abs(coef)."""
+    from pvi.multipoly import _MASK, _SHIFTS, _VAR_INDEX
+
+    if not p._t:
+        return "0"
+    fields = [(v, _SHIFTS[_VAR_INDEX[v]]) for v in p.vars]
+    parts = []
+    for key in sorted(p._t, reverse=True):
+        coef = p._t[key]
+        mono = "*".join(v if e == 1 else f"{v}^{e}" for v, s in fields if (e := key >> s & _MASK))
+        mag = abs(coef)
+        body = str(mag) if not mono else mono if mag == 1 else f"{mag}*{mono}"
+        sign = ("+ " if coef > 0 else "- ") if parts else ("" if coef > 0 else "-")
+        parts.append(sign + body)
+    return " ".join(parts)
+
+
+def printer_polys(rng):
+    yield MultiPoly.zero()
+    for c in (1, -1, 7, -12, F(1, 2), F(-3, 7), F(22, 5)):
+        yield MultiPoly.constant(c)
+        yield c * Y
+        yield c * Y ** 3 * T - 1
+        yield -Y ** 2 + c  # negative leading coefficient, constant last
+    for _ in range(200):
+        p = wide_poly(rng, ("y", "t", "z", "a0", "u3"), nterms=rng.randint(1, 6), max_degree=7)
+        yield p
+        yield -p
+        yield p + rng.choice([1, -1, F(-5, 2), 3])
+        yield p * rng.choice([2, F(1, 3), -6])  # integral and Fraction magnitudes
+
+
+class TestPrinterAndContent:
+    def test_str_against_reference(self):
+        rng = random.Random(2727)
+        seen = set()
+        for p in printer_polys(rng):
+            assert str(p) == repr(p) == reference_str(p)
+            seen.update(type(c) for c in p._t.values())
+        assert seen == {int, Fraction}
+
+    def test_monomial_content_against_decoded_terms(self):
+        rng = random.Random(2828)
+        for p in printer_polys(rng):
+            mins = tuple(map(min, zip(*p.terms)))  # the decoded-terms formula
+            assert p.monomial_content() == mins
+            stripped = p.strip_monomial_content()
+            if not any(mins):
+                assert stripped is p
+                continue
+            want = MultiPoly({tuple(e - m for e, m in zip(exps, mins)): c for exps, c in p.terms.items()}, p.vars)
+            assert list(stripped._t.items()) == list(want._t.items())
+            assert [type(c) for c in stripped._t.values()] == [type(c) for c in p._t.values()]
+        for p in (MultiPoly.zero(), MultiPoly.constant(F(-2, 3)), MultiPoly.constant(4)):
+            assert p.monomial_content() == ()
+            assert p.strip_monomial_content() is p
+        p = Y ** 3 * T ** 2 * Z - F(1, 2) * Y ** 2 * T ** 5
+        assert p.monomial_content() == (2, 2, 0)
+        assert p.strip_monomial_content() == Y * Z - F(1, 2) * T ** 3
