@@ -10,7 +10,6 @@ produce byte-identical bytes.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import os
@@ -172,6 +171,8 @@ def _cmd_verify(args) -> int:
     if args.format == "json":
         _emit_json("verify", **report.to_json_dict())
     elif args.format == "csv":
+        import csv  # only here, to keep it off every other command's startup
+
         out = io.StringIO()
         writer = csv.writer(out)
         writer.writerow(vf.CSV_HEADER)

@@ -19,13 +19,13 @@ Everything here is exact arithmetic over Q via :class:`~pvi.multipoly.MultiPoly`
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import product
 from math import gcd, isqrt, lcm
 from typing import Iterable, NamedTuple, Sequence, Union
 
+from ._record import record
 from .multipoly import MultiPoly, Scalar, grid_content, integer_grid, linear_combination
 
 Y = MultiPoly.variable("y")
@@ -299,7 +299,7 @@ def identify_curve(p: MultiPoly) -> CurveId | None:
 # irreducibility certification
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class IrreducibilityResult:
     """Outcome of the certifier: status in {'irreducible', 'reducible', 'unknown'}.
 

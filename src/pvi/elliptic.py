@@ -36,10 +36,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence, Union
 
+from ._record import record
 from .curves import TRIPLING_F, TRIPLING_G
 from .orbits import RationalPair, canonicalize, level_numerators
 
@@ -72,7 +72,7 @@ class PoleProximityError(EllipticError):
     """Evaluation point too close to a pole or a vanishing denominator."""
 
 
-@dataclass(frozen=True)
+@record
 class EllipticInvariants:
     """Half-period values, cubic coefficients, and the level-2 invariant at tau."""
 
@@ -84,7 +84,7 @@ class EllipticInvariants:
     t: complex
 
 
-@dataclass(frozen=True)
+@record
 class AlphaTuple:
     """Four parameters (a0, a1, a2, a3) of the symmetric form; exact or numeric."""
 
@@ -273,12 +273,14 @@ def _level2(red: _Reduction, th):
     f = (q * c2 ** 4, c4 ** 4, c3 ** 4)
     s1, s2, s3 = _half_period_indices(red)
     base = _difference(f, s2, s1)
-    t = _difference(f, s3, s1) / base
-    one_minus_t = _difference(f, s2, s3) / base
     e = ((f[2] + f[1]) / 3, -(f[0] + f[2]) / 3, (f[0] - f[1]) / 3)
     tau = red.n + red.tau0
-    if min(map(abs, f)) < 1e-12 * max(map(abs, e)):
+    # checked before dividing by base: near an odd integer cusp q underflows
+    # to 0, and base with it
+    if base == 0 or min(map(abs, f)) < 1e-12 * max(map(abs, e)):
         raise PrecisionError(f"half-period values nearly collide at tau = {tau}")
+    t = _difference(f, s3, s1) / base
+    one_minus_t = _difference(f, s2, s3) / base
     if min(abs(t), abs(one_minus_t)) < 1e-12:
         raise PrecisionError(f"t(tau) degenerates at tau = {tau}")
     return (e[s1 - 1], e[s2 - 1], e[s3 - 1]), t, base

@@ -29,10 +29,11 @@ Conventions fixed here and relied on throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Iterator, Optional, Union
+
+from ._record import record
 
 RationalLike = Union[Fraction, int, str]
 
@@ -64,7 +65,7 @@ def format_rational(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-@dataclass(frozen=True, order=True)
+@record(order=True)
 class RationalPair:
     """Canonical representative of a class (mu, nu) mod Z^2 and global sign.
 
@@ -96,11 +97,6 @@ class RationalPair:
             h = hash((mu.numerator, mu.denominator, nu.numerator, nu.denominator))
             _set_hash(self, h)
             return h
-
-    def __reduce__(self):
-        # the default reduction of a slotted object restores the slots through
-        # setattr, which a frozen dataclass refuses
-        return (RationalPair, (self.mu, self.nu))
 
     def __iter__(self):
         return iter((self.mu, self.nu))
@@ -175,7 +171,7 @@ def _canonical_at(N: int, a: int, b: int) -> RationalPair:
     return _pair(Fraction(a, N), Fraction(b, N), hash((a // ga, N // ga, b // gb, N // gb)))
 
 
-@dataclass(frozen=True)
+@record
 class Gamma2Matrix:
     """Integer matrix [[a, b], [c, d]] with det 1 and a, d odd, b, c even."""
 
@@ -221,7 +217,7 @@ def act(matrix: Gamma2Matrix, v: RationalPair) -> RationalPair:
     return _canonical_at(N, matrix.a * a + matrix.b * b, matrix.c * a + matrix.d * b)
 
 
-@dataclass(frozen=True)
+@record
 class StandardForm:
     """Standard-form data of a nonzero class: mu = m*M/N, nu = n*M/N.
 
@@ -243,10 +239,6 @@ class StandardForm:
     m: int
     n: int
     standard: RationalPair
-
-    def __reduce__(self):
-        # see RationalPair.__reduce__
-        return (StandardForm, (self.M, self.N, self.m, self.n, self.standard))
 
 
 _set_M, _set_N, _set_m, _set_n, _set_standard = (

@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import curves as cv
 from . import elliptic as el
 from . import orbits as ob
 from . import verifier as vf
+from ._record import record
 from .curves import CurveId
 from .elliptic import AlphaTuple
 from .multipoly import MultiPoly
@@ -29,8 +29,10 @@ class CheckFailure(AssertionError):
     """A self-test check did not hold."""
 
 
-@dataclass(frozen=True)
+@record
 class CheckResult:
+    """Outcome of one self-test check: its name, verdict, detail and time."""
+
     name: str
     passed: bool
     detail: str

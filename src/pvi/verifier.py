@@ -21,11 +21,10 @@ import cmath
 import functools
 import itertools
 import math
-import statistics
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence, Union
 
+from ._record import field, record
 from .curves import CURVE_TABLE, CURVES, CurveId, pattern_curves
 from .elliptic import AlphaTuple
 from .multipoly import MultiPoly
@@ -61,7 +60,7 @@ class VerificationError(RuntimeError):
     """Numeric cross-check could not confirm the rule-based classification."""
 
 
-@dataclass(frozen=True)
+@record
 class PviParams:
     """Parameters (alpha, beta, gamma, delta) of the standard form of the ODE.
 
@@ -85,7 +84,7 @@ class PviParams:
 
     def as_complex(self) -> tuple[complex, complex, complex, complex]:
         # converted on first use and kept in the instance dict (the frozen
-        # dataclass refuses setattr), so the calls at one parameter object
+        # record refuses setattr), so the calls at one parameter object
         # share one conversion; functools.cached_property would also take a
         # lock on every first use
         values = self.__dict__.get("_complex")
@@ -229,7 +228,7 @@ def pvi_residual(params: PviParams, t: complex, y: complex, y1: complex, y2: com
 # sampling verification
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class SampleSpec:
     """Sampling strategy: t on a circle around 1/2, clear of 0, 1 and the
     real branch points of the canonical curves.  ``count`` is an int in
@@ -258,20 +257,24 @@ class SampleSpec:
         ]
 
 
-@dataclass(frozen=True)
+@record
 class ResidualSample:
+    """The ODE residual of the branch y of a curve at the sample t."""
+
     t: complex
     y: complex
     residual: float
 
 
-@dataclass(frozen=True)
+@record
 class SkippedSample:
+    """A sample t left out of a residual run, and why."""
+
     t: complex
     reason: str
 
 
-@dataclass(frozen=True)
+@record
 class ResidualReport:
     """Aggregate of per-branch ODE residuals of a curve at fixed parameters.
 
@@ -297,14 +300,14 @@ class ResidualReport:
     def _from_columns(cls, curve: Optional[str], params: PviParams, ts: tuple, ys: tuple,
                       residuals: tuple, skipped: tuple) -> "ResidualReport":
         """A report whose ``samples`` are built on first read; the aggregates
-        are ``max`` and ``statistics.median`` of the residuals, and
+        are ``max`` and :func:`_median` of the residuals, and
         :class:`NoValidSamplesError` is raised when there are none."""
         if not residuals:
             raise NoValidSamplesError("every sample was skipped; nothing to report")
         report = object.__new__(cls)
         report.__dict__.update(curve=curve, params=params, skipped=skipped,
                                max_residual=max(residuals),
-                               median_residual=statistics.median(residuals),
+                               median_residual=_median(residuals),
                                _columns=(ts, ys, residuals))
         return report
 
@@ -342,6 +345,13 @@ class ResidualReport:
 
 
 CSV_HEADER = ["t_re", "t_im", "y_re", "y_im", "residual"]
+
+
+def _median(values: Sequence[float]) -> float:
+    """The middle value, or the mean of the two middle ones: what
+    ``statistics.median`` returns, bit for bit, without importing it."""
+    ordered, mid = sorted(values), len(values) // 2
+    return ordered[mid] if len(values) % 2 else (ordered[mid - 1] + ordered[mid]) / 2
 
 
 def _cplx(z: complex) -> dict:
@@ -519,7 +529,7 @@ def verify_curve(
 # classification
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class ClassificationResult:
     """Which smooth solutions exist at the given parameters."""
 

@@ -624,6 +624,52 @@ for argv in {argvs!r}:
         assert self.run([["classify", "--alpha", "9,1,1,1", "--verify", "--samples", "2"]]) == ["True"]
 
 
+class TestLightImport:
+    """`import pvi.cli` loads none of the modules only a few paths need; the
+    records still speak the dataclass protocol once dataclasses is loaded."""
+
+    HEAVY = ("dataclasses", "inspect", "statistics", "csv", "numpy")
+
+    SCRIPT = """
+import sys
+import pvi.cli
+print(*sorted(m for m in {heavy!r} if m in sys.modules))
+import dataclasses
+import pvi
+spec = pvi.SampleSpec(count=3)
+print(*(f.name for f in dataclasses.fields(pvi.SampleSpec)))
+print(dataclasses.replace(spec, radius=0.5) == pvi.SampleSpec(3, radius=0.5))
+try:
+    spec.count = 4
+except dataclasses.FrozenInstanceError as exc:
+    print(type(exc).__name__, spec.count)
+"""
+
+    def test_import_path_stays_light(self):
+        # -S: without site, whose .pth files may load any of them first
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", self.SCRIPT.format(heavy=self.HEAVY)],
+            capture_output=True, text=True, env=_src_env(), timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["", "count center radius", "True",
+                                            "FrozenInstanceError 3"]
+
+    def test_csv_output_loads_csv(self):
+        # the control: the same probe sees csv once a report is written as CSV
+        script = """
+import contextlib, io, sys
+import pvi.cli as cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["verify", "--curve", "A", "--alpha=1,1,2,2", "--samples", "2",
+                     "--format", "csv"])
+print(code, "csv" in sys.modules)
+"""
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, env=_src_env(), timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", "True"]
+
+
 class TestPathPins:
     # exit code and sha256 of stdout and stderr of CLI paths that no other
     # test runs: the text forms of the Picard-family and empty classifications,

@@ -236,6 +236,18 @@ class TestPicardEval:
         t, y = picard_eval(v, 1.5j)
         assert abs(y * y - t) < 1e-8
 
+    @pytest.mark.parametrize("tau", [1 + 1e-3j, -1 + 1e-3j, 3 + 2e-3j, 1.0005 + 8e-4j,
+                                     1e-3j, 2 + 5e-4j])
+    def test_near_an_integer_cusp_is_refused(self, monkeypatch, tau):
+        # below the floor q' underflows to 0 near an odd cusp, which made the
+        # level-2 quotients divide by zero before the collision check ran
+        monkeypatch.setattr(elliptic, "IM_TAU_FLOOR", 1e-6)
+        for v in [(F(1, 3), 0), (F(1, 4), F(1, 6))]:
+            with pytest.raises(PrecisionError, match="collide"):
+                picard_eval(v, tau)
+        with pytest.raises(PrecisionError, match="collide"):
+            invariants_at(tau)
+
 
 class TestReductionResidual:
     TAUS = (1j, 1 + 2j, 3j)

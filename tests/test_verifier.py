@@ -1131,3 +1131,13 @@ class TestPatternRuleAgainstSextic:
 
     def test_signed_unit_cube(self):
         self.check(list(itertools.product((-1, 0, 1), repeat=4)))
+
+
+def test_median_is_statistics_median():
+    # the aggregate of a report, bit for bit: odd and even counts, ties, and
+    # residuals spread over many decades
+    rng = random.Random(11)
+    for n in list(range(1, 12)) + [100, 101]:
+        for _ in range(20):
+            residuals = tuple(rng.choice([1e-15, 3e-13, 1e-3]) * rng.random() for _ in range(n))
+            assert verifier._median(residuals).hex() == statistics.median(residuals).hex()
