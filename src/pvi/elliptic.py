@@ -41,7 +41,7 @@ from typing import NamedTuple, Sequence, Union
 
 from ._record import record
 from .curves import TRIPLING_F, TRIPLING_G
-from .orbits import RationalPair, canonicalize, level_numerators
+from .orbits import PairLike, RationalPair, _as_pair, level_numerators
 
 _PI = math.pi
 _PI2 = _PI * _PI
@@ -334,15 +334,6 @@ def wp_prime(z: complex, tau: complex) -> complex:
     """Derivative wp'(z | tau); odd and lattice-periodic."""
     red = _reduce(_require_tau(tau))
     return _wp_prime_shifted(0, _point_thetas(z, red)) / red.lam ** 3
-
-
-PairLike = Union[RationalPair, Sequence]
-
-
-def _as_pair(v: PairLike) -> RationalPair:
-    if isinstance(v, RationalPair):
-        return v
-    return canonicalize(v)
 
 
 def _label_point(pair: RationalPair, red: _Reduction):

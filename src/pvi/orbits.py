@@ -13,8 +13,12 @@ The eligible classes of level N > 2 form one orbit of J_2(N)/2 classes for
 odd N and three orbits of J_2(N)/6 for even N, with J_2 the Jordan
 totient; at N = 2 the three half-integer classes are fixed points.
 Listing reads the same rule: an orbit is the canonical classes of its
-level in ascending order, filtered by numerator parity at even level; the
-breadth-first closure that checks the rule is in :mod:`pvi.selftest`.
+level, filtered by numerator parity at even level.  One row walker gives
+them row by row (rows a ascending, each with its columns b ascending), and
+the three listings (enumerate_orbit, eligible_classes, orbit_numerators)
+all read it; the breadth-first closure that checks the rule is in
+:mod:`pvi.selftest`.  Every orbit entry point takes a RationalPair or a
+plain pair of rationals, such as (Fraction(1, 3), 0) or ("1/3", "0").
 
 Conventions fixed here and relied on throughout the package:
 
@@ -31,7 +35,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from ._record import record
 
@@ -81,7 +85,8 @@ class RationalPair:
     A pair has slots and no ``__dict__``: ``mu``, ``nu`` and ``_hash``, the
     hash computed once.  The public constructor ``RationalPair(mu, nu)`` is
     unchanged and fills ``_hash`` on the first hash; every pair this module
-    builds itself comes from :func:`_pair` with its hash already kept.
+    builds itself has its hash already kept, from :func:`_pair` or, when listing,
+    from the same three slot setters inline.
     """
 
     __slots__ = ("mu", "nu", "_hash")
@@ -152,6 +157,16 @@ def canonicalize(v: Iterable[RationalLike]) -> RationalPair:
             return v
         return _pair(mu, nu, hash((p, q, r, s)))
     return _canonical_at(N, a, b)
+
+
+PairLike = Union[RationalPair, Sequence[RationalLike]]
+
+
+def _as_pair(v: PairLike) -> RationalPair:
+    """v itself when it is a RationalPair, else the canonical pair of the plain pair v."""
+    if isinstance(v, RationalPair):
+        return v
+    return canonicalize(v)
 
 
 def _as_fraction(x: RationalLike) -> Fraction:
@@ -256,11 +271,11 @@ def _standard(M: int, N: int, m: int, n: int, standard: RationalPair) -> Standar
     return sf
 
 
-def standard_form(v: RationalPair) -> StandardForm:
+def standard_form(v: PairLike) -> StandardForm:
     """Reduce a nonzero class to its standard form; rejects the zero class."""
-    if v.is_zero():
+    N, a, b = level_numerators(_as_pair(v))
+    if a == b == 0:
         raise ValueError("zero vector has no standard form")
-    N, a, b = level_numerators(v)
     M = gcd(a, b)
     m, n = a // M, b // M
     standard = _canonical_at(N, *((0, M) if m % 2 == 0 else (M, 0) if n % 2 == 0 else (M, M)))
@@ -273,8 +288,10 @@ def merging_matrix(N: int) -> Gamma2Matrix:
     Maps the class of (M/N, 0) to that of (0, M/N).  Only exists in the
     group for odd N: for even N the classes (M/N, 0), (0, M/N), (M/N, M/N)
     lie in three distinct orbits and no such matrix exists, so even N is
-    rejected.
+    rejected, and so is an N that is not an int.
     """
+    if type(N) is not int:  # refuses a bool and an int-valued float too
+        raise ValueError(f"merging matrix needs an int N, got {N!r}")
     if N < 1 or N % 2 == 0:
         raise ValueError(f"merging matrix exists only for odd N >= 1, got {N}")
     return Gamma2Matrix(-N, N + 1, -1 - N * N, 1 + N * (N + 1))
@@ -288,65 +305,89 @@ def level_numerators(v: RationalPair) -> tuple[int, int, int]:
     return N, mu.numerator * (N // q), nu.numerator * (N // s)
 
 
-def _level_classes(N: int, parity: Optional[tuple[int, int]] = None) -> Iterator[tuple[int, int]]:
-    """Numerators (a, b) of the canonical classes (a/N, b/N) of level N, ascending,
-    and only those with (a % 2, b % 2) == parity if it is given.
+def _level_rows(N: int, parity: Optional[tuple[int, int]] = None) -> Iterator[tuple[int, Sequence[int]]]:
+    """Each row a of the canonical classes (a/N, b/N) of level N, ascending, with its
+    column numerators b, ascending; only (a, b) with (a % 2, b % 2) == parity if it is given.
 
     Canonical: (a, b) <= (-a mod N, -b mod N), so a <= N/2, and b <= N/2 where
-    a is its own negative.  Of level N: gcd(a, b, N) = gcd(b, gcd(a, N)) = 1.
+    a is its own negative.  Of level N: gcd(a, b, N) = gcd(b, gcd(a, N)) = 1, so
+    a row with gcd(a, N) = 1 keeps a plain range and any other row is filtered once.
     """
     (pa, pb), step = parity or (0, 0), 2 if parity else 1
-    for a in range(pa, N // 2 + 1, step):
+    half = N // 2 + 1
+    for a in range(pa, half, step):
         g = gcd(a, N)
-        stop = N // 2 + 1 if a == 0 or 2 * a == N else N
-        for b in range(pb, stop, step):
-            if g == 1 or gcd(b, g) == 1:
-                yield a, b
+        columns = range(pb, half if a == 0 or 2 * a == N else N, step)
+        yield a, (columns if g == 1 else [b for b in columns if gcd(b, g) == 1])
 
 
-def _level_table(N: int) -> tuple[list[Fraction], list[tuple[int, int]]]:
-    """fr[k] = k/N and nd[k] = (numerator, denominator) of k/N for 0 <= k < N, so
-    the pair (fr[a], fr[b]) hashes as hash(nd[a] + nd[b])."""
+def _level_pairs(N: int, parity: Optional[tuple[int, int]] = None) -> list[RationalPair]:
+    """The pairs (a/N, b/N) of :func:`_level_rows`, in its ascending order, each with
+    its hash kept: hash(row_key + column_key) on the (numerator, denominator) keys."""
     fr = [Fraction(k, N) for k in range(N)]
-    return fr, [(f.numerator, f.denominator) for f in fr]
+    nd = [(f.numerator, f.denominator) for f in fr]
+    new, set_mu, set_nu, set_hash = _new, _set_mu, _set_nu, _set_hash
+    pairs = []
+    append = pairs.append
+    for a, columns in _level_rows(N, parity):
+        mu, key = fr[a], nd[a]
+        for b in columns:
+            p = new(RationalPair)
+            set_mu(p, mu)
+            set_nu(p, fr[b])
+            set_hash(p, hash(key + nd[b]))
+            append(p)
+    return pairs
 
 
-def orbit_numerators(v: RationalPair) -> tuple[int, list[tuple[int, int]]]:
-    """Level N of v and the numerators (a, b) of its orbit's members (a/N, b/N), ascending:
-    every canonical class of level N, or at even N those with v's numerator parity."""
+def _listed_level(v: RationalPair) -> tuple[int, Optional[tuple[int, int]]]:
+    """Level N of v and, at even N, its numerator parity: what fixes its orbit;
+    a level above the listing cap is rejected."""
     N, a, b = level_numerators(v)
     if N > MAX_ORBIT_DENOMINATOR:
         raise ValueError(f"denominator {N} exceeds the orbit enumeration cap "
                          f"{MAX_ORBIT_DENOMINATOR}")
-    return N, list(_level_classes(N, (a % 2, b % 2) if N % 2 == 0 else None))
+    return N, (a % 2, b % 2) if N % 2 == 0 else None
 
 
-def enumerate_orbit(v: RationalPair) -> frozenset[RationalPair]:
-    """Full orbit of the class of v as canonical representatives."""
-    N, members = orbit_numerators(v)
-    fr, nd = _level_table(N)
-    return frozenset(_pair(fr[a], fr[b], hash(nd[a] + nd[b])) for a, b in members)
+def orbit_numerators(v: PairLike) -> tuple[int, list[tuple[int, int]]]:
+    """Level N of v and the numerators (a, b) of its orbit's members (a/N, b/N), ascending:
+    every canonical class of level N, or at even N those with v's numerator parity,
+    read row by row from the one row walker."""
+    N, parity = _listed_level(_as_pair(v))
+    return N, [(a, b) for a, columns in _level_rows(N, parity) for b in columns]
 
 
-def orbit_key(v: RationalPair) -> tuple[int, ...]:
-    """Key of the orbit of a nonzero class: N, plus its numerators mod 2 for even N."""
-    N, a, b = level_numerators(v)
-    if a == b == 0:
+def enumerate_orbit(v: PairLike) -> frozenset[RationalPair]:
+    """Full orbit of the class of v as canonical representatives, built row by row
+    from the one row walker in ascending (a, b) order."""
+    return frozenset(_level_pairs(*_listed_level(_as_pair(v))))
+
+
+def orbit_key(v: PairLike) -> tuple[int, ...]:
+    """Key of the orbit of a nonzero class: N, plus its numerators mod 2 for even N.
+
+    Negation and integer shifts keep N and, at even N, the parities, so any
+    representative of the class gives its key; the zero class is level 1.
+    """
+    N, a, b = level_numerators(_as_pair(v))
+    if N == 1:
         raise ValueError("zero vector has no standard form")
     return (N,) if N % 2 else (N, a % 2, b % 2)
 
 
-def same_orbit(v1: RationalPair, v2: RationalPair) -> bool:
+def same_orbit(v1: PairLike, v2: PairLike) -> bool:
     """True when the classes of v1 and v2 lie in one orbit."""
+    v1, v2 = _as_pair(v1), _as_pair(v2)
     if v1.is_zero() or v2.is_zero():
         raise ValueError("orbit membership is defined for nonzero classes")
-    return orbit_key(canonicalize(v1)) == orbit_key(canonicalize(v2))
+    return orbit_key(v1) == orbit_key(v2)
 
 
 def eligible_classes(N: int) -> list[RationalPair]:
-    """All classes (m/N, n/N) whose numerator gcd is coprime to N, canonicalized, ascending."""
-    fr, nd = _level_table(N)
-    return [_pair(fr[a], fr[b], hash(nd[a] + nd[b])) for a, b in _level_classes(N)]
+    """All classes (m/N, n/N) whose numerator gcd is coprime to N, canonicalized, ascending:
+    every row of the one row walker, unfiltered."""
+    return _level_pairs(N)
 
 
 def _jordan_totient2(N: int) -> int:
@@ -367,8 +408,11 @@ def orbit_partition(N: int) -> list[int]:
     """Sorted orbit sizes partitioning all eligible classes of denominator level N.
 
     [1, 1, 1] at N = 2, one orbit of J_2(N)/2 classes for odd N and three
-    of J_2(N)/6 for even N; N above MAX_PARTITION_DENOMINATOR is rejected.
+    of J_2(N)/6 for even N; N above MAX_PARTITION_DENOMINATOR is rejected,
+    and so is an N that is not an int.
     """
+    if type(N) is not int:  # refuses a bool and an int-valued float too
+        raise ValueError(f"orbit partition needs an int N, got {N!r}")
     if N < 2:
         raise ValueError("orbit partition is defined for N >= 2")
     if N > MAX_PARTITION_DENOMINATOR:

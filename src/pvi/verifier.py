@@ -28,7 +28,7 @@ from ._record import field, record
 from .curves import CURVE_TABLE, CURVES, CurveId, pattern_curves
 from .elliptic import AlphaTuple
 from .multipoly import MultiPoly
-from .orbits import RationalPair, canonicalize, format_rational, orbit_key
+from .orbits import PairLike, _as_pair, canonicalize, format_rational, orbit_key
 
 ACCEPT_TOL = 1e-8
 REJECT_TOL = 1e-3
@@ -607,7 +607,7 @@ _CURVE_OF_ORBIT = {
 }
 
 
-def orbit_to_curve(v: Union[RationalPair, Sequence]) -> Optional[CurveId]:
+def orbit_to_curve(v: PairLike) -> Optional[CurveId]:
     """Canonical curve whose branches the Picard solution of the class traces.
 
     None when the orbit length exceeds 6 (no algebraic curve of the listed
@@ -616,7 +616,7 @@ def orbit_to_curve(v: Union[RationalPair, Sequence]) -> Optional[CurveId]:
     J_2(N)/6 for even N), so the answer is read off the orbit key without
     listing the orbit, at any denominator.
     """
-    pair = v if isinstance(v, RationalPair) else canonicalize(v)
+    pair = _as_pair(v)
     if pair.is_half_integer():
         raise ValueError(f"{pair} lies in (Z/2)^2: trivial solution, no curve")
     return _CURVE_OF_ORBIT.get(orbit_key(pair))

@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import pickle
 import random
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -26,6 +27,7 @@ from pvi.orbits import (
     standard_form,
     merging_matrix,
     orbit_key,
+    orbit_numerators,
     orbit_partition,
     parse_rational,
     same_orbit,
@@ -282,6 +284,83 @@ class TestClosedFormAgainstBFS:
                 assert same_orbit(v, w) == same_orbit(w, v) == (w in orbit_of[v])
             if not v.is_half_integer():
                 assert (orbit_to_curve(v) is None) == (len(orbit_of[v]) > 6)
+
+
+def grid_classes(N):
+    """{parity: canonical classes} from the full grid: every (a/N, b/N) with a, b in
+    [0, N) and gcd(a, b, N) = 1, keyed by (a % 2, b % 2) at even N and by None at odd N."""
+    out = {}
+    for a in range(N):
+        for b in range(N):
+            if gcd(gcd(a, b), N) == 1:
+                key = (a % 2, b % 2) if N % 2 == 0 else None
+                out.setdefault(key, set()).add(canonicalize((F(a, N), F(b, N))))
+    return out
+
+
+class TestListingAgainstGrid:
+    """The listing readers against a reference built from the full level-N grid."""
+
+    @pytest.mark.parametrize("N", range(2, 65))
+    def test_readers_match_the_grid(self, N):
+        by_parity = grid_classes(N)
+        assert len(by_parity) == (3 if N % 2 == 0 else 1)
+        everything = set().union(*by_parity.values())
+        assert eligible_classes(N) == sorted(everything)
+        for expected in by_parity.values():
+            for v in (min(expected), max(expected)):
+                orbit = enumerate_orbit(v)
+                assert orbit == expected
+                ascending = sorted(orbit)
+                assert orbit_numerators(v) == (
+                    N, [(int(w.mu * N), int(w.nu * N)) for w in ascending])
+                assert all(w._hash == hash(tuple_key(w)) for w in orbit)
+                # built by inserting in ascending order, so it iterates as such a set does
+                assert list(orbit) == list(frozenset(ascending))
+
+
+class TestPlainPairInput:
+    """Every orbit entry point takes a plain pair as well as a RationalPair."""
+
+    CLASSES = [(F(1, 3), 0), (F(-1, 4), F(5, 2)), (F(2, 45), F(7, 45)), (F(5, 6), F(1, 6))]
+
+    @staticmethod
+    def forms(v):
+        mu, nu = v
+        return [(F(mu), nu), (str(mu), str(nu)), canonicalize((mu, nu))]
+
+    @pytest.mark.parametrize("v", CLASSES)
+    def test_tuple_string_and_pair_agree(self, v):
+        other = canonicalize((F(1, 3), F(1, 3)))
+        for f in (enumerate_orbit, standard_form, orbit_key, orbit_to_curve,
+                  lambda x: same_orbit(x, other), lambda x: same_orbit(other, x)):
+            answers = [f(x) for x in self.forms(v)]
+            assert answers[0] == answers[1] == answers[2]
+
+    def test_plain_zero_is_still_refused(self):
+        for f in (standard_form, orbit_key, lambda x: same_orbit(x, (F(1, 3), 0))):
+            with pytest.raises(ValueError):
+                f(("0", "1"))
+
+    def test_orbit_key_of_any_representative(self):
+        # negation and integer shifts keep the key; a zero class has none
+        rng = random.Random(27)
+        for v in classes_up_to(30)[1:]:
+            assert orbit_key(shifted(v, rng)) == orbit_key(v)
+        with pytest.raises(ValueError, match="zero vector"):
+            orbit_key(RationalPair(F(1), F(-2)))
+
+
+class TestNonIntegerLevel:
+    @pytest.mark.parametrize("N", [2.5, F(9, 2), 4.0, True, False, "5"])
+    def test_orbit_partition_refuses(self, N):
+        with pytest.raises(ValueError, match=re.escape(repr(N))):
+            orbit_partition(N)
+
+    @pytest.mark.parametrize("N", [3.0, True, F(3), 2.5])
+    def test_merging_matrix_refuses(self, N):
+        with pytest.raises(ValueError, match=re.escape(repr(N))):
+            merging_matrix(N)
 
 
 class TestMergingMatrix:
