@@ -155,12 +155,20 @@ def kummer_defect_poly() -> MultiPoly:
 
 
 def signed_sum_product() -> MultiPoly:
-    """Product of (u0 + e1*u1 + e2*u2 + e3*u3) over the 8 sign patterns."""
-    u = [MultiPoly.variable(f"u{i}") for i in range(4)]
-    out = ONE
-    for signs in product((1, -1), repeat=3):
-        out = out * linear_combination((1, *signs), u)
-    return out
+    """Product of (u0 + e1*u1 + e2*u2 + e3*u3) over the 8 sign patterns.
+
+    The factors with e1 = +1 and -1 pair into a difference of squares, so
+    the product is built as four of them, u0^2 - (u1 + e2*u2 + e3*u3)^2 for
+    (e2, e3) in {+1, -1}^2, multiplied as (q0*q1)*(q2*q3); it has the same
+    terms in the same order as the eight linear factors multiplied in turn.
+    """
+    u0, *rest = [MultiPoly.variable(f"u{i}") for i in range(4)]
+    square = u0 * u0
+    q = []
+    for signs in product((1, -1), repeat=2):
+        s = linear_combination((1, *signs), rest)
+        q.append(square - s * s)
+    return (q[0] * q[1]) * (q[2] * q[3])
 
 
 def verify_kummer_equivalence() -> bool:

@@ -30,6 +30,12 @@ four-term sums are scaled by lam^-3, so the sums at matching and at
 non-matching parameters no longer separate at fixed absolute tolerances.
 A complex z reaches its thetas through ``_point_thetas``, a class through
 ``_class_thetas``; each path checks poles, a class on integers at each half-period shift.
+A class of level N shifted by a half-period to a point off the lattice lies
+at least |lam|*(1 - slack)/2N from it (1 - slack bounds every nonzero vector
+of the reduced lattice from below), so while that bound is at least
+2*POLE_THRESHOLD the shift is clear without measuring.  A shift onto the
+lattice is measured (and raises), and so is every shift at a level past the
+bound, which |lam| >= Im tau >= 0.1 keeps above about 25 000.
 """
 
 from __future__ import annotations
@@ -116,6 +122,12 @@ def _require_tau(tau: complex) -> complex:
             f"Im tau = {tau.imag:g} below the precision floor {IM_TAU_FLOOR:g}"
         )
     return tau
+
+
+def _as_complex(x) -> complex:
+    """complex(x); a Fraction as numerator / denominator, the correctly rounded int
+    division that complex(Fraction) reaches through numbers.Rational.__float__."""
+    return complex(x.numerator / x.denominator) if type(x) is Fraction else complex(x)
 
 
 def half_periods(tau: complex) -> tuple[complex, complex, complex, complex]:
@@ -354,11 +366,20 @@ def _label_point(pair: RationalPair, red: _Reduction):
 
 def _class_thetas(pair: RationalPair, red: _Reduction, shifts: Sequence[int]):
     """The thetas at the class's point p1 moved to tau1, once p1 + omega_k, k in shifts,
-    is clear of the lattice, with cell coordinates (u, w)/2N taken on the integers."""
+    is clear of the lattice, with cell coordinates (u, w)/2N taken on the integers.
+
+    A shift with (u, w) != (0, 0) mod 2N is clear without measuring when
+    |lam|*(1 - slack)/2N >= 2*POLE_THRESHOLD: (u + w*tau1)/2N lies off the
+    lattice of the reduced tau1 by a nonzero lattice vector over 2N, and no
+    such vector is shorter than 1 - slack.  Any other shift is measured.
+    """
     (N, A, B), p1 = _label_point(pair, red)
+    clear = abs(red.lam) * (1 - _UNIT_CIRCLE_SLACK) / (2 * N) >= 2 * POLE_THRESHOLD
     for k in shifts:
         u = (2 * A + N * (k & 1)) % (2 * N)
         w = (2 * B + N * (k >> 1)) % (2 * N)
+        if clear and (u or w):
+            continue
         u, w = (u - 2 * N if u >= N else u), (w - 2 * N if w >= N else w)
         distance = abs(red.lam) * _cell_distance(u / (2 * N), w / (2 * N), red.tau1)
         if distance < POLE_THRESHOLD:  # z is built only for the message
@@ -388,20 +409,24 @@ def reduction_residual(alpha: Union[AlphaTuple, Sequence], v: PairLike, tau: com
 
     Vanishing identically in tau is exactly the condition for the class
     (mu, nu) to give a solution at parameters alpha; the value at a single
-    tau is the pointwise residual.  Linear in alpha.
+    tau is the pointwise residual.  Linear in alpha; a non-finite alpha
+    component raises ValueError before any work.
     """
     a = list(alpha)
     if len(a) != 4:
         raise ValueError("alpha must have four components")
+    weights = [_as_complex(ak) for ak in a]
+    if not all(map(cmath.isfinite, weights)):
+        raise ValueError(f"alpha must be finite, got {', '.join(map(str, a))}")
     pair = _as_pair(v)
     red = _reduce(_require_tau(tau))
-    terms = [(ak, k) for ak, k in zip(a, (0, *_half_period_indices(red))) if ak != 0]
+    terms = [(ck, k) for ak, ck, k in zip(a, weights, (0, *_half_period_indices(red))) if ak != 0]
     if not terms:
         return 0j
     th = _class_thetas(pair, red, [k for _, k in terms])
     total = 0j
-    for ak, k in terms:
-        total += complex(ak) * _wp_prime_shifted(k, th)
+    for ck, k in terms:
+        total += ck * _wp_prime_shifted(k, th)
     return total / red.lam ** 3
 
 

@@ -83,16 +83,22 @@ class RationalPair:
     per component that would dominate building large orbit sets.
 
     A pair has slots and no ``__dict__``: ``mu``, ``nu`` and ``_hash``, the
-    hash computed once.  The public constructor ``RationalPair(mu, nu)`` is
-    unchanged and fills ``_hash`` on the first hash; every pair this module
-    builds itself has its hash already kept, from :func:`_pair` or, when listing,
-    from the same three slot setters inline.
+    hash computed once.  The public constructor ``RationalPair(mu, nu)`` takes
+    each component as :func:`canonicalize` does (a Fraction, an int or a
+    string such as "1/3"), stores it as a Fraction, refuses an invalid one
+    with ValueError, and fills ``_hash`` on the first hash; every pair this
+    module builds itself skips it and has its hash already kept, from
+    :func:`_pair` or, when listing, from the same three slot setters inline.
     """
 
     __slots__ = ("mu", "nu", "_hash")
 
     mu: Fraction
     nu: Fraction
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "mu", _as_fraction(self.mu))
+        object.__setattr__(self, "nu", _as_fraction(self.nu))
 
     def __hash__(self) -> int:
         try:
@@ -170,9 +176,15 @@ def _as_pair(v: PairLike) -> RationalPair:
 
 
 def _as_fraction(x: RationalLike) -> Fraction:
+    """x as an exact Fraction; anything that is not a rational raises ValueError."""
     if type(x) is Fraction:
         return x
-    return parse_rational(x) if isinstance(x, str) else Fraction(x)
+    if isinstance(x, str):
+        return parse_rational(x)
+    try:
+        return Fraction(x)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"invalid rational {x!r}") from exc
 
 
 def _canonical_at(N: int, a: int, b: int) -> RationalPair:

@@ -26,7 +26,7 @@ from typing import NamedTuple, Optional, Sequence, Union
 
 from ._record import field, record
 from .curves import CURVE_TABLE, CURVES, CurveId, pattern_curves
-from .elliptic import AlphaTuple
+from .elliptic import AlphaTuple, _as_complex
 from .multipoly import MultiPoly
 from .orbits import PairLike, _as_pair, canonicalize, format_rational, orbit_key
 
@@ -89,7 +89,7 @@ class PviParams:
         # lock on every first use
         values = self.__dict__.get("_complex")
         if values is None:
-            values = self.__dict__["_complex"] = tuple(complex(x) for x in self)
+            values = self.__dict__["_complex"] = tuple(map(_as_complex, self))
         return values
 
 

@@ -34,7 +34,7 @@ from pvi.curves import (
     verify_uniformization,
 )
 from pvi.curves import _SQUARE_POINT, _TRIAL_FACTORS, _fp_is_irreducible, _fp_mod, _nonzero_at, _square_at
-from pvi.multipoly import MultiPoly, integer_grid
+from pvi.multipoly import MultiPoly, integer_grid, linear_combination
 
 F = Fraction
 Y = MultiPoly.variable("y")
@@ -138,6 +138,15 @@ def fraction_kummer_defect(alpha):
     return (sum(x * x for x in a) - 2 * sym2) ** 2 - 64 * a[0] * a[1] * a[2] * a[3]
 
 
+def reference_signed_sum_product():
+    """The sign product as it was built: the eight linear factors multiplied in turn."""
+    u = [MultiPoly.variable(f"u{i}") for i in range(4)]
+    out = MultiPoly.constant(1)
+    for signs in product((1, -1), repeat=3):
+        out = out * linear_combination((1, *signs), u)
+    return out
+
+
 class TestKummer:
     def test_defect_matches_fraction_formula(self):
         rng = random.Random(45)
@@ -170,6 +179,17 @@ class TestKummer:
         assert all(sum(e) == 8 for e in prod.terms)
         defect = kummer_defect_poly()
         assert all(sum(e) == 4 for e in defect.terms)
+
+    def test_sign_product_keeps_the_sequential_terms(self):
+        assert same_terms(signed_sum_product(), reference_signed_sum_product())
+
+    def test_sign_product_against_sympy(self):
+        u = sympy.symbols("u0:4")
+        want = sympy.expand(sympy.Mul(*(u[0] + s1 * u[1] + s2 * u[2] + s3 * u[3]
+                                        for s1, s2, s3 in product((1, -1), repeat=3))))
+        got = sympy.sympify(str(signed_sum_product()).replace("^", "**"),
+                            locals={str(x): x for x in u})
+        assert sympy.expand(got - want) == 0
 
     def test_specialization_3111(self):
         prod = signed_sum_product()

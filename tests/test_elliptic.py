@@ -591,3 +591,91 @@ class TestModularReduction:
                 want = mp.pi ** 2 / s ** 2 - mp.pi ** 2 / 3
                 assert _rel(wp(z, tau), want, 1.0) < 1e-12
                 assert abs(wp_prime(z, tau) - complex(-2 * mp.pi ** 3 * mp.cos(mp.pi * mp.mpc(z)) / s ** 3)) < 1e-9
+
+
+_CELL_DISTANCE = elliptic._cell_distance
+
+
+def _measured_class_thetas(pair, red, shifts):
+    """_class_thetas as it was: the lattice distance of every shift measured."""
+    (N, A, B), p1 = elliptic._label_point(pair, red)
+    for k in shifts:
+        u = (2 * A + N * (k & 1)) % (2 * N)
+        w = (2 * B + N * (k >> 1)) % (2 * N)
+        u, w = (u - 2 * N if u >= N else u), (w - 2 * N if w >= N else w)
+        distance = abs(red.lam) * _CELL_DISTANCE(u / (2 * N), w / (2 * N), red.tau1)
+        if distance < elliptic.POLE_THRESHOLD:
+            elliptic._require_clear(distance, float(pair.mu) + float(pair.nu) * (red.n + red.tau0))
+    return elliptic._thetas(red.tau1, p1)
+
+
+def _thetas_outcome(f, *args):
+    try:
+        return f(*args)
+    except PoleProximityError as exc:
+        return PoleProximityError, str(exc)
+
+
+class TestClassClearance:
+    """A class of level N off the lattice is cleared from |lam|/2N without
+    measuring; the thetas and every refusal match the measuring loop."""
+
+    SHIFTS = [(0,), (1,), (2,), (3,), (0, 1, 2, 3), (3, 1)]
+
+    # on the lattice or within the threshold of it at one of the four shifts, at every tau
+    REFUSED = [canonicalize(v) for v in ((F(1, 10 ** 7), 0), (0, 0), (F(1, 2), 0), (0, F(1, 2)),
+                                         (F(1, 2), F(1, 2)))]
+
+    def classes(self, rng):
+        out = list(self.REFUSED)
+        for N in range(3, 61):
+            for _ in range(2):
+                out.append(canonicalize((F(rng.randrange(N), N), F(rng.randrange(N), N))))
+        for N in (2 * 10 ** 5 + 1, 10 ** 6 + 3, 2 * 10 ** 6, 3 * 10 ** 6 + 17):
+            out += [canonicalize(v) for v in ((F(rng.randrange(N), N), F(1, N)), (F(1, N), 0), (0, F(1, N)))]
+        return out
+
+    def test_same_thetas_and_refusals_as_measuring(self, monkeypatch):
+        rng = random.Random(2802)
+        measured = []
+        monkeypatch.setattr(elliptic, "_cell_distance", lambda *a: measured.append(a) or _CELL_DISTANCE(*a))
+        counts = {"thetas": 0, "refused": 0}
+        for v in self.classes(rng):
+            for _ in range(4):
+                tau = complex(rng.uniform(-3, 3), 0.1 * 30 ** rng.random())
+                red = elliptic._reduce(tau)
+                for shifts in self.SHIFTS:
+                    got = _thetas_outcome(elliptic._class_thetas, v, red, shifts)
+                    assert got == _thetas_outcome(_measured_class_thetas, v, red, shifts), (v, tau, shifts)
+                    counts["refused" if got[0] is PoleProximityError else "thetas"] += 1
+                    if v in self.REFUSED and len(shifts) == 4:
+                        assert got[0] is PoleProximityError
+        assert counts["thetas"] > 1000 and counts["refused"] > 40
+        # shifts onto the lattice and levels past the bound are measured; levels 3-60
+        # off the lattice are not, down to the Im tau floor
+        assert measured
+        measured.clear()
+        for N in range(3, 61):
+            elliptic._class_thetas(canonicalize((F(1, N), F(1, N))), elliptic._reduce(0.3 + 0.1j), (0, 1, 2, 3))
+        assert measured == []
+
+
+class TestAlphaConversion:
+    def test_fraction_alpha_gives_the_bits_of_its_float(self):
+        rng = random.Random(281)
+        for _ in range(40):
+            alpha = [rng.choice([F(rng.randint(-99, 99), rng.randint(1, 97)), F(0), F(-7),
+                                 F(rng.randint(-10 ** 20, 10 ** 20), rng.randint(1, 10 ** 18))])
+                     for _ in range(4)]
+            v, tau = _random_class(rng), complex(rng.uniform(-3, 3), 0.1 * 30 ** rng.random())
+            got = reduction_residual(alpha, v, tau)
+            want = reduction_residual([complex(float(a)) for a in alpha], v, tau)
+            assert repr(got) == repr(want), (alpha, v, tau)
+
+    @pytest.mark.parametrize("alpha", [(float("nan"), 0, 0, 0), (float("inf"), 1, 1, 1),
+                                       (1, 2, complex(0, float("nan")), 3), (0, 0, 0, -float("inf"))])
+    def test_non_finite_alpha_is_refused(self, alpha):
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            reduction_residual(alpha, (F(1, 3), 0), 1j)
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            reduction_residual(alpha, (F(1, 2), 0), 1j)  # before the pole check

@@ -11,6 +11,7 @@ from math import gcd
 import pytest
 
 from pvi.curves import CURVE_TABLE
+from pvi.elliptic import picard_eval, reduction_residual
 from pvi.orbits import (
     GENERATORS,
     MAX_ORBIT_DENOMINATOR,
@@ -704,6 +705,41 @@ class TestFastConstructor:
         same_orbit(v, canonicalize(("3/160", "1/2")))
         _fraction_bfs(canonicalize((F(1, 5), 0)))
         assert calls == []
+
+
+class TestPublicConstructorFields:
+    """RationalPair(mu, nu) takes each field as canonicalize does and stores a Fraction."""
+
+    FIELDS = [(("1/3", "0"), (F(1, 3), F(0))), (("2/5", 1), (F(2, 5), F(1))),
+              ((F(1, 4), "3/4"), (F(1, 4), F(3, 4))), ((0, F(1, 6)), (F(0), F(1, 6))),
+              ((" -1/6 ", 0.5), (F(-1, 6), F(1, 2)))]
+
+    @pytest.mark.parametrize("given,want", FIELDS)
+    def test_fields_are_fractions(self, given, want):
+        v = RationalPair(*given)
+        assert (v.mu, v.nu) == want and type(v.mu) is type(v.nu) is F
+        assert v == RationalPair(*want) and hash(v) == hash(tuple_key(RationalPair(*want)))
+
+    @pytest.mark.parametrize("given,want", FIELDS)
+    def test_every_call_as_with_fractions(self, given, want):
+        v, w = RationalPair(*given), RationalPair(*want)
+        other = ("1/3", "1/3")
+        assert outcome(same_orbit, v, other) == outcome(same_orbit, w, other)
+        assert outcome(standard_form, v) == outcome(standard_form, w)
+        assert outcome(orbit_key, v) == outcome(orbit_key, w)
+        assert outcome(enumerate_orbit, v) == outcome(enumerate_orbit, w)
+        assert outcome(picard_eval, v, 0.3 + 1.1j) == outcome(picard_eval, w, 0.3 + 1.1j)
+        alpha = (1, 2, 3, 4)
+        assert (outcome(reduction_residual, alpha, v, 0.3 + 1.1j)
+                == outcome(reduction_residual, alpha, w, 0.3 + 1.1j))
+
+    @pytest.mark.parametrize("bad", ["x", "1/0", "", None, 1j, float("nan"), float("inf"), [1]])
+    def test_invalid_field_raises_value_error(self, bad):
+        for args in ((bad, 0), (0, bad)):
+            with pytest.raises(ValueError, match="invalid rational"):
+                RationalPair(*args)
+        with pytest.raises(ValueError, match="invalid rational"):
+            canonicalize((bad, 0))
 
 
 def standard_routes():

@@ -44,6 +44,8 @@ class Twin:
             return hash((self.mu.numerator, self.mu.denominator,
                          self.nu.numerator, self.nu.denominator))
 
+        __post_init__ = RationalPair.__post_init__
+
     @dataclass(frozen=True)
     class Gamma2Matrix:
         a: int

@@ -104,6 +104,15 @@ class TestParamsConvert:
         assert pickle.loads(pickle.dumps(params)) == params
         assert dataclasses.replace(params, alpha=F(1)).as_complex()[0] == 1
 
+    def test_as_complex_gives_the_bits_of_complex(self):
+        rng = random.Random(92)
+        values = [F(10 ** 40 + 7, 3 * 10 ** 39 + 1), F(-1, 3), F(0), F(5), 7, 0.1, 2 - 0.5j, -0.0]
+        for _ in range(200):
+            values.append(F(rng.randint(-10 ** 20, 10 ** 20), rng.randint(1, 10 ** 18)))
+        for i in range(0, len(values) - 3):
+            params = PviParams(*values[i:i + 4])
+            assert repr(params.as_complex()) == repr(tuple(complex(x) for x in params))
+
 
 class TestImplicitDerivs:
     def test_square_root_branch(self):
