@@ -5,11 +5,18 @@ Exit codes: 0 success, 1 verification failure (or stdout closed by its
 reader), 2 usage error.  JSON output is deterministic (sorted keys,
 canonical 'p/q' rationals, fixed sampling), so identical invocations
 produce byte-identical bytes.
+
+A command process enters through :func:`run` (``python -m pvi.cli`` and the
+``pvi`` console script): it runs with the cyclic garbage collector off and
+freezes its heap before teardown, so interpreter finalization scans no
+tracked objects.  Library callers of :func:`main` are unaffected: their
+collector state is left as it was.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import io
 import json
 import os
@@ -396,5 +403,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_VERIFICATION
 
 
+def run() -> int:
+    """Process entry of ``python -m pvi.cli`` and the ``pvi`` console script.
+
+    A command allocates little cyclic garbage and the process ends with it,
+    so the collector is off while it runs, and the heap is frozen on the way
+    out (also on the SystemExit of --help, --version and usage errors), which
+    leaves the collection at interpreter teardown nothing to scan.
+    """
+    gc.disable()
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
+from functools import cache
 from itertools import product
 from math import gcd, isqrt, lcm
 from typing import Iterable, NamedTuple, Sequence, Union
@@ -171,10 +172,19 @@ def signed_sum_product() -> MultiPoly:
     return (q[0] * q[1]) * (q[2] * q[3])
 
 
-def verify_kummer_equivalence() -> bool:
-    """Exact ring identity: the 8-fold signed product equals the defect at a_j = u_j^2."""
+@cache
+def _squared_defect() -> MultiPoly:
+    """The defect at a_j = u_j^2; built on first use, not at import."""
     subs = {f"a{i}": MultiPoly.variable(f"u{i}") ** 2 for i in range(4)}
-    return signed_sum_product() == kummer_defect_poly().subs(**subs)
+    return kummer_defect_poly().subs(**subs)
+
+
+def verify_kummer_equivalence() -> bool:
+    """Exact ring identity: the 8-fold signed product equals the defect at a_j = u_j^2.
+
+    The product is built on every call; the constant defect side is kept.
+    """
+    return signed_sum_product() == _squared_defect()
 
 
 def line_membership(alpha: AlphaLike) -> set[str]:

@@ -47,7 +47,7 @@ from typing import NamedTuple, Sequence, Union
 
 from ._record import record
 from .curves import TRIPLING_F, TRIPLING_G
-from .orbits import PairLike, RationalPair, _as_pair, level_numerators
+from .orbits import PairLike, RationalPair, _as_pair, level_numerators, parse_rational
 
 _PI = math.pi
 _PI2 = _PI * _PI
@@ -128,6 +128,14 @@ def _as_complex(x) -> complex:
     """complex(x); a Fraction as numerator / denominator, the correctly rounded int
     division that complex(Fraction) reaches through numbers.Rational.__float__."""
     return complex(x.numerator / x.denominator) if type(x) is Fraction else complex(x)
+
+
+def _read_number(text: str) -> Union[Fraction, complex]:
+    """The number a string spells: a Fraction when it is rational, else complex."""
+    try:
+        return parse_rational(text)
+    except ValueError:
+        return complex(text)
 
 
 def half_periods(tau: complex) -> tuple[complex, complex, complex, complex]:
@@ -410,14 +418,18 @@ def reduction_residual(alpha: Union[AlphaTuple, Sequence], v: PairLike, tau: com
     Vanishing identically in tau is exactly the condition for the class
     (mu, nu) to give a solution at parameters alpha; the value at a single
     tau is the pointwise residual.  Linear in alpha; a non-finite alpha
-    component raises ValueError before any work.
+    component raises ValueError before any work.  A string component is read
+    as the number it spells, a Fraction when rational.  A term is dropped
+    only when its component is zero in value: a Fraction that rounds to 0.0
+    keeps its term (and its pole check).
     """
-    a = list(alpha)
-    if len(a) != 4:
+    raw = list(alpha)
+    if len(raw) != 4:
         raise ValueError("alpha must have four components")
+    a = [_read_number(ak) if isinstance(ak, str) else ak for ak in raw]
     weights = [_as_complex(ak) for ak in a]
     if not all(map(cmath.isfinite, weights)):
-        raise ValueError(f"alpha must be finite, got {', '.join(map(str, a))}")
+        raise ValueError(f"alpha must be finite, got {', '.join(map(str, raw))}")
     pair = _as_pair(v)
     red = _reduce(_require_tau(tau))
     terms = [(ck, k) for ak, ck, k in zip(a, weights, (0, *_half_period_indices(red))) if ak != 0]

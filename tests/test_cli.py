@@ -1,10 +1,12 @@
 """Command-line front end: output schemas, exit codes, determinism."""
 
 import contextlib
+import gc
 import hashlib
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -324,6 +326,97 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["partition"] == [2, 2, 2]
+
+    @staticmethod
+    def script_entry():
+        """The function `[project.scripts]` names for `pvi`, as 'module:function'."""
+        text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+        section = re.search(r"^\[project\.scripts\]\n(.*?)(?:^\[|\Z)", text, re.M | re.S).group(1)
+        return re.search(r'^pvi\s*=\s*"([\w.]+:\w+)"', section, re.M).group(1)
+
+    def test_console_script_function(self):
+        # what the installed `pvi` script does, without installing it
+        module, function = self.script_entry().split(":")
+        assert (module, function) == ("pvi.cli", "run")
+        script = f"import sys; from {module} import {function}; sys.exit({function}())"
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "orbit", "--denominator", "4"],
+            capture_output=True, text=True, env=_src_env(), timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["partition"] == [2, 2, 2]
+
+    @pytest.mark.parametrize("entry", [
+        "from pvi.cli import run; sys.exit(run())",
+        "import runpy; runpy.run_module('pvi.cli', run_name='__main__')",  # python -m pvi.cli
+    ])
+    @pytest.mark.parametrize("argv,code", [
+        (["orbit", "--denominator", "4"], 0), (["--version"], 0), (["--help"], 0),
+        (["orbit", "--denominator", "1"], 2), (["classify", "--alpha=1,2,3"], 2),
+    ])
+    def test_process_entry_leaves_the_heap_frozen(self, entry, argv, code):
+        # the collector stays off and the heap is frozen by the time atexit
+        # runs, on the SystemExit of argparse too
+        script = ("import atexit, gc, sys\n"
+                  "atexit.register(lambda: print(gc.isenabled(), gc.get_freeze_count() > 0, file=sys.stderr))\n"
+                  + entry)
+        proc = subprocess.run([sys.executable, "-c", script, *argv],
+                              capture_output=True, text=True, env=_src_env(), timeout=60)
+        assert proc.returncode == code
+        assert proc.stderr.splitlines()[-1] == "False True"
+
+    def test_main_leaves_the_collector_as_it_was(self, capsys):
+        was_enabled, frozen = gc.isenabled(), gc.get_freeze_count()
+        assert run(capsys, "orbit", "--denominator", "4")[0] == 0
+        with pytest.raises(SystemExit):
+            cli.main(["--version"])
+        assert (gc.isenabled(), gc.get_freeze_count()) == (was_enabled, frozen)
+
+
+class TestProcessPath:
+    """`python -m pvi.cli` (the collector off, the heap frozen at exit) gives
+    the bytes and exit code of an in-process `cli.main`."""
+
+    @pytest.mark.parametrize("argv,want_code", [
+        (["--version"], 0),
+        (["--help"], 0),
+        (["classify", "--alpha=9,1,1,1", "--verify", "--samples", "10"], 0),
+        (["classify", "--pvi", "1/8,-1/8,1/8,3/8", "--format", "text"], 0),
+        (["orbit", "--mu", "2/45", "--nu", "7/45"], 0),
+        (["orbit", "--denominator", "6", "--format", "text"], 0),
+        (["verify", "--curve", "D", "--alpha=9,1,1,1", "--format", "csv"], 0),
+        (["verify", "--curve", "G", "--alpha=1,1,1,9", "--samples", "8", "--format", "text"], 0),
+        (["verify", "--curve", "A", "--alpha=9,1,1,1", "--samples", "8"], 1),  # verdict fail
+        (["verify", "--poly", "y - t", "--alpha=1,1,2,2"], 1),  # nothing to report
+        (["eval-picard", "--mu", "1/6", "--nu", "1/6", "--tau-im", "0.7", "--tau-re", "-0.3"], 0),
+        (["eval-picard", "--mu", "1/5", "--nu", "2/5", "--tau-im", "0.9", "--format", "text"], 0),
+        (["derive-quartics"], 0),
+        (["derive-quartics", "--format", "text"], 0),
+        (["selftest", "--json"], 0),
+        (["orbit", "--denominator", "1"], 2),  # usage error
+        (["classify", "--alpha=1,2,3"], 2),  # argparse rejection
+    ])
+    def test_same_bytes_as_in_process(self, monkeypatch, argv, want_code):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its help to the terminal width
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        env = _src_env()
+        env["COLUMNS"] = "80"
+        proc = subprocess.run([sys.executable, "-m", "pvi.cli", *argv],
+                              capture_output=True, env=env, timeout=120)
+        got, want = proc.stdout, out.getvalue().encode()
+        if argv[0] == "selftest":  # the check timings differ from run to run
+            got, want = (_without_seconds(json.loads(b)) for b in (got, want))
+        assert code == want_code
+        assert (proc.returncode, got, proc.stderr) == (code, want, err.getvalue().encode())
+
+
+def _without_seconds(body):
+    return body | {"checks": [{k: v for k, v in c.items() if k != "seconds"} for c in body["checks"]]}
 
 
 def _src_env():

@@ -174,6 +174,16 @@ class TestKummer:
     def test_equivalence_identity(self):
         assert verify_kummer_equivalence()
 
+    def test_kept_defect_is_a_fresh_build(self):
+        from pvi.curves import _squared_defect
+
+        verify_kummer_equivalence()
+        kept = _squared_defect()
+        assert _squared_defect() is kept
+        fresh = kummer_defect_poly().subs(**{f"a{i}": MultiPoly.variable(f"u{i}") ** 2 for i in range(4)})
+        assert same_terms(kept, fresh)
+        assert kept == signed_sum_product()
+
     def test_homogeneous_degree_eight(self):
         prod = signed_sum_product()
         assert all(sum(e) == 8 for e in prod.terms)

@@ -679,3 +679,36 @@ class TestAlphaConversion:
             reduction_residual(alpha, (F(1, 3), 0), 1j)
         with pytest.raises(ValueError, match="alpha must be finite"):
             reduction_residual(alpha, (F(1, 2), 0), 1j)  # before the pole check
+
+    def test_string_components_are_read_by_value(self):
+        # "0" is zero: its term is dropped, as for 0, so the half-period class
+        # (1/2, 0) meets no pole at the shift by 1/2
+        v, tau = (F(1, 2), 0), 1j
+        assert repr(reduction_residual((1, "0", 0, 0), v, tau)) == \
+            repr(reduction_residual((1, 0, 0, 0), v, tau))
+        assert reduction_residual(("0", " 0 ", "0/5", "0.0"), v, tau) == 0
+        with pytest.raises(PoleProximityError):
+            reduction_residual((1, "1", 0, 0), v, tau)
+        # a rational string is read as a Fraction, any other as complex
+        for tau in (1j, 0.3 + 0.9j):
+            got = reduction_residual(("1/3", " -2 ", "1.5e-3", "0.5-1j"), (F(1, 5), F(2, 5)), tau)
+            want = reduction_residual((F(1, 3), -2, F(3, 2000), 0.5 - 1j), (F(1, 5), F(2, 5)), tau)
+            assert repr(got) == repr(want)
+        with pytest.raises(ValueError, match="malformed"):
+            reduction_residual(("x", 0, 0, 0), v, tau)
+        with pytest.raises(ValueError, match="alpha must be finite, got nan, 0, 0, 0"):
+            reduction_residual(("nan", 0, 0, 0), v, tau)
+
+    def test_fraction_that_rounds_to_zero_keeps_its_term(self):
+        tiny = F(1, 10 ** 400)
+        assert float(tiny) == 0.0
+        v = (F(1, 2), 0)
+        with pytest.raises(PoleProximityError):  # the shift by 1/2 is still checked
+            reduction_residual((1, tiny, 0, 0), v, 1j)
+        with pytest.raises(PoleProximityError):
+            reduction_residual((1, str(tiny), 0, 0), v, 1j)
+        assert reduction_residual((1, 0, 0, 0), v, 1j) != 0  # the control
+        # off the poles the kept term adds 0.0 times a finite value
+        w = (F(1, 5), F(2, 5))
+        assert repr(reduction_residual((1, tiny, 0, tiny), w, 0.3 + 0.9j)) == \
+            repr(reduction_residual((1, 0, 0, 0), w, 0.3 + 0.9j))
