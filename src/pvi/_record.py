@@ -1,7 +1,10 @@
 """Frozen records: what ``@dataclass(frozen=True)`` gives a class, without
 importing :mod:`dataclasses`, which with :mod:`inspect` costs more than the
 rest of pvi's startup.  ``__init__``, ``__eq__``, ``__hash__`` and the order
-methods are compiled in one piece per class from the code dataclass generates.
+methods are compiled in one piece per class from the code dataclass generates,
+except that ``__init__`` stores each field where an instance keeps it, through
+the field's slot descriptor or in the instance dict, without the generic
+setattr; the constructor is the one way to build a record.
 ``__dataclass_fields__`` and ``__dataclass_params__`` come from
 ``dataclasses.make_dataclass`` on first read, so ``fields``, ``replace``,
 ``asdict``, ``astuple`` and ``is_dataclass`` work on records.
@@ -26,18 +29,23 @@ def record(cls=None, /, *, order=False):
     that raise ``dataclasses.FrozenInstanceError``, keeping any it defines itself."""
     if cls is None:
         return lambda cls: record(cls, order=order)
-    specs = []  # (name, default, compare)
+    specs, slots = [], {}  # (name, default, compare); {name: its slot's setter}
     for name in cls.__annotations__:
         spec = cls.__dict__.get(name, _MISSING)
-        if not isinstance(spec, field):  # a plain default, or a slot: no default
-            spec = field(default=_MISSING if isinstance(spec, MemberDescriptorType) else spec)
+        if isinstance(spec, MemberDescriptorType):  # a slot: no default, stored by its setter
+            slots[name], spec = spec.__set__, field()
+        elif not isinstance(spec, field):  # a plain default
+            spec = field(default=spec)
         elif spec.default is not _MISSING:
             setattr(cls, name, spec.default)
         specs.append((name, spec.default, spec.compare))
     names = tuple(name for name, _, _ in specs)
     mine = "(" + "".join(f"self.{n}, " for n, _, compare in specs if compare) + ")"
     params = ", ".join(n if d is _MISSING else f"{n}=_d_{n}" for n, d, _ in specs)
-    lines = [f"def __init__(self, {params}):", *(f"    _set(self, {n!r}, {n})" for n in names),
+    lines = [f"def __init__(self, {params}):",
+             "    _dict = self.__dict__" if len(slots) < len(names) else "",
+             *(f"    _s_{n}(self, {n})" if n in slots else f"    _dict[{n!r}] = {n}"
+               for n in names),
              "    self.__post_init__()" if hasattr(cls, "__post_init__") else "",
              f"def __hash__(self):\n    return hash({mine})"]
     ops = {"eq": "=="} | ({"lt": "<", "le": "<=", "gt": ">", "ge": ">="} if order else {})
@@ -47,7 +55,8 @@ def record(cls=None, /, *, order=False):
                      "    return NotImplemented")
     methods = {}
     exec(compile("\n".join(lines), f"<record {cls.__qualname__}>", "exec"),
-         {"_set": object.__setattr__, **{f"_d_{n}": d for n, d, _ in specs}}, methods)
+         {**{f"_d_{n}": d for n, d, _ in specs},
+          **{f"_s_{n}": setter for n, setter in slots.items()}}, methods)
     for fn in methods.values():
         fn.__qualname__ = f"{cls.__qualname__}.{fn.__name__}"
     if "__slots__" in cls.__dict__:  # the default reduction sets slots through __setattr__

@@ -188,8 +188,7 @@ def _cmd_verify(args) -> int:
     else:
         label = report.curve or "custom polynomial"
         print(f"curve {label} at pvi = ({', '.join(map(str, params))})")
-        # the count from the CSV rows, without building the samples
-        print(f"samples: {len(report.csv_rows())}  skipped: {len(report.skipped)}")
+        print(f"samples: {len(report.ts)}  skipped: {len(report.skipped)}")
         print(f"max residual: {report.max_residual:.6e}")
         print(f"median residual: {report.median_residual:.6e}")
         print(f"verdict: {report.verdict()}")

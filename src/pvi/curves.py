@@ -98,6 +98,14 @@ _MASTER_BASIS = (
 _P0_BASIS = ((Y - 1) ** 2 * Y ** 2, -(Y ** 2) + T * Y ** 2, -(T * (Y - 1) ** 2))
 
 
+def _four(alpha: AlphaLike) -> list[Fraction]:
+    """The four parameters as Fractions; any other count is refused first."""
+    a = list(alpha)
+    if len(a) != 4:
+        raise ValueError(f"alpha must have four components, got {len(a)}")
+    return [Fraction(x) for x in a]
+
+
 def master_poly(alpha: AlphaLike) -> MultiPoly:
     """Parameter-weighted sextic in (y, t); linear in the four parameters.
 
@@ -107,7 +115,7 @@ def master_poly(alpha: AlphaLike) -> MultiPoly:
     Being linear in alpha, it is built as the combination sum a_i * B_i of
     four constant basis sextics, with the term order of the product formula.
     """
-    return linear_combination([Fraction(a) for a in alpha], _MASTER_BASIS)
+    return linear_combination(_four(alpha), _MASTER_BASIS)
 
 
 def p0_poly(alpha: AlphaLike) -> MultiPoly:
@@ -139,7 +147,7 @@ def kummer_defect(alpha: AlphaLike) -> Fraction:
     The relation is homogeneous of degree 4, so it is evaluated on the
     integers D*a_i, D the lcm of the denominators, and divided by D^4.
     """
-    a = [Fraction(x) for x in alpha]
+    a = _four(alpha)
     den = lcm(*(x.denominator for x in a))
     return Fraction(_kummer_expression([x.numerator * (den // x.denominator) for x in a]), den ** 4)
 
@@ -189,7 +197,7 @@ def verify_kummer_equivalence() -> bool:
 
 def line_membership(alpha: AlphaLike) -> set[str]:
     """Which of the three distinguished lines of the surface contain alpha."""
-    return _lines_through([Fraction(x) for x in alpha])
+    return _lines_through(_four(alpha))
 
 
 def _lines_through(a: Sequence) -> set[str]:
@@ -201,7 +209,7 @@ def _lines_through(a: Sequence) -> set[str]:
 
 def pattern_curves(alpha: AlphaLike) -> list[CurveId]:
     """Curves of :data:`CURVE_TABLE` whose parameter pattern contains alpha, in table order."""
-    a = [Fraction(x) for x in alpha]
+    a = _four(alpha)
     point = _projective_point(a)
     lines = _lines_through(point or a)
     return [cid for cid, row in CURVE_TABLE.items()

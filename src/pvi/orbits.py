@@ -86,9 +86,9 @@ class RationalPair:
     hash computed once.  The public constructor ``RationalPair(mu, nu)`` takes
     each component as :func:`canonicalize` does (a Fraction, an int or a
     string such as "1/3"), stores it as a Fraction, refuses an invalid one
-    with ValueError, and fills ``_hash`` on the first hash; every pair this
-    module builds itself skips it and has its hash already kept, from
-    :func:`_pair` or, when listing, from the same three slot setters inline.
+    with ValueError, and keeps its hash; every pair this module builds itself
+    skips the conversion and takes its hash from integers it already holds,
+    through :func:`_pair` or, when listing, the same three slot setters inline.
     """
 
     __slots__ = ("mu", "nu", "_hash")
@@ -97,17 +97,14 @@ class RationalPair:
     nu: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "mu", _as_fraction(self.mu))
-        object.__setattr__(self, "nu", _as_fraction(self.nu))
+        mu, nu = _as_fraction(self.mu), _as_fraction(self.nu)
+        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "nu", nu)
+        object.__setattr__(self, "_hash", hash((mu.numerator, mu.denominator,
+                                                nu.numerator, nu.denominator)))
 
     def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:  # built by the public constructor, not hashed yet
-            mu, nu = self.mu, self.nu
-            h = hash((mu.numerator, mu.denominator, nu.numerator, nu.denominator))
-            _set_hash(self, h)
-            return h
+        return self._hash
 
     def __iter__(self):
         return iter((self.mu, self.nu))
@@ -138,9 +135,10 @@ _set_hash = RationalPair.__dict__["_hash"].__set__
 
 
 def _pair(mu: Fraction, nu: Fraction, h: int) -> RationalPair:
-    """The pair (mu, nu) with its hash h kept, without the frozen constructor's
-    setattr calls; h must be the hash of (mu.numerator, mu.denominator,
-    nu.numerator, nu.denominator), which each caller has from integers it holds."""
+    """The pair of the Fractions mu and nu with its hash h kept, without the
+    constructor's conversion and hashing; h must be the hash of (mu.numerator,
+    mu.denominator, nu.numerator, nu.denominator), which each caller has from
+    integers it holds."""
     p = _new(RationalPair)
     _set_mu(p, mu)
     _set_nu(p, nu)
@@ -254,9 +252,8 @@ class StandardForm:
     parity of (m, n): (even, odd), (odd, even), (odd, odd) respectively.
     Every orbit contains its standard representative.
 
-    Like :class:`RationalPair` it has slots and no ``__dict__``; the public
-    constructor is unchanged, and :func:`standard_form` builds through
-    :func:`_standard` without the frozen constructor's setattr calls.
+    Like :class:`RationalPair` it has slots and no ``__dict__``; its
+    constructor stores each field through the field's slot.
     """
 
     __slots__ = ("M", "N", "m", "n", "standard")
@@ -268,21 +265,6 @@ class StandardForm:
     standard: RationalPair
 
 
-_set_M, _set_N, _set_m, _set_n, _set_standard = (
-    StandardForm.__dict__[name].__set__ for name in StandardForm.__slots__)
-
-
-def _standard(M: int, N: int, m: int, n: int, standard: RationalPair) -> StandardForm:
-    """StandardForm(M, N, m, n, standard), with the slots set directly."""
-    sf = _new(StandardForm)
-    _set_M(sf, M)
-    _set_N(sf, N)
-    _set_m(sf, m)
-    _set_n(sf, n)
-    _set_standard(sf, standard)
-    return sf
-
-
 def standard_form(v: PairLike) -> StandardForm:
     """Reduce a nonzero class to its standard form; rejects the zero class."""
     N, a, b = level_numerators(_as_pair(v))
@@ -291,7 +273,7 @@ def standard_form(v: PairLike) -> StandardForm:
     M = gcd(a, b)
     m, n = a // M, b // M
     standard = _canonical_at(N, *((0, M) if m % 2 == 0 else (M, 0) if n % 2 == 0 else (M, M)))
-    return _standard(M, N, m, n, standard)
+    return StandardForm(M, N, m, n, standard)
 
 
 def merging_matrix(N: int) -> Gamma2Matrix:

@@ -291,11 +291,11 @@ def check_reduction_identity() -> str:
         alpha = AlphaTuple(c, c, d, d)
         for tau in _FIVE_TAUS:
             worst = max(worst, abs(el.reduction_residual(alpha, v, tau)))
-    _require(worst < 1e-8, f"matched four-term sum too large: {worst:.2e}")
+    _require(worst < vf.ACCEPT_TOL, f"matched four-term sum too large: {worst:.2e}")
     floor = min(
         abs(el.reduction_residual((1, 2, 3, 4), v, tau)) for tau in _FIVE_TAUS
     )
-    _require(floor > 1e-3, f"mismatched four-term sum too small: {floor:.2e}")
+    _require(floor > vf.REJECT_TOL, f"mismatched four-term sum too small: {floor:.2e}")
     return f"matched sums <= {worst:.1e}, mismatched sums >= {floor:.1e} at 5 tau values"
 
 
@@ -385,7 +385,7 @@ def check_picard_curve_consistency() -> str:
         worst_residual = max(worst_residual, abs(el.reduction_residual(alpha, v, tau)))
     _require(worst_curve < 1e-6, f"points leave the curve: {worst_curve:.2e}")
     _require(worst_master < 1e-6, f"points leave the sextic: {worst_master:.2e}")
-    _require(worst_residual < 1e-8, f"four-term sum nonzero: {worst_residual:.2e}")
+    _require(worst_residual < vf.ACCEPT_TOL, f"four-term sum nonzero: {worst_residual:.2e}")
     return (
         f"5 tau values: curve <= {worst_curve:.1e}, sextic <= {worst_master:.1e}, "
         f"derivative sum <= {worst_residual:.1e}"

@@ -278,46 +278,29 @@ class SkippedSample:
 class ResidualReport:
     """Aggregate of per-branch ODE residuals of a curve at fixed parameters.
 
-    The samples are also held as three columns: the t, the y and the
-    residual of each sample.  The JSON and CSV forms read the columns, and a
-    report from :func:`verify_curve` builds its ``samples`` from them only
-    when they are first read, then keeps them.
+    The samples are held as three columns, ``ts``, ``ys`` and ``residuals``:
+    the t, the y and the residual of each sample.  The JSON and CSV forms
+    read the columns; ``samples`` builds a :class:`ResidualSample` per row on
+    its first read and keeps them.
     """
 
     curve: Optional[str]
     params: PviParams
-    samples: tuple[ResidualSample, ...]
+    ts: tuple[complex, ...]
+    ys: tuple[complex, ...]
+    residuals: tuple[float, ...]
     skipped: tuple[SkippedSample, ...]
     max_residual: float
     median_residual: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "_columns", (tuple(s.t for s in self.samples),
-                                              tuple(s.y for s in self.samples),
-                                              tuple(s.residual for s in self.samples)))
-
-    @classmethod
-    def _from_columns(cls, curve: Optional[str], params: PviParams, ts: tuple, ys: tuple,
-                      residuals: tuple, skipped: tuple) -> "ResidualReport":
-        """A report whose ``samples`` are built on first read; the aggregates
-        are ``max`` and :func:`_median` of the residuals, and
-        :class:`NoValidSamplesError` is raised when there are none."""
-        if not residuals:
-            raise NoValidSamplesError("every sample was skipped; nothing to report")
-        report = object.__new__(cls)
-        report.__dict__.update(curve=curve, params=params, skipped=skipped,
-                               max_residual=max(residuals),
-                               median_residual=_median(residuals),
-                               _columns=(ts, ys, residuals))
-        return report
-
-    def __getattr__(self, name):
-        # called only for a missing attribute: the samples of a report from
-        # _from_columns before their first read
-        if name != "samples" or "_columns" not in self.__dict__:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        samples = tuple(map(ResidualSample, *self._columns))
-        object.__setattr__(self, "samples", samples)
+    @property
+    def samples(self) -> tuple[ResidualSample, ...]:
+        # built on first read and kept in the instance dict, as
+        # PviParams.as_complex keeps its conversion
+        samples = self.__dict__.get("_samples")
+        if samples is None:
+            samples = self.__dict__["_samples"] = tuple(
+                map(ResidualSample, self.ts, self.ys, self.residuals))
         return samples
 
     def verdict(self) -> str:
@@ -332,7 +315,8 @@ class ResidualReport:
             "curve": self.curve,
             "params": _params_json(self.params),
             "samples": [
-                {"t": _cplx(t), "y": _cplx(y), "residual": r} for t, y, r in zip(*self._columns)
+                {"t": _cplx(t), "y": _cplx(y), "residual": r}
+                for t, y, r in zip(self.ts, self.ys, self.residuals)
             ],
             "skipped": [{"t": _cplx(s.t), "reason": s.reason} for s in self.skipped],
             "max_residual": self.max_residual,
@@ -341,7 +325,8 @@ class ResidualReport:
         }
 
     def csv_rows(self) -> list[list]:
-        return [[t.real, t.imag, y.real, y.imag, r] for t, y, r in zip(*self._columns)]
+        return [[t.real, t.imag, y.real, y.imag, r]
+                for t, y, r in zip(self.ts, self.ys, self.residuals)]
 
 
 CSV_HEADER = ["t_re", "t_im", "y_re", "y_im", "residual"]
@@ -352,6 +337,16 @@ def _median(values: Sequence[float]) -> float:
     ``statistics.median`` returns, bit for bit, without importing it."""
     ordered, mid = sorted(values), len(values) // 2
     return ordered[mid] if len(values) % 2 else (ordered[mid - 1] + ordered[mid]) / 2
+
+
+def _report(curve: Optional[str], params: PviParams, skipped: tuple, ts: tuple, ys: tuple,
+            residuals: tuple) -> ResidualReport:
+    """The report of one curve's pass, with ``max`` and :func:`_median` of its
+    residuals; :class:`NoValidSamplesError` when every sample was skipped."""
+    if not residuals:
+        raise NoValidSamplesError("every sample was skipped; nothing to report")
+    return ResidualReport(curve, params, ts, ys, residuals, skipped, max(residuals),
+                          _median(residuals))
 
 
 def _cplx(z: complex) -> dict:
@@ -521,8 +516,8 @@ def verify_curve(
     if not isinstance(curve, MultiPoly):
         cid = CurveId(curve)
         label, poly = cid.value, CURVES[cid]
-    (skipped, ts, ys, residuals), = _residuals((poly,), params, spec)
-    return ResidualReport._from_columns(label, params, ts, ys, residuals, skipped)
+    found, = _residuals((poly,), params, spec)
+    return _report(label, params, *found)
 
 
 # ----------------------------------------------------------------------
@@ -578,9 +573,8 @@ def classify(alpha: Union[AlphaTuple, PviParams, Sequence], verify: bool = False
         params = params_convert(a)
         reports = {}
         passes = _residuals(tuple(CURVES[cid] for cid in CurveId), params, spec)
-        for cid, (skipped, ts, ys, residuals) in zip(CurveId, passes):
-            report = reports[cid] = ResidualReport._from_columns(cid.value, params, ts, ys,
-                                                                 residuals, skipped)
+        for cid, found in zip(CurveId, passes):
+            report = reports[cid] = _report(cid.value, params, *found)
             verdict = report.verdict()
             if cid in listed and verdict != "pass":
                 raise VerificationError(

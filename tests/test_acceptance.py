@@ -7,6 +7,9 @@ check raises :class:`pvi.selftest.CheckFailure`, an AssertionError, with its
 own message.
 """
 
+import pytest
+
+from pvi import selftest, verifier
 from pvi.selftest import CHECKS
 
 _CHECK = dict(CHECKS)
@@ -39,3 +42,15 @@ test_12_cross_module_consistency = _criterion(12, "picard-curve-consistency")
 
 def test_every_check_is_one_criterion():
     assert _COVERED == [name for name, _ in CHECKS]
+
+
+def test_four_term_checks_read_the_verifier_thresholds(monkeypatch):
+    monkeypatch.setattr(verifier, "REJECT_TOL", 1e12)
+    with pytest.raises(selftest.CheckFailure, match="mismatched four-term sum too small"):
+        selftest.check_reduction_identity()
+    monkeypatch.setattr(verifier, "REJECT_TOL", 1e-3)
+    monkeypatch.setattr(verifier, "ACCEPT_TOL", 0.0)
+    with pytest.raises(selftest.CheckFailure, match="matched four-term sum too large"):
+        selftest.check_reduction_identity()
+    with pytest.raises(selftest.CheckFailure, match="four-term sum nonzero"):
+        selftest.check_picard_curve_consistency()

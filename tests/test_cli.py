@@ -229,6 +229,14 @@ class TestVerify:
         assert "samples: 100  skipped: 0" in out
         assert built == []
 
+    def test_text_count_with_skips_is_the_json_count(self, capsys):
+        argv = ["verify", "--poly", "y^3 - t*y", "--alpha=1,1,2,2", "--samples", "7"]
+        code, data, _ = run_json(capsys, *argv)
+        assert code == 0 and data["skipped"]
+        code, out, _ = run(capsys, *argv, "--format", "text")
+        assert code == 0
+        assert f"samples: {len(data['samples'])}  skipped: {len(data['skipped'])}\n" in out
+
     @pytest.mark.parametrize("samples", ["0", "-3"])
     def test_samples_below_one_exit_2(self, capsys, samples):
         with pytest.raises(SystemExit) as exc:

@@ -225,6 +225,29 @@ class TestKummer:
         assert line_membership((1, 2, 1, 2)) == {"L2"}
         assert line_membership((1, 2, 2, 1)) == {"L3"}
 
+    @pytest.mark.parametrize("alpha", [(1, 1, 1), (1, 2, 3), (1, 1, 2), (1, 1, 1, 0, 5),
+                                       (1, 2, 3, 4, 0)])
+    def test_four_components_or_value_error(self, alpha, monkeypatch):
+        from pvi import curves
+
+        def no_work(*args):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(curves, "linear_combination", no_work)
+        monkeypatch.setattr(curves, "_kummer_expression", no_work)
+        monkeypatch.setattr(curves, "_lines_through", no_work)
+        monkeypatch.setattr(curves, "_projective_point", no_work)
+        message = f"^alpha must have four components, got {len(alpha)}$"
+        for call in (master_poly, curves.kummer_defect, kummer_condition, line_membership,
+                     pattern_curves):
+            with pytest.raises(ValueError, match=message):
+                call(alpha)
+            with pytest.raises(ValueError, match=message):
+                call(list(map(str, alpha)))
+
+    def test_p0_reads_the_first_three_components(self):
+        assert p0_poly((1, 2, 3)) == p0_poly((1, 2, 3, 4)) == p0_poly((1, 2, 3, 4, 5))
+
     def test_pattern_curves_reads_lines_off_the_projective_point(self):
         # pattern_curves takes line membership from the primitive integer
         # point; it agrees with line_membership on the Fractions themselves

@@ -506,10 +506,10 @@ class TestLevelNumerators:
         orbit = enumerate_orbit(v)
         assert v in orbit and len(orbit) == orbit_partition(160)[0]
         assert len(set(eligible_classes(24))) == sum(orbit_partition(24))
-        # the kept hash: built in, or filled on the first hash of a public pair
+        # the kept hash: built in, and kept by the public constructor
         built = [canonicalize(("-1/160", "3")), act(GENERATORS[1], v), standard_form(v).standard]
         public = [RationalPair(w.mu, w.nu) for w in built]
-        assert not any(hasattr(w, "_hash") for w in public)
+        assert all(w._hash == hash(tuple_key(w)) for w in public)
         assert {*built, *public, *orbit} == set(orbit)
         for w in built + public:
             assert w._hash == hash(w) == hash(tuple_key(w))
@@ -754,8 +754,8 @@ def standard_routes():
 
 
 class TestStandardFormSemantics:
-    """A standard form built by standard_form (slots set directly) is the same
-    value as the one the public constructor builds."""
+    """A standard form built by standard_form is the same value as the one
+    built by hand through the constructor."""
 
     def test_compare_hash_and_text(self):
         for sf, pub in standard_routes():
@@ -797,15 +797,11 @@ class TestStandardFormSemantics:
         for x in standard_routes()[0]:
             assert not hasattr(x, "__dict__")
 
-    def test_standard_form_makes_no_constructor_call(self, monkeypatch):
-        calls = []
-        public_init = StandardForm.__init__
-
-        def counting(self, *args, **kwargs):
-            calls.append(args)
-            public_init(self, *args, **kwargs)
-
-        monkeypatch.setattr(StandardForm, "__init__", counting)
+    def test_standard_form_is_the_constructor_record(self):
         for v in eligible_classes(12)[1:]:
-            standard_form(v)
-        assert calls == []
+            sf, by_hand = standard_form(v), reference_standard_form(v)
+            assert type(sf) is StandardForm
+            assert sf == by_hand and hash(sf) == hash(by_hand) and repr(sf) == repr(by_hand)
+            assert not hasattr(sf, "__dict__")
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+                assert pickle.loads(pickle.dumps(sf, protocol)) == sf

@@ -113,11 +113,13 @@ class Twin:
     class ResidualReport:
         curve: Optional[str]
         params: PviParams
-        samples: tuple[ResidualSample, ...]
+        ts: tuple[complex, ...]
+        ys: tuple[complex, ...]
+        residuals: tuple[float, ...]
         skipped: tuple[SkippedSample, ...]
         max_residual: float
         median_residual: float
-        __post_init__ = ResidualReport.__post_init__
+        samples = ResidualReport.samples
 
     @dataclass(frozen=True)
     class ClassificationResult:
@@ -135,7 +137,7 @@ class Twin:
 
 
 _PARAMS = PviParams(F(1, 2), F(-1, 2), F(1, 8), F(3, 8))
-_SAMPLES = (ResidualSample(0.5 + 0.25j, 1 - 2j, 3e-13), ResidualSample(0.25 + 0j, 2j, 1e-12))
+_COLUMNS = ((0.5 + 0.25j, 0.25 + 0j), (1 - 2j, 2j), (3e-13, 1e-12))  # ts, ys, residuals
 _SKIPPED = (SkippedSample(0.75 + 0j, "singular"),)
 
 # per record: argument tuples, the first two unequal, the last equal to the
@@ -160,9 +162,9 @@ CASES = {
                      (0.5 + 0.25j, 1 - 2j, 3e-13)],
     SkippedSample: [(0.75 + 0j, "singular"), (0.25j, "excluded point"),
                     (0.75 + 0j, "singular")],
-    ResidualReport: [("A", _PARAMS, _SAMPLES, _SKIPPED, 1e-12, 6.5e-13),
-                     (None, _PARAMS, _SAMPLES[:1], (), 3e-13, 3e-13),
-                     ("A", _PARAMS, _SAMPLES, _SKIPPED, 1e-12, 6.5e-13)],
+    ResidualReport: [("A", _PARAMS, *_COLUMNS, _SKIPPED, 1e-12, 6.5e-13),
+                     (None, _PARAMS, *(c[:1] for c in _COLUMNS), (), 3e-13, 3e-13),
+                     ("A", _PARAMS, *_COLUMNS, _SKIPPED, 1e-12, 6.5e-13)],
     ClassificationResult: [("finite_list", (CurveId.A, CurveId.D), None, {CurveId.A: "a"}),
                            ("picard_family", (), "every class"),
                            ("finite_list", (CurveId.A, CurveId.D), None, None)],

@@ -219,10 +219,9 @@ class TestVerifyCurve:
 
     @pytest.mark.parametrize("residual", [ACCEPT_TOL, 1e-5, REJECT_TOL])
     def test_inconclusive_between_thresholds(self, residual):
-        sample = ResidualSample(0.5 + 0.25j, 0.3 - 0.1j, residual)
         rep = ResidualReport(curve=None, params=params_convert(alpha_of(1, 1, 2, 2)),
-                             samples=(sample,), skipped=(), max_residual=residual,
-                             median_residual=residual)
+                             ts=(0.5 + 0.25j,), ys=(0.3 - 0.1j,), residuals=(residual,),
+                             skipped=(), max_residual=residual, median_residual=residual)
         assert rep.verdict() == "inconclusive"
         assert rep.to_json_dict()["verdict"] == "inconclusive"
 
@@ -843,12 +842,16 @@ class TestRootWork:
 
 
 def _eager_report(cid, params, spec):
-    """The report of verify_curve, built through the public constructor."""
+    """The report of verify_curve, built through the public constructor from
+    the reference samples, with its samples read at once."""
     samples, skipped = _sample(CURVES[cid], params, spec)
     residuals = [s.residual for s in samples]
-    return ResidualReport(curve=cid.value, params=params, samples=tuple(samples),
-                          skipped=tuple(skipped), max_residual=max(residuals),
-                          median_residual=statistics.median(residuals))
+    report = ResidualReport(curve=cid.value, params=params, ts=tuple(s.t for s in samples),
+                            ys=tuple(s.y for s in samples), residuals=tuple(residuals),
+                            skipped=tuple(skipped), max_residual=max(residuals),
+                            median_residual=statistics.median(residuals))
+    report.samples
+    return report
 
 
 @pytest.fixture
@@ -895,8 +898,8 @@ class TestPassMemory:
 
 
 class TestLazySamples:
-    """A report from verify_curve keeps its samples as columns and builds the
-    ResidualSamples on first read; it equals the report built eagerly."""
+    """A report keeps its samples as columns and builds the ResidualSamples on
+    first read; it equals the report built eagerly."""
 
     @pytest.mark.parametrize("matched", [True, False])
     @pytest.mark.parametrize("cid", list(CurveId))
@@ -930,6 +933,8 @@ class TestLazySamples:
         copies += [copy.copy(verify_curve(cid, params, spec)),
                    copy.deepcopy(verify_curve(cid, params, spec)),
                    dataclasses.replace(verify_curve(cid, params, spec))]
+        # and copies of a report whose samples were read
+        copies += [pickle.loads(pickle.dumps(eager)), copy.deepcopy(eager)]
         for other in copies:
             assert json.dumps(other.to_json_dict()) == json.dumps(eager.to_json_dict())
             assert repr(other.csv_rows()) == repr(eager.csv_rows())
@@ -938,7 +943,7 @@ class TestLazySamples:
         renamed = dataclasses.replace(lazy, curve="X")
         assert renamed.curve == "X" and renamed.samples == eager.samples
         assert renamed.to_json_dict()["samples"] == eager.to_json_dict()["samples"]
-        for name in [f.name for f in dataclasses.fields(ResidualReport)] + ["_columns"]:
+        for name in [f.name for f in dataclasses.fields(ResidualReport)] + ["samples"]:
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(lazy, name, None)
             with pytest.raises(dataclasses.FrozenInstanceError):
@@ -947,8 +952,12 @@ class TestLazySamples:
 
     def test_only_samples_is_built(self):
         rep = verify_curve(CurveId.A, params_convert(alpha_of(1, 1, 2, 2)))
+        names = [f.name for f in dataclasses.fields(ResidualReport)]
+        assert list(vars(rep)) == names
+        assert rep.samples == tuple(map(ResidualSample, rep.ts, rep.ys, rep.residuals))
+        assert list(vars(rep)) == names + ["_samples"]
         with pytest.raises(AttributeError, match="'ResidualReport' object has no attribute"):
-            rep.residuals
+            rep.columns
 
     def test_classify_builds_no_sample(self, sample_builds):
         result = classify((9, 1, 1, 1), verify=True)
