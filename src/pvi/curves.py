@@ -98,12 +98,17 @@ _MASTER_BASIS = (
 _P0_BASIS = ((Y - 1) ** 2 * Y ** 2, -(Y ** 2) + T * Y ** 2, -(T * (Y - 1) ** 2))
 
 
-def _four(alpha: AlphaLike) -> list[Fraction]:
-    """The four parameters as Fractions; any other count is refused first."""
+def _four_components(alpha: Iterable) -> list:
+    """The components of alpha as a list; any count but four is refused."""
     a = list(alpha)
     if len(a) != 4:
         raise ValueError(f"alpha must have four components, got {len(a)}")
-    return [Fraction(x) for x in a]
+    return a
+
+
+def _four(alpha: AlphaLike) -> list[Fraction]:
+    """The four parameters as Fractions; any other count is refused first."""
+    return [Fraction(x) for x in _four_components(alpha)]
 
 
 def master_poly(alpha: AlphaLike) -> MultiPoly:

@@ -46,7 +46,7 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence, Union
 
 from ._record import record
-from .curves import TRIPLING_F, TRIPLING_G
+from .curves import TRIPLING_F, TRIPLING_G, _four_components
 from .orbits import PairLike, RationalPair, _as_pair, level_numerators, parse_rational
 
 _PI = math.pi
@@ -423,9 +423,7 @@ def reduction_residual(alpha: Union[AlphaTuple, Sequence], v: PairLike, tau: com
     only when its component is zero in value: a Fraction that rounds to 0.0
     keeps its term (and its pole check).
     """
-    raw = list(alpha)
-    if len(raw) != 4:
-        raise ValueError("alpha must have four components")
+    raw = _four_components(alpha)
     a = [_read_number(ak) if isinstance(ak, str) else ak for ak in raw]
     weights = [_as_complex(ak) for ak in a]
     if not all(map(cmath.isfinite, weights)):

@@ -20,13 +20,17 @@ on ints too.  Work that only moves monomials runs on the keys: a substitution
 by single terms (the curve symmetries s2 and s3, a_i -> u_i^2, constants)
 shifts each key by integer arithmetic, and the monomial content is the
 minimum of each field.  Printing reads signs and magnitudes from the integers
-of a coefficient.  A polynomial is immutable, so each instance memoizes its
-powers (``p ** n`` is built once), its hash and its degree in each variable.
+of a coefficient.  The text form goes through two bounded tables kept per
+process: the parser reads each factor text (``y^2``, ``3/4``) once, and the
+printer builds each monomial's text once.  A polynomial is immutable, so each
+instance memoizes its powers (``p ** n`` is built once), its hash and its
+degree in each variable.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 import re
 from fractions import Fraction
 from math import gcd, isqrt, lcm
@@ -177,7 +181,10 @@ class MultiPoly:
         units = [_VAR_KEY[_VAR_INDEX[n]] for n in names]
         t: Terms = {}
         for exps, coef in terms.items() if isinstance(terms, Mapping) else terms:
-            exps = tuple(int(e) for e in exps)
+            try:
+                exps = tuple([operator.index(e) for e in exps])
+            except TypeError:
+                raise ValueError(f"non-integer exponent in {exps!r}") from None
             if len(exps) != len(names):
                 raise ValueError(f"exponent tuple {exps} does not match variables {names}")
             if any(e < 0 for e in exps):
@@ -567,8 +574,7 @@ class MultiPoly:
     def __str__(self) -> str:
         if not self._t:
             return "0"
-        fields = [(v, _SHIFTS[_VAR_INDEX[v]]) for v in self.vars]
-        t = self._t
+        t, texts = self._t, _MONOMIALS
         parts = []
         for key in sorted(t, reverse=True):
             coef = t[key]
@@ -576,7 +582,9 @@ class MultiPoly:
             n, d = (coef, 1) if type(coef) is int else (coef.numerator, coef.denominator)
             sign = ("- " if n < 0 else "+ ") if parts else ("-" if n < 0 else "")
             mag = str(abs(n)) if d == 1 else f"{abs(n)}/{d}"
-            mono = "*".join([v if e == 1 else f"{v}^{e}" for v, s in fields if (e := key >> s & _MASK)])
+            mono = texts.get(key)
+            if mono is None:
+                mono = _monomial_text(key)
             parts.append(sign + (mag if not mono else mono if mag == "1" else f"{mag}*{mono}"))
         return " ".join(parts)
 
@@ -750,50 +758,83 @@ def grid_content(rows: Sequence[Sequence[int]], name: str) -> MultiPoly:
     return MultiPoly._of({e * unit: _norm(Fraction(c, lc)) for e, c in enumerate(g) if c})
 
 
+# The text form reads and writes through two tables kept per process: factor
+# text -> what it reads as, and monomial key -> its text.  An entry is stored
+# only once its text is read or written without an error; each table stops
+# growing at _TEXT_TABLE_CAP entries, and a factor text longer than
+# _FACTOR_TEXT_MAX characters, or of degree above MAX_DEGREE, is never stored.
+# An entry is a function of its key, so who stored it does not matter; threads
+# that pass the size check together may each add one entry past the cap.
+_TEXT_TABLE_CAP = 2048
+_FACTOR_TEXT_MAX = 24
+_FACTORS: dict[str, tuple[int, int, int, int]] = {}  # text as split -> (key, degree, num, den)
+_MONOMIALS: dict[int, str] = {}  # monomial key -> its text, "" for 1
+
 _TERM_RE = re.compile(r"\s*(?P<sign>[+-])?\s*(?P<body>[^+-]+)")
 _FACTOR_RE = re.compile(r"^(?:(?P<num>-?\d+(?:/\d+)?)|(?P<var>[a-zA-Z]\w*)(?:\^(?P<exp>\d+))?)$")
+
+
+def _monomial_text(key: int) -> str:
+    """The text of the monomial with this key, its names in universe order."""
+    text = "*".join([v if e == 1 else f"{v}^{e}"
+                     for v, s in zip(VARIABLES, _SHIFTS) if (e := key >> s & _MASK)])
+    if len(_MONOMIALS) < _TEXT_TABLE_CAP:
+        _MONOMIALS[key] = text
+    return text
+
+
+def _read_factor(text: str) -> tuple[int, int, int, int]:
+    """(key, degree, 1, 1) for a variable or its power, (0, 0, n, d) for a
+    number n/d; a text that reads as neither raises."""
+    factor = text.strip()
+    fm = _FACTOR_RE.match(factor)
+    if not fm:
+        raise ValueError(f"bad factor {factor!r}")
+    number, name, exp = fm.groups()
+    if number is not None:
+        n, _, d = number.partition("/")
+        n, d = int(n), int(d or 1)
+        if not d:
+            raise ZeroDivisionError(f"Fraction({n}, 0)")
+        read = (0, 0, n, d)
+    else:
+        index = _VAR_INDEX.get(name)
+        if index is None:
+            _check_vars((name,))  # raises
+        e = int(exp or 1)
+        read = (e * _VAR_KEY[index], e, 1, 1)
+    if len(text) <= _FACTOR_TEXT_MAX and read[1] <= MAX_DEGREE and len(_FACTORS) < _TEXT_TABLE_CAP:
+        _FACTORS[text] = read
+    return read
 
 
 def _parse_poly(text: str) -> MultiPoly:
     s = text.strip()
     if not s:
         raise ValueError("empty polynomial string")
-    acc: Terms = {}
+    items = []
+    factors = _FACTORS
     pos = 0
     while pos < len(s):
         m = _TERM_RE.match(s, pos)
         if not m or not m.group("body").strip():
             raise ValueError(f"cannot parse polynomial near {s[pos:]!r}")
-        if pos and m.group("sign") is None:
+        sign, body = m.group("sign", "body")
+        if pos and sign is None:
             raise ValueError(f"missing +/- separator near {s[pos:]!r}")
-        num, den = (-1 if m.group("sign") == "-" else 1), 1
+        num, den = (-1 if sign == "-" else 1), 1
         key = degree = 0
-        for factor in m.group("body").split("*"):
-            factor = factor.strip()
-            index = _VAR_INDEX.get(factor)
-            if index is not None:  # a bare variable
-                degree += 1
-                _check_degree(degree)
-                key += _VAR_KEY[index]
-                continue
-            fm = _FACTOR_RE.match(factor)
-            if not fm:
-                raise ValueError(f"bad factor {factor!r}")
-            number, name, exp = fm.groups()
-            if number is not None:
-                n, _, d = number.partition("/")
-                n, d = int(n), int(d or 1)
-                if not d:
-                    raise ZeroDivisionError(f"Fraction({n}, 0)")
-                num, den = num * n, den * d
-            else:
-                index = _VAR_INDEX.get(name)
-                if index is None:
-                    _check_vars((name,))  # raises
-                e = int(exp or 1)
+        for factor in body.split("*"):
+            read = factors.get(factor)
+            if read is None:
+                read = _read_factor(factor)
+            k, e, n, d = read
+            if e:
                 degree += e
                 _check_degree(degree)
-                key += e * _VAR_KEY[index]
-        _accumulate(acc, [(key, num if den == 1 else Fraction(num, den))])
+                key += k
+            else:
+                num, den = num * n, den * d
+        items.append((key, num if den == 1 else Fraction(num, den)))
         pos = m.end()
-    return MultiPoly._of(acc)
+    return MultiPoly._of(_accumulate({}, items))

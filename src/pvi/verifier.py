@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence, Union
 
 from ._record import field, record
-from .curves import CURVE_TABLE, CURVES, CurveId, pattern_curves
+from .curves import CURVE_TABLE, CURVES, CurveId, _four, pattern_curves
 from .elliptic import AlphaTuple, _as_complex
 from .multipoly import MultiPoly
 from .orbits import PairLike, _as_pair, canonicalize, format_rational, orbit_key
@@ -112,10 +112,7 @@ def coerce_alpha(alpha: Union[AlphaTuple, PviParams, Sequence]) -> AlphaTuple:
         return alpha
     if isinstance(alpha, PviParams):
         return params_convert(alpha)
-    vals = list(alpha)
-    if len(vals) != 4:
-        raise ValueError("alpha must have four components")
-    return AlphaTuple(*(Fraction(v) for v in vals))
+    return AlphaTuple(*_four(alpha))
 
 
 # ----------------------------------------------------------------------

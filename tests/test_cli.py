@@ -18,7 +18,7 @@ from pvi import cli
 from pvi import verifier as vf
 from pvi.curves import CURVES, CurveId
 from pvi.multipoly import MultiPoly
-from pvi.orbits import MAX_PARTITION_DENOMINATOR
+from pvi.orbits import MAX_ORBIT_DENOMINATOR, MAX_PARTITION_DENOMINATOR
 
 
 def run(capsys, *argv):
@@ -157,6 +157,14 @@ class TestOrbit:
         assert code == 2
         assert out == ""
         assert err.count("\n") == 1 and "exceeds the orbit partition cap" in err
+
+    def test_listing_above_cap_exits_2(self, capsys):
+        level = MAX_ORBIT_DENOMINATOR + 1
+        code, out, err = run(capsys, "orbit", "--mu", f"1/{level}", "--nu", "0")
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert f"denominator {level} exceeds the orbit enumeration cap {MAX_ORBIT_DENOMINATOR}" in err
 
     def test_long_orbit_has_no_curve(self, capsys):
         code, data, _ = run_json(capsys, "orbit", "--mu", "1/5", "--nu", "0")

@@ -680,6 +680,11 @@ class TestAlphaConversion:
         with pytest.raises(ValueError, match="alpha must be finite"):
             reduction_residual(alpha, (F(1, 2), 0), 1j)  # before the pole check
 
+    @pytest.mark.parametrize("alpha", [(1, 1, 2), (1, 1, 2, 0, 5), ()])
+    def test_component_count_is_named(self, alpha):
+        with pytest.raises(ValueError, match=f"^alpha must have four components, got {len(alpha)}$"):
+            reduction_residual(alpha, (F(1, 4), 0), 1j)
+
     def test_string_components_are_read_by_value(self):
         # "0" is zero: its term is dropped, as for 0, so the half-period class
         # (1/2, 0) meets no pole at the shift by 1/2

@@ -64,6 +64,18 @@ class TestConstruction:
         assert MultiPoly.zero() == 0
         assert Y != 0
 
+    @pytest.mark.parametrize("exps", [(1.5,), (2.9,), ("2",), (F(2),), (2.0,)])
+    def test_non_integer_exponent_refused(self, exps):
+        with pytest.raises(ValueError, match="non-integer exponent"):
+            MultiPoly({exps: 1}, ["y"])
+        with pytest.raises(ValueError, match="non-integer exponent"):
+            MultiPoly([(exps, 1)], ["y"])
+
+    def test_non_integer_json_exponent_refused(self):
+        with pytest.raises(ValueError, match=r"non-integer exponent in \(2\.9,\)"):
+            MultiPoly.from_json_dict({"vars": ["y"], "terms": [{"exps": [2.9], "coef": "1"}]})
+        assert MultiPoly.from_json_dict({"vars": ["y"], "terms": [{"exps": [2], "coef": "1"}]}) == Y ** 2
+
 
 class TestArithmeticOracle:
     def test_against_sympy(self):
@@ -773,7 +785,7 @@ class TestParserAgainstReference:
         "y**2", "y^200*t^56", "y^256", "y^99999999999", "1/0*y^300", "y^300*1/0", "w*1/0",
         "y - - t", "+", "2 3", "a9", "1.5*y", "y*", "*y",
     ])
-    def test_bad_input_raises_the_same(self, text):
+    def test_bad_input_raises_the_same(self, text, monkeypatch):
         def outcome(parse):
             try:
                 return "ok", list(parse(text)._t.items())
@@ -783,6 +795,80 @@ class TestParserAgainstReference:
         got = outcome(MultiPoly.parse)
         assert got[0] != "ok"
         assert got == outcome(reference_parse)
+
+        # again, once every factor text of it that reads has been read by the
+        # parser from valid input and stored in the factor table
+        from pvi import multipoly as mp
+
+        monkeypatch.setattr(mp, "_FACTORS", {})
+        for m in mp._TERM_RE.finditer(text.strip()):
+            for piece in m.group("body").split("*"):
+                try:
+                    MultiPoly.parse(f"1*{piece}*1")
+                except (ValueError, ZeroDivisionError):
+                    continue
+                if len(piece) <= mp._FACTOR_TEXT_MAX:
+                    assert piece in mp._FACTORS, piece
+        assert outcome(MultiPoly.parse) == got
+
+
+class TestParserAndPrinterTables:
+    """The factor and monomial tables: bounded, and never seen in the output."""
+
+    def test_tables_stop_at_their_caps(self, monkeypatch):
+        from pvi import multipoly as mp
+
+        monkeypatch.setattr(mp, "_FACTORS", {})
+        monkeypatch.setattr(mp, "_MONOMIALS", {})
+        cap = mp._TEXT_TABLE_CAP
+        rng = random.Random(3030)
+        factors, keys = set(), set()
+        while len(factors) <= cap + 100 or len(keys) <= cap + 100:
+            parts = []
+            for _ in range(rng.randint(1, 6)):
+                body = [str(rng.randint(1, 5000)), f"{rng.randint(1, 99)}/{rng.randint(2, 99)}"]
+                for v in rng.sample(("y", "t", "z", "a0", "u3"), rng.randint(1, 3)):
+                    body.append(f"{v}^{rng.randint(0, 40)}")
+                rng.shuffle(body)
+                factors.update(body)
+                parts.append(f"{rng.choice('+-')} " + "*".join(body))
+            text = " ".join(parts)
+            got, want = MultiPoly.parse(text), reference_parse(text)
+            assert list(got._t.items()) == list(want._t.items()), text
+            assert [type(c) for c in got._t.values()] == [type(c) for c in want._t.values()]
+            assert str(got) == reference_str(got)
+            keys.update(got._t)
+        assert len(mp._FACTORS) == len(mp._MONOMIALS) == cap
+        # full tables still give the reference results
+        for _ in range(50):
+            p = wide_poly(rng, ("y", "t", "z", "a0", "u3"), nterms=rng.randint(1, 6), max_degree=60)
+            text = str(p)
+            assert text == reference_str(p)
+            assert list(MultiPoly.parse(text)._t.items()) == list(reference_parse(text)._t.items())
+        assert len(mp._FACTORS) == len(mp._MONOMIALS) == cap
+
+    def test_long_and_high_degree_factors_are_not_stored(self, monkeypatch):
+        from pvi import multipoly as mp
+
+        monkeypatch.setattr(mp, "_FACTORS", {})
+        long = "1" * (mp._FACTOR_TEXT_MAX + 1)
+        assert MultiPoly.parse(f"{long}*y") == int(long) * Y
+        assert long not in mp._FACTORS and "y" in mp._FACTORS
+        with pytest.raises(ValueError, match="total degree 300"):
+            MultiPoly.parse("y^300")
+        assert "y^300" not in mp._FACTORS
+        assert MultiPoly.parse(f"{long[1:]}*y") == int(long[1:]) * Y
+        assert long[1:] in mp._FACTORS
+
+    def test_monomial_text_does_not_depend_on_the_variables(self, monkeypatch):
+        from pvi import multipoly as mp
+
+        monkeypatch.setattr(mp, "_MONOMIALS", {})
+        # y*t printed first inside a polynomial in (y, t), then in (y, t, z, a0)
+        assert str(Y * T + 1) == "y*t + 1"
+        assert str(Y * T - F(1, 2) * Z ** 2 * MultiPoly.variable("a0")) == "-1/2*z^2*a0 + y*t"
+        (yt,) = (Y * T)._t
+        assert mp._MONOMIALS[yt] == "y*t" and mp._MONOMIALS[0] == ""
 
 
 def ref_pow(p: MultiPoly, n: int) -> MultiPoly:

@@ -987,6 +987,14 @@ class TestClassify:
         params = PviParams(F(9, 8), F(-1, 8), F(1, 8), F(3, 8))
         assert classify(params).curves == (CurveId.D,)
 
+    @pytest.mark.parametrize("alpha", [(1, 1, 2), ("1", "1", "2", "0", "5"), ()])
+    def test_component_count_is_named(self, alpha):
+        message = f"^alpha must have four components, got {len(alpha)}$"
+        with pytest.raises(ValueError, match=message):
+            classify(alpha)
+        with pytest.raises(ValueError, match=message):
+            verifier.coerce_alpha(alpha)
+
     def test_ratio_scaling(self):
         assert classify(("9/8", "1/8", "1/8", "1/8")).curves == (CurveId.D,)
         assert classify((-9, -1, -1, -1)).curves == (CurveId.D,)
