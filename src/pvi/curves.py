@@ -560,6 +560,17 @@ def _fp_mulmod(a: list[int], b: list[int], table: list[list[int]], prime: int) -
     return [c % prime for c in low]
 
 
+def _fp_quartic_discriminant(coeffs: list[int]) -> int:
+    """The discriminant of e + d*y + c*y^2 + b*y^3 + a*y^4 over Z: a^6 times
+    the product of the squared root differences."""
+    e, d, c, b, a = coeffs
+    return (256 * a**3 * e**3 - 192 * a**2 * b * d * e**2 - 128 * a**2 * c**2 * e**2
+            + 144 * a**2 * c * d**2 * e - 27 * a**2 * d**4 + 144 * a * b**2 * c * e**2
+            - 6 * a * b**2 * d**2 * e - 80 * a * b * c**2 * d * e + 18 * a * b * c * d**3
+            + 16 * a * c**4 * e - 4 * a * c**3 * d**2 - 27 * b**4 * e**2 + 18 * b**3 * c * d * e
+            - 4 * b**3 * d**3 - 4 * b**2 * c**3 * e + b**2 * c**2 * d**2)
+
+
 def _fp_is_irreducible(coeffs: list[int], prime: int) -> bool:
     """Distinct-degree test of a univariate polynomial f of degree d over F_p.
 
@@ -568,10 +579,19 @@ def _fp_is_irreducible(coeffs: list[int], prime: int) -> bool:
     divides y^(p^k) - y, while an irreducible f of degree d > k shares no
     factor with it.  The case k = 1 asks whether f has a root in F_p, so it
     is a Horner sweep over the p points, and a cubic or a conic without a
-    root is irreducible.  From d = 4 on, g = y^p mod f is taken by squaring
-    and shifting, and y^(p^k) mod f = sum_i c_i g^i where y^(p^(k-1)) mod f
-    = sum_i c_i y^i, since the p-th power is linear over F_p.  Each product
-    of two residues is folded back through the table of y^d..y^(2d-2) mod f.
+    root is irreducible.  A quartic without a root over an odd prime is
+    decided by its discriminant (:func:`_fp_quartic_discriminant`): by
+    Stickelberger's theorem (Swan, Pacific J. Math. 12, 1962), a squarefree
+    f with r irreducible factors over an odd prime has a square discriminant
+    exactly when d - r is even, so the quartic is irreducible (r = 1)
+    exactly when the discriminant is a nonzero non-square, and two quadratic
+    factors (r = 2) give a square; a zero discriminant means a repeated
+    factor, here a squared quadratic.  Over F_2, where every unit is a
+    square, a quartic, and from d = 5 on every f, takes the Frobenius:
+    g = y^p mod f is taken by squaring and shifting, and y^(p^k) mod f =
+    sum_i c_i g^i where y^(p^(k-1)) mod f = sum_i c_i y^i, since the p-th
+    power is linear over F_p.  Each product of two residues is folded back
+    through the table of y^d..y^(2d-2) mod f.
     """
     deg = len(coeffs) - 1
     if deg <= 0:
@@ -587,6 +607,9 @@ def _fp_is_irreducible(coeffs: list[int], prime: int) -> bool:
             return False
     if deg <= 3:
         return True
+    if deg == 4 and prime != 2:
+        # Euler's criterion: -1 for a non-square, 0 for a zero discriminant
+        return pow(_fp_quartic_discriminant(coeffs), (prime - 1) // 2, prime) == prime - 1
     inv = pow(coeffs[-1], -1, prime)
     f = [c * inv % prime for c in coeffs]
     table = _fp_reduction_table(f, prime)

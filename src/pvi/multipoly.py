@@ -19,12 +19,15 @@ and contents (:func:`grid_content`, the one gcd over the rows of an
 on ints too.  Work that only moves monomials runs on the keys: a substitution
 by single terms (the curve symmetries s2 and s3, a_i -> u_i^2, constants)
 shifts each key by integer arithmetic, and the monomial content is the
-minimum of each field.  Printing reads signs and magnitudes from the integers
-of a coefficient.  The text form goes through two bounded tables kept per
-process: the parser reads each factor text (``y^2``, ``3/4``) once, and the
-printer builds each monomial's text once.  A polynomial is immutable, so each
-instance memoizes its powers (``p ** n`` is built once), its hash and its
-degree in each variable.
+minimum of each field; any other substitution (s1, the uniformizations)
+reads the image num^e * den^(d-e) of each term's mapped exponents from a
+bounded table kept per process, so each image is built once per map.
+Printing reads signs and magnitudes from the integers of a coefficient.  The
+text form goes through two more bounded tables: the parser reads each factor
+text (``y^2``, ``3/4``) once, and the printer builds each monomial's text
+once.  A float coefficient is refused, as its binary value is not exact
+input.  A polynomial is immutable, so each instance memoizes its powers
+(``p ** n`` is built once), its hash and its degree in each variable.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from __future__ import annotations
 import json
 import operator
 import re
+from _thread import allocate_lock
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 from types import MappingProxyType
@@ -81,6 +85,14 @@ def _check_degree(degree: int) -> None:
 
 def _norm(c: Scalar) -> Scalar:
     return c.numerator if type(c) is Fraction and c.denominator == 1 else c
+
+
+def _exact(c) -> Scalar:
+    """A coefficient as read exactly (an int, a Fraction or rational text);
+    a float raises ValueError, as its binary value is not what was meant."""
+    if isinstance(c, float):
+        raise ValueError(f"float coefficient {c!r}; give an int, a Fraction or text such as '1/3'")
+    return _norm(Fraction(c))
 
 
 def _den(t: Terms) -> int:
@@ -190,7 +202,7 @@ class MultiPoly:
             if any(e < 0 for e in exps):
                 raise ValueError(f"negative exponent in {exps}")
             _check_degree(sum(exps))
-            _accumulate(t, [(sum(e * u for e, u in zip(exps, units)), _norm(Fraction(coef)))])
+            _accumulate(t, [(sum(e * u for e, u in zip(exps, units)), _exact(coef))])
         _set(self, "_t", t)
 
     @classmethod
@@ -208,7 +220,7 @@ class MultiPoly:
 
     @classmethod
     def constant(cls, c: Scalar) -> "MultiPoly":
-        return cls._of(_raw(Fraction(c)))
+        return cls._of(_raw(_exact(c)))
 
     @classmethod
     def variable(cls, name: str) -> "MultiPoly":
@@ -330,10 +342,13 @@ class MultiPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "MultiPoly":
+        powers = getattr(self, "_powers", None)
+        # only a plain int reads the memo first: 2.0 and Fraction(2) hash as 2
+        if powers is not None and type(n) is int and n in powers:
+            return powers[n]
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a nonnegative integer")
         _check_degree(n * self.total_degree())
-        powers = getattr(self, "_powers", None)
         if powers is None:
             powers = {}
             _set(self, "_powers", powers)
@@ -407,9 +422,12 @@ class MultiPoly:
         name, its coefficient is c * c_num^e * c_den^(d-e), and the terms are
         accumulated in input order once every total degree is checked.  Any
         other map runs the chain: every term c*m becomes c times m without the
-        mapped variables times the factors, multiplied left to right in
-        universe order, each power built once per call.  Both give the terms
-        in the same order.
+        mapped variables times its image, the factors multiplied left to right
+        in universe order.  The image of each exponent vector is built once
+        per process and map and kept in a bounded table keyed by the map's
+        fields (shift, d, and the terms of num and den in their order); each
+        term still checks its total degree and adds c times the image in the
+        image's order.  Both paths give the terms in the same order.
         """
         for name in maps:
             _check_vars((name,))
@@ -422,21 +440,24 @@ class MultiPoly:
                            self.degree_in(name), {}))
         if all(len(num._t) == 1 == len(den._t) for _, _, num, den, _, _ in fields):
             return MultiPoly._of(_substitute_monomials(self._t, fields))
+        # the map as its fields read, term order included: MultiPoly's == does not
+        ident = tuple([(s, d, tuple(num._t.items()), tuple(den._t.items()))
+                       for s, _, num, den, d, _ in fields])
+        images = _IMAGES.get(ident) or {}
+        mask = sum([_MASK << f[0] for f in fields])
         acc: Terms = {}
         for key, coef in self._t.items():
-            rest, prod = key, None
-            for s, unit, num, den, d, cache in fields:
-                e = (key >> s) & _MASK
-                rest -= e * unit
-                if e not in cache:
-                    cache[e] = [f._t for f in (num ** e, den ** (d - e)) if f._t != {0: 1}]
-                for f in cache[e]:
-                    prod = f if prod is None else _mul(prod, f)
+            image = images.get(key & mask)
+            if image is None:
+                image = _chain_image(key, fields)
+                _store_image(ident, images, key & mask, image)
+            delta, prod, degree = image
+            rest = key - delta
             if prod is None:
                 _accumulate(acc, [(rest, coef)])
             elif prod:
-                _check_degree((max(prod) >> _DEGREE_SHIFT) + (rest >> _DEGREE_SHIFT))
-                _accumulate(acc, ((k + rest, coef * c) for k, c in prod.items()))
+                _check_degree(degree + (rest >> _DEGREE_SHIFT))
+                _accumulate(acc, [(k + rest, coef * c) for k, c in prod.items()])
         return MultiPoly._of(acc)
 
     def subs(self, **mapping: "MultiPoly | Scalar") -> "MultiPoly":
@@ -601,7 +622,7 @@ class MultiPoly:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "MultiPoly":
-        return cls({tuple(t["exps"]): Fraction(t["coef"]) for t in data["terms"]}, data["vars"])
+        return cls({tuple(t["exps"]): t["coef"] for t in data["terms"]}, data["vars"])
 
     @classmethod
     def parse(cls, text: str) -> "MultiPoly":
@@ -651,6 +672,40 @@ def _substitute_monomials(t: Terms, fields: list) -> Terms:
     if items:
         _check_degree(max([k for k, _ in items]) >> _DEGREE_SHIFT)
     return _accumulate({}, items)
+
+
+def _chain_image(key: int, fields: list) -> tuple[int, "Terms | None", int]:
+    """(delta, prod, degree) for a term with this key under a chain map: the
+    key of the mapped variables' monomial, the product of the factors
+    num^e * den^(d-e) in universe order (None when every factor is 1), and
+    its total degree."""
+    delta, prod = 0, None
+    for s, unit, num, den, d, cache in fields:
+        e = key >> s & _MASK
+        delta += e * unit
+        if e not in cache:
+            cache[e] = [f._t for f in (num ** e, den ** (d - e)) if f._t != {0: 1}]
+        for f in cache[e]:
+            prod = f if prod is None else _mul(prod, f)
+    return delta, prod, max(prod) >> _DEGREE_SHIFT if prod else 0
+
+
+def _store_image(ident: tuple, images: dict, exps: int, image: tuple) -> None:
+    """Keep the image of the exponents exps under the map ident in images,
+    the map's table, while the table then holds at most _IMAGE_TABLE_CAP
+    terms: each image counts its terms (at least one), and a map's first
+    image counts its num and den."""
+    global _image_terms
+    size = max(len(image[1] or ()), 1)
+    with _IMAGE_LOCK:
+        stored = _IMAGES.get(ident)
+        if stored is None:
+            size += sum([len(num) + len(den) for _, _, num, den in ident])
+        if _image_terms + size <= _IMAGE_TABLE_CAP:
+            if stored is None:
+                stored = _IMAGES[ident] = images
+            stored[exps] = image
+            _image_terms += size
 
 
 def _fraction_sqrt(x: Fraction) -> Fraction:
@@ -769,6 +824,18 @@ _TEXT_TABLE_CAP = 2048
 _FACTOR_TEXT_MAX = 24
 _FACTORS: dict[str, tuple[int, int, int, int]] = {}  # text as split -> (key, degree, num, den)
 _MONOMIALS: dict[int, str] = {}  # monomial key -> its text, "" for 1
+
+# The chain path of substitute reads each term's image from a third table kept
+# per process: map (its fields as read) -> mapped exponents (the term's key
+# masked to the mapped fields) -> (delta, prod, degree) from _chain_image.  An
+# image is a function of its keys and is stored only once built without an
+# error; the table stops storing once it would hold more than
+# _IMAGE_TABLE_CAP terms, counted by _store_image under _IMAGE_LOCK so that
+# threads storing together cannot lose a count.
+_IMAGE_TABLE_CAP = 4096
+_IMAGES: dict[tuple, dict[int, tuple[int, "Terms | None", int]]] = {}
+_image_terms = 0
+_IMAGE_LOCK = allocate_lock()  # threading.Lock, without importing threading
 
 _TERM_RE = re.compile(r"\s*(?P<sign>[+-])?\s*(?P<body>[^+-]+)")
 _FACTOR_RE = re.compile(r"^(?:(?P<num>-?\d+(?:/\d+)?)|(?P<var>[a-zA-Z]\w*)(?:\^(?P<exp>\d+))?)$")

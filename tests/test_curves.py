@@ -33,7 +33,15 @@ from pvi.curves import (
     verify_kummer_equivalence,
     verify_uniformization,
 )
-from pvi.curves import _SQUARE_POINT, _TRIAL_FACTORS, _fp_is_irreducible, _fp_mod, _nonzero_at, _square_at
+from pvi.curves import (
+    _SQUARE_POINT,
+    _TRIAL_FACTORS,
+    _fp_is_irreducible,
+    _fp_mod,
+    _fp_quartic_discriminant,
+    _nonzero_at,
+    _square_at,
+)
 from pvi.multipoly import MultiPoly, integer_grid, linear_combination
 
 F = Fraction
@@ -582,7 +590,7 @@ _PRIMES_TO_97 = [q for q in range(2, 98) if all(q % r for r in range(2, q))]
 
 
 class TestFpIrreducible:
-    @pytest.mark.parametrize("prime", [2, 3, 5])
+    @pytest.mark.parametrize("prime", [2, 3, 5, 7])
     def test_every_polynomial_to_degree_four(self, prime):
         for deg in range(1, 5):
             for lower in product(range(prime), repeat=deg):
@@ -590,6 +598,23 @@ class TestFpIrreducible:
                     coeffs = [*lower, lead]
                     assert _fp_is_irreducible(coeffs, prime) == \
                         _trial_division_irreducible(coeffs, prime), (coeffs, prime)
+
+    def test_quartic_discriminant(self):
+        # the closed form against sympy, then each branch of the rootless
+        # quartic at p = 7: irreducible, two quadratics, a squared quadratic
+        rng = random.Random(96)
+        s = sympy.Symbol("y")
+        for _ in range(100):
+            coeffs = [rng.randint(-30, 30) for _ in range(4)] + [rng.choice([-3, -1, 1, 2, 7])]
+            want = sympy.discriminant(sum(c * s ** i for i, c in enumerate(coeffs)), s)
+            assert _fp_quartic_discriminant(coeffs) == want, coeffs
+        # y^2 + 1 and y^2 + y + 3 are irreducible over F_7
+        two_quadratics = [3, 1, 4, 1, 1]  # (y^2 + 1)(y^2 + y + 3)
+        squared = [1, 0, 2, 0, 1]  # (y^2 + 1)^2
+        assert _fp_quartic_discriminant(squared) % 7 == 0
+        assert pow(_fp_quartic_discriminant(two_quadratics) % 7, 3, 7) == 1
+        assert not _fp_is_irreducible(two_quadratics, 7) and not _fp_is_irreducible(squared, 7)
+        assert _fp_is_irreducible([2, 1, 0, 0, 1], 7)  # y^4 + y + 2
 
     def test_random_to_degree_six(self):
         # trial division is p^(d/2) work, so the reference keeps to

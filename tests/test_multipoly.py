@@ -76,6 +76,24 @@ class TestConstruction:
             MultiPoly.from_json_dict({"vars": ["y"], "terms": [{"exps": [2.9], "coef": "1"}]})
         assert MultiPoly.from_json_dict({"vars": ["y"], "terms": [{"exps": [2], "coef": "1"}]}) == Y ** 2
 
+    @pytest.mark.parametrize("make", [
+        lambda: MultiPoly({(1,): 0.1}, ["y"]),
+        lambda: MultiPoly([((1,), 0.1)], ["y"]),
+        lambda: MultiPoly({(0,): 1, (1,): 2.0}, ["y"]),
+        lambda: MultiPoly.constant(0.5),
+        lambda: MultiPoly.from_json_dict({"vars": ["y"], "terms": [{"exps": [1], "coef": 0.1}]}),
+    ])
+    def test_float_coefficient_refused(self, make):
+        with pytest.raises(ValueError, match=r"float coefficient (0\.1|2\.0|0\.5)"):
+            make()
+
+    def test_exact_coefficients_still_read(self):
+        assert MultiPoly({(1,): "1/3"}, ["y"]) == F(1, 3) * Y
+        assert MultiPoly({(1,): F(6, 4), (0,): -2}, ["y"]) == F(3, 2) * Y - 2
+        assert MultiPoly.constant("-2/4") == F(-1, 2) and MultiPoly.constant(F(3)) == 3
+        data = {"vars": ["y"], "terms": [{"exps": [1], "coef": "1/3"}, {"exps": [0], "coef": 2}]}
+        assert MultiPoly.from_json_dict(data) == F(1, 3) * Y + 2
+
 
 class TestArithmeticOracle:
     def test_against_sympy(self):
@@ -904,7 +922,11 @@ class TestPowerMemo:
         q = p ** 2
         with pytest.raises(ValueError, match="exceeds the limit"):
             p ** 3
-        assert p._powers == {2: q}
+        # 2.0 and F(2) hash and compare equal to the memoized 2
+        for bad in (F(2), 2.0):
+            with pytest.raises(ValueError, match="nonnegative"):
+                p ** bad
+        assert p._powers == {2: q} and p ** 2 is q
 
     def test_memo_is_not_shared_between_equal_polynomials(self):
         p, q = Y + T, Y + T
@@ -1086,6 +1108,117 @@ class TestMonomialMaps:
                 p.substitute(maps)
         assert (Y ** 100 * T).subs(t=Z ** 155).total_degree() == MAX_DEGREE
         assert (Y ** 85).substitute({"y": (T ** 3, 1)}) == T ** 255
+
+
+def image_table_terms(mp) -> int:
+    """The size of the chain image table recounted from its contents."""
+    return sum(sum(len(num) + len(den) for _, _, num, den in ident)
+               + sum(max(len(prod or ()), 1) for _, prod, _ in images.values())
+               for ident, images in mp._IMAGES.items())
+
+
+@pytest.fixture
+def empty_image_table(monkeypatch):
+    from pvi import multipoly as mp
+
+    monkeypatch.setattr(mp, "_IMAGES", {})
+    monkeypatch.setattr(mp, "_image_terms", 0)
+    return mp
+
+
+class TestSubstitutionImages:
+    """The chain path's image table: keyed by the map as read, bounded, and
+    never seen in the output."""
+
+    def test_equal_maps_in_another_term_order_get_their_own_images(self, empty_image_table):
+        one_y, y_one = MultiPoly.parse("1 - y"), MultiPoly.parse("-y + 1")
+        one_t, t_one = MultiPoly.parse("1 - t"), MultiPoly.parse("-t + 1")
+        assert one_y == y_one and list(one_y._t) != list(y_one._t)
+        p = Y ** 2 * T + 3 * Y * T ** 2 - T
+        results = []
+        for mapping in ({"y": one_y, "t": one_t}, {"y": y_one, "t": t_one}):
+            got, want = p.subs(**mapping), ref_subs(p, mapping)
+            assert list(got._t.items()) == list(want._t.items())
+            results.append(list(got._t))
+        assert results[0] != results[1]
+        assert len(empty_image_table._IMAGES) == 2
+
+    def test_warm_image_still_checks_the_degree(self, empty_image_table):
+        m = {"y": (T ** 10 + 1, 1)}
+        assert Y.substitute(m) == T ** 10 + 1
+        assert len(empty_image_table._IMAGES) == 1
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            (Y * T ** 250).substitute(m)
+        assert (Y * T ** 245).substitute(m) == T ** 255 + T ** 245
+
+    def test_refusals_are_the_same_on_a_warm_table(self, empty_image_table):
+        mp = empty_image_table
+        for p, maps in ((Y ** 2 + Y, {"y": (Y + 1, 1)}), (Y + T, {"y": (Y, 1), "t": (T + 1, 2)}),
+                        (Y ** 2 + Y, {"y": (Y + 1, T)})):
+            p.substitute(maps)
+        table = {ident: dict(images) for ident, images in mp._IMAGES.items()}
+        assert table
+        for _ in range(2):
+            TestSubstitutionInputs().test_zero_denominator_is_refused()
+            TestSubstitutionInputs().test_other_values_are_refused()
+        assert {ident: dict(images) for ident, images in mp._IMAGES.items()} == table
+
+    def test_table_stops_at_its_cap(self, empty_image_table):
+        mp = empty_image_table
+        cap = mp._IMAGE_TABLE_CAP
+        rng = random.Random(3232)
+        refused = 0
+        while refused < 50:
+            p = wide_poly(rng, ("y", "t", "z"), nterms=rng.randint(1, 6), max_degree=6)
+            maps = {"y": (wide_poly(rng, ("t", "z"), nterms=3, max_degree=2), rng.choice([1, 2, T])),
+                    "t": (1 - T, rng.choice([1, Z + 1]))}
+            before = mp._image_terms
+            got, want = p.substitute(maps), ref_substitute(p, maps)
+            assert list(got._t.items()) == list(want._t.items())
+            assert mp._image_terms == image_table_terms(mp) <= cap
+            refused += before == mp._image_terms and before > cap - 100
+        assert mp._image_terms > cap - 100
+        # the full table still gives the reference results, from old and new maps
+        full = image_table_terms(mp)
+        for _ in range(30):
+            p = wide_poly(rng, ("y", "t", "z"), nterms=5, max_degree=6)
+            maps = {"y": (1 - Y, 1), "t": (1 - T, 1)}
+            got, want = p.substitute(maps), ref_substitute(p, maps)
+            assert list(got._t.items()) == list(want._t.items())
+        assert full <= image_table_terms(mp) == mp._image_terms <= cap
+
+    def test_threads_storing_together_keep_the_count(self, empty_image_table):
+        import sys
+        import threading
+
+        mp = empty_image_table
+        errors = []
+
+        def work(seed):
+            rng = random.Random(seed)
+            try:
+                for _ in range(40):
+                    p = wide_poly(rng, ("y", "t"), nterms=4, max_degree=5)
+                    maps = {"y": (wide_poly(rng, ("t",), nterms=2, max_degree=2) + 1, 1)}
+                    got, want = p.substitute(maps), ref_substitute(p, maps)
+                    if list(got._t.items()) != list(want._t.items()):
+                        errors.append((p, maps))
+            except Exception as exc:  # reported below, with the thread's seed
+                errors.append((seed, exc))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(seed,)) for seed in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        assert mp._image_terms == image_table_terms(mp) <= mp._IMAGE_TABLE_CAP
 
 
 class TestSubstitutionInputs:
