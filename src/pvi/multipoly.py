@@ -16,18 +16,16 @@ them in that order.  Evaluation at int and Fraction points runs in integers
 over one common denominator; the parser, products over a common denominator
 and contents (:func:`grid_content`, the one gcd over the rows of an
 :func:`integer_grid`, for ``content_in`` and the curve certifier alike) work
-on ints too.  Work that only moves monomials runs on the keys: a substitution
-by single terms (the curve symmetries s2 and s3, a_i -> u_i^2, constants)
-shifts each key by integer arithmetic, and the monomial content is the
-minimum of each field; any other substitution (s1, the uniformizations)
-reads the image num^e * den^(d-e) of each term's mapped exponents from a
-bounded table kept per process, so each image is built once per map.
+on ints too.  The monomial content is the minimum of each key field.  A
+substitution (the curve symmetries, the uniformizations, a_i -> u_i^2,
+constants) reads the image num^e * den^(d-e) of each term's mapped exponents
+from a bounded table kept per process, so each image is built once per map.
 Printing reads signs and magnitudes from the integers of a coefficient.  The
 text form goes through two more bounded tables: the parser reads each factor
 text (``y^2``, ``3/4``) once, and the printer builds each monomial's text
 once.  A float coefficient is refused, as its binary value is not exact
-input.  A polynomial is immutable, so each instance memoizes its powers
-(``p ** n`` is built once), its hash and its degree in each variable.
+input.  A polynomial is immutable, so each instance memoizes its hash and
+its degree in each variable.
 """
 
 from __future__ import annotations
@@ -186,7 +184,7 @@ def _raw(x) -> "Terms | None":
 class MultiPoly:
     """Immutable sparse polynomial: map from packed monomials to nonzero rationals."""
 
-    __slots__ = ("_t", "_vars", "_powers", "_hash", "_degrees")
+    __slots__ = ("_t", "_vars", "_hash", "_degrees")
 
     def __init__(self, terms: Mapping[Exponents, Scalar] = (), variables: Sequence[str] = ()):
         names = _check_vars(variables)
@@ -342,18 +340,9 @@ class MultiPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "MultiPoly":
-        powers = getattr(self, "_powers", None)
-        # only a plain int reads the memo first: 2.0 and Fraction(2) hash as 2
-        if powers is not None and type(n) is int and n in powers:
-            return powers[n]
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a nonnegative integer")
         _check_degree(n * self.total_degree())
-        if powers is None:
-            powers = {}
-            _set(self, "_powers", powers)
-        elif n in powers:
-            return powers[n]
         result, base, e = None, self._t, n
         while e:
             if e & 1:
@@ -361,8 +350,7 @@ class MultiPoly:
             e >>= 1
             if e:
                 base = _mul(base, base)
-        p = powers[n] = MultiPoly._of({0: 1} if result is None else result)
-        return p
+        return MultiPoly._of({0: 1} if result is None else result)
 
     def derivative(self, name: str) -> "MultiPoly":
         if name not in _VAR_INDEX:
@@ -417,17 +405,13 @@ class MultiPoly:
         polynomials or exact scalars; a zero den raises ZeroDivisionError and
         anything else TypeError, before any work.
 
-        When every num and den is a single term, each term c*m goes to one
-        term: its key moves by e*(k_num - unit) + (d-e)*k_den for each mapped
-        name, its coefficient is c * c_num^e * c_den^(d-e), and the terms are
-        accumulated in input order once every total degree is checked.  Any
-        other map runs the chain: every term c*m becomes c times m without the
-        mapped variables times its image, the factors multiplied left to right
-        in universe order.  The image of each exponent vector is built once
-        per process and map and kept in a bounded table keyed by the map's
-        fields (shift, d, and the terms of num and den in their order); each
-        term still checks its total degree and adds c times the image in the
-        image's order.  Both paths give the terms in the same order.
+        Every term c*m becomes c times m without the mapped variables times
+        its image, the factors num^e * den^(d-e) multiplied left to right in
+        universe order.  The image of each exponent vector is built once per
+        process and map and kept in a bounded table keyed by the map's fields
+        (shift, d, and the terms of num and den in their order); each term
+        still checks its total degree and adds c times the image in the
+        image's order.
         """
         for name in maps:
             _check_vars((name,))
@@ -438,8 +422,6 @@ class MultiPoly:
                 raise ZeroDivisionError(f"zero denominator in the substitution for {name!r}")
             fields.append((_SHIFTS[_VAR_INDEX[name]], _VAR_KEY[_VAR_INDEX[name]], num, den,
                            self.degree_in(name), {}))
-        if all(len(num._t) == 1 == len(den._t) for _, _, num, den, _, _ in fields):
-            return MultiPoly._of(_substitute_monomials(self._t, fields))
         # the map as its fields read, term order included: MultiPoly's == does not
         ident = tuple([(s, d, tuple(num._t.items()), tuple(den._t.items()))
                        for s, _, num, den, d, _ in fields])
@@ -644,38 +626,8 @@ def _as_poly(x, name: str) -> MultiPoly:
     return MultiPoly._of(t)
 
 
-def _substitute_monomials(t: Terms, fields: list) -> Terms:
-    """The monomial-map case of :meth:`MultiPoly.substitute`, by key arithmetic.
-
-    With name -> c_num*k_num / (c_den*k_den) of degree d in t, a term of
-    exponent e in name moves by e*(k_num - k_den - unit) + d*k_den.  Integer
-    addition is linear in the fields and every field is nonnegative, so the
-    degree field of a moved key is its total degree whenever that total is in
-    range, and exceeds the limit whenever the total does.
-    """
-    base, columns = 0, []
-    for s, unit, num, den, d, cache in fields:
-        ((kn, cn),), ((kd, cd),) = num._t.items(), den._t.items()
-        base += d * kd
-        columns.append((s, kn - kd - unit, cn, cd, d, cache))
-    items = []
-    for key, coef in t.items():
-        k = key + base
-        for s, delta, cn, cd, d, cache in columns:
-            e = key >> s & _MASK
-            f = cache.get(e)
-            if f is None:
-                f = cache[e] = (e * delta, _norm(cn ** e * cd ** (d - e)))
-            k += f[0]
-            coef *= f[1]
-        items.append((k, coef))
-    if items:
-        _check_degree(max([k for k, _ in items]) >> _DEGREE_SHIFT)
-    return _accumulate({}, items)
-
-
 def _chain_image(key: int, fields: list) -> tuple[int, "Terms | None", int]:
-    """(delta, prod, degree) for a term with this key under a chain map: the
+    """(delta, prod, degree) for a term with this key under a map: the
     key of the mapped variables' monomial, the product of the factors
     num^e * den^(d-e) in universe order (None when every factor is 1), and
     its total degree."""
@@ -825,7 +777,7 @@ _FACTOR_TEXT_MAX = 24
 _FACTORS: dict[str, tuple[int, int, int, int]] = {}  # text as split -> (key, degree, num, den)
 _MONOMIALS: dict[int, str] = {}  # monomial key -> its text, "" for 1
 
-# The chain path of substitute reads each term's image from a third table kept
+# substitute reads each term's image from a third table kept
 # per process: map (its fields as read) -> mapped exponents (the term's key
 # masked to the mapped fields) -> (delta, prod, degree) from _chain_image.  An
 # image is a function of its keys and is stored only once built without an

@@ -901,36 +901,26 @@ def ref_pow(p: MultiPoly, n: int) -> MultiPoly:
     return MultiPoly.constant(1) if result is None else result
 
 
-class TestPowerMemo:
-    def test_repeated_power_is_the_same_object(self):
+class TestPower:
+    def test_values_match_ref_pow(self):
         rng = random.Random(1919)
         for _ in range(30):
             p = wide_poly(rng, ("y", "t", "z"), nterms=4, max_degree=4)
             for n in (0, 1, 2, 3, 5, 2):
                 q = p ** n
-                assert p ** n is q
                 assert _full(q) == _full(ref_pow(p, n))
                 assert all((type(c) is int) == (F(c).denominator == 1) for c in q._t.values())
 
-    def test_errors_come_before_the_memo(self):
+    def test_refusals(self):
         p = Y ** 100 + T
         for bad, error in ((-1, "nonnegative"), (1.5, "nonnegative"), (F(2), "nonnegative"),
-                           (3, "exceeds the limit")):
+                           (2.0, "nonnegative"), (3, "exceeds the limit")):
             with pytest.raises(ValueError, match=error):
                 p ** bad
-            assert getattr(p, "_powers", None) is None
-        q = p ** 2
-        with pytest.raises(ValueError, match="exceeds the limit"):
-            p ** 3
-        # 2.0 and F(2) hash and compare equal to the memoized 2
-        for bad in (F(2), 2.0):
-            with pytest.raises(ValueError, match="nonnegative"):
+        assert _full(p ** 2) == _full(ref_pow(p, 2))
+        for bad, error in ((3, "exceeds the limit"), (F(2), "nonnegative"), (2.0, "nonnegative")):
+            with pytest.raises(ValueError, match=error):
                 p ** bad
-        assert p._powers == {2: q} and p ** 2 is q
-
-    def test_memo_is_not_shared_between_equal_polynomials(self):
-        p, q = Y + T, Y + T
-        assert p ** 2 == q ** 2 and p ** 2 is not q ** 2
 
 
 class TestContentOverZ:
@@ -1004,7 +994,7 @@ class TestIntegerGrid:
 
 
 # ----------------------------------------------------------------------
-# monomial substitutions by key arithmetic, scalar and zero denominators
+# monomial substitutions, scalar and zero denominators
 # ----------------------------------------------------------------------
 
 
@@ -1034,9 +1024,9 @@ def random_monomial(rng, names=("y", "t", "z", "a0", "u3")) -> MultiPoly:
 
 
 class TestMonomialMaps:
-    """A map whose every num and den is one term sends each term to one term
-    by key arithmetic; it must give the chain's result, term for term and in
-    order, stored as ints where integral."""
+    """A map whose every num and den is one term sends each term to one term;
+    it must give the chain's result, term for term and in order, stored as
+    ints where integral."""
 
     NAMES = ("y", "t", "z", "a0", "u3")
 
@@ -1144,12 +1134,25 @@ class TestSubstitutionImages:
         assert len(empty_image_table._IMAGES) == 2
 
     def test_warm_image_still_checks_the_degree(self, empty_image_table):
-        m = {"y": (T ** 10 + 1, 1)}
-        assert Y.substitute(m) == T ** 10 + 1
-        assert len(empty_image_table._IMAGES) == 1
-        with pytest.raises(ValueError, match="exceeds the limit"):
-            (Y * T ** 250).substitute(m)
-        assert (Y * T ** 245).substitute(m) == T ** 255 + T ** 245
+        for maps, (m, over, at_limit, want) in enumerate((
+            ({"y": (T ** 10 + 1, 1)}, Y * T ** 250, Y * T ** 245, T ** 255 + T ** 245),
+            # a single-term map reads the same table
+            ({"y": (T ** 2, 1)}, Y ** 130 + T, Y ** 127 * T, T ** 255),
+        ), 1):
+            assert Y.substitute(m) == m["y"][0]
+            assert len(empty_image_table._IMAGES) == maps
+            with pytest.raises(ValueError, match="exceeds the limit"):
+                over.substitute(m)
+            assert at_limit.substitute(m) == want
+
+    def test_monomial_map_reads_the_table(self, empty_image_table):
+        from pvi.curves import CURVES, SYMMETRY_GENERATORS, CurveId
+
+        p, s2 = CURVES[CurveId.D], SYMMETRY_GENERATORS["s2"]
+        got, want = p.substitute(s2), ref_substitute(p, s2)
+        assert list(got._t.items()) == list(want._t.items())
+        (images,) = empty_image_table._IMAGES.values()
+        assert images and all(len(prod) == 1 for _, prod, _ in images.values())
 
     def test_refusals_are_the_same_on_a_warm_table(self, empty_image_table):
         mp = empty_image_table
